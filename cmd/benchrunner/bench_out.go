@@ -24,13 +24,6 @@ import (
 // SAT core's micro-benchmarks and the synthesis engine's end-to-end ones.
 var benchPackages = []string{"./internal/sat", "./internal/core"}
 
-// benchExclude names benchmarks the trajectory must NOT track. The SAT
-// portfolio races threads and adopts whichever worker answers first, so its
-// numbers are sanctioned-nondeterministic (see the internal/sat package
-// comment) and would make the committed medians non-comparable across runs;
-// everything in BENCH_<n>.json stays pinned to one search thread.
-var benchExclude = regexp.MustCompile(`Portfolio`)
-
 // benchResult is one benchmark's median metrics.
 type benchResult struct {
 	Package     string  `json:"package"`
@@ -73,8 +66,7 @@ func runMicroBenchmarks(outPath string, count int, benchtime string) error {
 	order := []string{} // "pkg name" keys in first-appearance order
 	byKey := map[string]*samples{}
 	for _, pkg := range benchPackages {
-		args := []string{"test", pkg, "-run=NONE", "-bench=.",
-			"-skip=" + benchExclude.String(), "-benchmem",
+		args := []string{"test", pkg, "-run=NONE", "-bench=.", "-benchmem",
 			"-benchtime=" + benchtime, "-count=" + strconv.Itoa(count)}
 		out, err := exec.Command(goTool, args...).CombinedOutput()
 		if err != nil {
@@ -82,7 +74,7 @@ func runMicroBenchmarks(outPath string, count int, benchtime string) error {
 		}
 		for _, line := range strings.Split(string(out), "\n") {
 			m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
-			if m == nil || benchExclude.MatchString(m[1]) {
+			if m == nil {
 				continue
 			}
 			key := pkg + " " + m[1]

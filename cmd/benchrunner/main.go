@@ -12,8 +12,8 @@
 // Usage:
 //
 //	benchrunner [-n 563] [-timeout 2s] [-seed 1] [-j 0] [-pp-workers 1]
-//	            [-engines expand,pedant,manthan3] [-sat-profile luby]
-//	            [-faults panic@1,budget@2] [-out bench/results]
+//	            [-engines expand,pedant,manthan3] [-faults panic@1,budget@2]
+//	            [-out bench/results]
 //	            [-fig 6|7|8|9|10|all] [-table 1]
 //	benchrunner -bench-out BENCH_5.json [-bench-count 3] [-bench-time 2s]
 //
@@ -25,20 +25,15 @@
 // comma-separated backend specs — plain registry names, seed-pinned
 // variants ("manthan3@7"), or portfolios ("portfolio:expand+cegar+manthan3")
 // — each reported like any other engine; the resilient dispatch forms
-// ("fallback:a>b" and "retry(k):spec") are valid specs too. -sat-profile
-// selects the SAT search profile every engine builds its solvers with
-// (sat.ProfileOptions); "parallel" races clause-sharing search threads
-// inside each solver, which breaks run-to-run replay stability of the CSV
-// (answers are unchanged — see the internal/sat determinism note), so the
-// committed BENCH_<n>.json trajectory and replay-compared runs keep the
-// default single-thread profiles. -faults arms a deterministic fault plan
-// (internal/faultinject) freshly per engine run, injecting panics, budget
-// errors, forced unknowns, cancellations, or stalls at chosen invocation
-// indices — the resilience layer must degrade every run to a classified
-// outcome instead of crashing the suite. CSV data land in -out
-// (results_raw.csv carries one per-phase column per observed phase plus a
-// dispatch-telemetry "attempts" column, both preserved by -replay); ASCII
-// renderings go to stdout.
+// ("fallback:a>b" and "retry(k):spec") are valid specs too. -faults arms a
+// deterministic fault plan (internal/faultinject) freshly per engine run,
+// injecting panics, budget errors, forced unknowns, cancellations, or
+// stalls at chosen invocation indices — the resilience layer must degrade
+// every run to a classified outcome instead of crashing the suite. CSV data
+// land in -out (results_raw.csv carries one per-phase column per observed
+// phase plus a dispatch-telemetry "attempts" column, both preserved by
+// -replay); ASCII renderings go to stdout. A file that cannot be created,
+// written, or closed makes the run exit 1.
 //
 // -bench-out switches to perf-trajectory mode: run the internal/sat and
 // internal/core micro-benchmarks -bench-count times each and write median
@@ -64,38 +59,37 @@ import (
 	"repro/internal/bench"
 	"repro/internal/faultinject"
 	"repro/internal/gen"
-	"repro/internal/sat"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	n := flag.Int("n", 563, "number of suite instances to run (prefix of the suite)")
-	timeout := flag.Duration("timeout", 2*time.Second, "per-engine per-instance timeout")
-	seed := flag.Int64("seed", 1, "suite and engine seed")
-	outDir := flag.String("out", "bench-results", "output directory for CSV data")
-	fig := flag.String("fig", "all", "which figure to emit: 6,7,8,9,10,all")
-	jobs := flag.Int("j", 0, "parallel engine-run workers (0 = NumCPU)")
-	ppWorkers := flag.Int("pp-workers", 1, "per-engine preprocessing workers (manthan3-family engines)")
-	verifyWorkers := flag.Int("verify-workers", 1, "per-engine repair-phase verification workers (manthan3-family engines; bit-identical results at every setting)")
-	enginesFlag := flag.String("engines", "", "comma-separated engine specs to race (default: the canonical set; accepts name@seed and portfolio:a+b+c)")
-	satProfile := flag.String("sat-profile", "", "SAT search profile for every engine-internal solver: "+strings.Join(sat.Profiles(), ", ")+" (empty = default)")
-	faults := flag.String("faults", "", "deterministic fault plan injected into every engine run (e.g. \"panic@1,budget@2,stall(5ms)@3\"; see internal/faultinject); a fresh plan is armed per run")
-	replay := flag.String("replay", "", "regenerate reports from a previous results_raw.csv instead of re-running")
-	benchOut := flag.String("bench-out", "", "run the internal/sat and internal/core micro-benchmarks and write median results as JSON to this file, then exit")
-	benchCount := flag.Int("bench-count", 3, "benchmark repetitions per micro-benchmark for -bench-out (medians are reported)")
-	benchTime := flag.String("bench-time", "1s", "benchtime per micro-benchmark run for -bench-out (accepts Nx iteration counts)")
-	serveLoad := flag.String("serve-load", "", "open-loop load test against the manthand service: \"self\" (in-process server honoring -faults) or a base URL; reports p50/p99 latency, shed and outcome counts, then exits")
-	slRate := flag.Float64("sl-rate", 50, "serve-load arrival rate in requests/second (open loop: arrivals never wait for responses)")
-	slDuration := flag.Duration("sl-duration", 3*time.Second, "serve-load generation window")
-	slSpec := flag.String("sl-spec", "manthan3", "serve-load engine spec sent with every request")
-	slInstances := flag.Int("sl-instances", 4, "serve-load distinct instance count (cycled; repeats exercise the server's warm verify pools)")
-	slTimeout := flag.Duration("sl-timeout", 2*time.Second, "serve-load per-request client deadline hint")
-	slQueue := flag.Int("sl-queue", 8, "serve-load self-server admission queue cap (small by default so overload sheds)")
-	slConcurrency := flag.Int("sl-concurrency", 2, "serve-load self-server worker count")
-	flag.Parse()
+func run(args []string) int {
+	fs := flag.NewFlagSet("benchrunner", flag.ExitOnError)
+	n := fs.Int("n", 563, "number of suite instances to run (prefix of the suite)")
+	timeout := fs.Duration("timeout", 2*time.Second, "per-engine per-instance timeout")
+	seed := fs.Int64("seed", 1, "suite and engine seed")
+	outDir := fs.String("out", "bench-results", "output directory for CSV data")
+	fig := fs.String("fig", "all", "which figure to emit: 6,7,8,9,10,all")
+	jobs := fs.Int("j", 0, "parallel engine-run workers (0 = NumCPU)")
+	ppWorkers := fs.Int("pp-workers", 1, "per-engine preprocessing workers (manthan3-family engines)")
+	verifyWorkers := fs.Int("verify-workers", 1, "per-engine repair-phase verification workers (manthan3-family engines; bit-identical results at every setting)")
+	enginesFlag := fs.String("engines", "", "comma-separated engine specs to race (default: the canonical set; accepts name@seed and portfolio:a+b+c)")
+	faults := fs.String("faults", "", "deterministic fault plan injected into every engine run (e.g. \"panic@1,budget@2,stall(5ms)@3\"; see internal/faultinject); a fresh plan is armed per run")
+	replay := fs.String("replay", "", "regenerate reports from a previous results_raw.csv instead of re-running")
+	benchOut := fs.String("bench-out", "", "run the internal/sat and internal/core micro-benchmarks and write median results as JSON to this file, then exit")
+	benchCount := fs.Int("bench-count", 3, "benchmark repetitions per micro-benchmark for -bench-out (medians are reported)")
+	benchTime := fs.String("bench-time", "1s", "benchtime per micro-benchmark run for -bench-out (accepts Nx iteration counts)")
+	serveLoad := fs.String("serve-load", "", "open-loop load test against the manthand service: \"self\" (in-process server honoring -faults) or a base URL; reports p50/p99 latency, shed and outcome counts, then exits")
+	slRate := fs.Float64("sl-rate", 50, "serve-load arrival rate in requests/second (open loop: arrivals never wait for responses)")
+	slDuration := fs.Duration("sl-duration", 3*time.Second, "serve-load generation window")
+	slSpec := fs.String("sl-spec", "manthan3", "serve-load engine spec sent with every request")
+	slInstances := fs.Int("sl-instances", 4, "serve-load distinct instance count (cycled; repeats exercise the server's warm verify pools)")
+	slTimeout := fs.Duration("sl-timeout", 2*time.Second, "serve-load per-request client deadline hint")
+	slQueue := fs.Int("sl-queue", 8, "serve-load self-server admission queue cap (small by default so overload sheds)")
+	slConcurrency := fs.Int("sl-concurrency", 2, "serve-load self-server worker count")
+	fs.Parse(args)
 
 	if *benchOut != "" {
 		if err := runMicroBenchmarks(*benchOut, *benchCount, *benchTime); err != nil {
@@ -118,11 +112,6 @@ func run() int {
 			concurrency: *slConcurrency,
 		})
 	}
-	if _, err := sat.ProfileOptions(*satProfile); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-
 	var wrap func(backend.Backend) backend.Backend
 	if *faults != "" {
 		rules, err := faultinject.Parse(*faults)
@@ -176,18 +165,13 @@ func run() int {
 		if workers <= 0 {
 			workers = runtime.NumCPU()
 		}
-		profileName := *satProfile
-		if profileName == "" {
-			profileName = "default"
-		}
-		fmt.Printf("running %d instances × %d engines (%s), timeout %v, %d workers, %d preproc workers, sat profile %s…\n",
-			len(suite), len(engines), strings.Join(engines, ", "), *timeout, workers, *ppWorkers, profileName)
+		fmt.Printf("running %d instances × %d engines (%s), timeout %v, %d workers, %d preproc workers…\n",
+			len(suite), len(engines), strings.Join(engines, ", "), *timeout, workers, *ppWorkers)
 		start := time.Now()
 		results = bench.RunSuite(context.Background(), suite, bench.Options{
 			Timeout: *timeout, Seed: *seed, Workers: workers,
 			Engines: engines, PreprocWorkers: *ppWorkers,
-			VerifyWorkers: *verifyWorkers,
-			SATProfile:    *satProfile, WrapBackend: wrap,
+			VerifyWorkers: *verifyWorkers, WrapBackend: wrap,
 		})
 		fmt.Printf("suite completed in %v\n\n", time.Since(start).Round(time.Millisecond))
 	}
@@ -199,15 +183,11 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
+	writeFailed := false
 	write := func(name string, fn func(f *os.File) error) {
-		f, err := os.Create(filepath.Join(*outDir, name))
-		if err != nil {
+		if err := writeFile(filepath.Join(*outDir, name), fn); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		defer f.Close()
-		if err := fn(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			writeFailed = true
 		}
 	}
 
@@ -266,8 +246,25 @@ func run() int {
 	write("results_raw.csv", func(f *os.File) error {
 		return writeResultsCSV(f, results)
 	})
+	if writeFailed {
+		return 1
+	}
 	fmt.Printf("\nCSV data written to %s\n", *outDir)
 	return 0
+}
+
+// writeFile creates path and fills it through fn, reporting the first
+// create, write, or close failure.
+func writeFile(path string, fn func(f *os.File) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := fn(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // phaseColPrefix marks the per-phase columns in results_raw.csv: one

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -193,5 +195,34 @@ func TestResultsCSVRoundTripAttempts(t *testing.T) {
 	corrupt := strings.Replace(buf.String(), "budget", "", 1)
 	if _, err := readResults(strings.NewReader(corrupt), "buf"); err == nil {
 		t.Fatal("malformed attempts cell replayed without error")
+	}
+}
+
+// TestOutputWriteFailureExitsNonZero: an output file that cannot be
+// written must fail the run with exit status 1, after the other outputs
+// are written. A directory squatting on results_raw.csv makes its create
+// fail.
+func TestOutputWriteFailureExitsNonZero(t *testing.T) {
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if err := writeResultsCSV(&buf, []bench.RunResult{{
+		Instance: "inst", Family: "fam", Engine: "manthan3",
+		Outcome: bench.Synthesized, Duration: time.Second,
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	replay := filepath.Join(dir, "replay.csv")
+	if err := os.WriteFile(replay, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out")
+	if err := os.MkdirAll(filepath.Join(out, "results_raw.csv"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if code := run([]string{"-replay", replay, "-out", out}); code != 1 {
+		t.Fatalf("exit status %d with an unwritable results_raw.csv, want 1", code)
+	}
+	if _, err := os.Stat(filepath.Join(out, "table1_summary.txt")); err != nil {
+		t.Fatalf("summary not written: %v", err)
 	}
 }

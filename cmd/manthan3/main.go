@@ -7,7 +7,7 @@
 //
 //	manthan3 [-engine manthan3|expand|expand-iter|pedant|cegar]
 //	         [-portfolio manthan3,expand,pedant] [-timeout 60s] [-j 0]
-//	         [-pp-workers 0] [-sat-profile luby] [-seed 1] [-verify] [-pre]
+//	         [-pp-workers 0] [-verify-workers 0] [-seed 1] [-verify] [-pre]
 //	         [-verilog out.v] [-v] [-q] instance.dqdimacs
 //
 // -timeout bounds the whole synthesis through a context threaded into every
@@ -25,18 +25,14 @@
 // (functions or a False proof) wins and the losers are canceled; it
 // overrides -engine. -j bounds engine-internal parallelism (the manthan3
 // learn phase; 0 = NumCPU) and -pp-workers its preprocessing worker pool
-// (0 = NumCPU; the same flag drives the pedant Padoa pass). -sat-profile
-// selects the SAT search profile — restart policy, learnt-tier cuts,
-// minimization, inprocessing schedule — every engine-internal solver is
-// built with (see sat.ProfileOptions; empty means the tuned default). The
-// "parallel" profile turns each solver into a clause-sharing portfolio of
-// NumCPU search threads: answers stay correct, but which model/core is
-// reported is not reproducible run to run, so leave it off when comparing
-// CSV runs bit for bit. On success the
-// engine's per-phase telemetry is printed as `c stats: phases: …` — name,
-// wall-clock duration, and oracle calls per executed phase — and, for
-// composed dispatch (portfolio/fallback/retry), the member invocations as
-// `c stats: attempts: …` with each attempt's outcome class and duration.
+// (0 = NumCPU; the same flag drives the pedant Padoa pass); -verify-workers
+// bounds the manthan3 repair-phase verification pool the same way. Every
+// engine-internal SAT solver runs the one search configuration of
+// internal/sat. On success the engine's per-phase telemetry is printed as
+// `c stats: phases: …` — name, wall-clock duration, and oracle calls per
+// executed phase — and, for composed dispatch (portfolio/fallback/retry),
+// the member invocations as `c stats: attempts: …` with each attempt's
+// outcome class and duration.
 //
 // On True instances, the synthesized functions are printed one per line as
 // `y<var> := <expression>`; the exit status is 0. False instances report
@@ -57,7 +53,6 @@ import (
 	"repro/internal/boolfunc"
 	"repro/internal/dqbf"
 	"repro/internal/preproc"
-	"repro/internal/sat"
 
 	// Engine registrations: each engine package registers itself with the
 	// backend registry in its init.
@@ -79,7 +74,6 @@ func run() int {
 	workers := flag.Int("j", 0, "engine-internal worker count (0 = NumCPU)")
 	ppWorkers := flag.Int("pp-workers", 0, "preprocessing worker count (manthan3 preprocess / pedant Padoa pass; 0 = NumCPU)")
 	verifyWorkers := flag.Int("verify-workers", 0, "repair-phase candidate-verification worker count (manthan3; results are bit-identical at every setting; 0 = NumCPU)")
-	satProfile := flag.String("sat-profile", "", "SAT search profile for every engine-internal solver: "+strings.Join(sat.Profiles(), ", ")+" (empty = default)")
 	verify := flag.Bool("verify", true, "independently verify the synthesized vector")
 	quiet := flag.Bool("q", false, "suppress function printing; report status only")
 	verilog := flag.String("verilog", "", "also write the functions as a structural Verilog module to this file")
@@ -89,11 +83,6 @@ func run() int {
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: manthan3 [flags] instance.dqdimacs")
 		flag.PrintDefaults()
-		return 1
-	}
-	// Fail fast on a bad profile name, before parsing and preprocessing.
-	if _, err := sat.ProfileOptions(*satProfile); err != nil {
-		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 
@@ -155,7 +144,7 @@ func run() int {
 		in = prep.Simplified
 	}
 
-	bopts := backend.Options{Seed: *seed, Workers: *workers, PreprocWorkers: *ppWorkers, VerifyWorkers: *verifyWorkers, SATProfile: *satProfile}
+	bopts := backend.Options{Seed: *seed, Workers: *workers, PreprocWorkers: *ppWorkers, VerifyWorkers: *verifyWorkers}
 	if *verbose {
 		bopts.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "c trace: "+format+"\n", args...)

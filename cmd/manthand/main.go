@@ -56,7 +56,6 @@ import (
 	"repro/internal/dqbf"
 	"repro/internal/faultinject"
 	"repro/internal/gen"
-	"repro/internal/sat"
 	"repro/internal/service"
 
 	// Engine registrations: each engine package registers itself with the
@@ -85,7 +84,6 @@ func run() int {
 	workers := flag.Int("j", 0, "engine-internal worker count (0 = NumCPU)")
 	ppWorkers := flag.Int("pp-workers", 0, "preprocessing worker count (0 = NumCPU)")
 	verifyWorkers := flag.Int("verify-workers", 0, "repair-phase verification worker count (0 = NumCPU)")
-	satProfile := flag.String("sat-profile", "", "SAT search profile for engine-internal solvers: "+strings.Join(sat.Profiles(), ", ")+" (empty = default)")
 	verifyBudget := flag.Int64("verify-budget", service.DefaultVerifyConflictBudget, "conflict budget for the service's independent response verification (negative disables verification)")
 	faults := flag.String("faults", "", "fault-injection plan armed fresh per request (testing only): comma-separated kind@n rules, kinds panic/budget/unknown/cancel/stall(dur)")
 	faultSeed := flag.Int64("fault-seed", 1, "fault-injection plan seed")
@@ -94,10 +92,6 @@ func run() int {
 	smoke := flag.Bool("smoke", false, "run the CI self-check (ephemeral port, one request, SIGTERM, clean drain) and exit")
 	flag.Parse()
 
-	if _, err := sat.ProfileOptions(*satProfile); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
 	cfg := service.Config{
 		QueueDepth:        *queue,
 		Concurrency:       *concurrency,
@@ -112,7 +106,6 @@ func run() int {
 		Workers:              *workers,
 		PreprocWorkers:       *ppWorkers,
 		VerifyWorkers:        *verifyWorkers,
-		SATProfile:           *satProfile,
 		VerifyConflictBudget: *verifyBudget,
 	}
 	if *fallbacks != "" {

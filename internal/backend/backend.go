@@ -136,7 +136,10 @@ func MapEngineError(err error, classes ...ErrorClass) error {
 	return err
 }
 
-// Options tunes a backend run. The zero value gives usable defaults.
+// Options tunes a backend run. The zero value gives usable defaults. Every
+// engine-internal SAT solver runs the one search configuration sat.New
+// builds; a run sets only its effort (SATConflictBudget), its seed, and its
+// worker counts.
 type Options struct {
 	// Seed drives engine randomization (sampling, solver tie-breaking).
 	Seed int64
@@ -152,14 +155,6 @@ type Options struct {
 	// on a fixed-slot solver pool); 0 means NumCPU. Results are
 	// bit-identical for every worker count.
 	VerifyWorkers int
-	// SATProfile names the SAT-solver search profile every engine-internal
-	// solver is built with (sat.ProfileOptions): "" or "default" for the
-	// tuned adaptive default, "luby", "incremental", "longrun", or
-	// "parallel" (a clause-sharing NumCPU-worker search portfolio per solve;
-	// answers keep their Status but model identity may vary run to run, so
-	// bit-identical pipelines stick to the sequential profiles). Engines
-	// reject unknown names.
-	SATProfile string
 	// SATConflictBudget bounds each engine-internal SAT oracle call in
 	// conflicts; 0 means the engine's own default (DefaultSATConflictBudget
 	// for the engines that bound per-call effort). Retry escalates it

@@ -52,10 +52,6 @@ type Options struct {
 	MaxIterations int
 	// SATConflictBudget bounds each SAT call (default 500000).
 	SATConflictBudget int64
-	// SATProfile names the sat search profile of the abstraction and
-	// completion solvers (sat.ProfileOptions; "" means the tuned default).
-	// Solve rejects unknown names.
-	SATProfile string
 }
 
 // Stats reports the work performed.
@@ -95,13 +91,8 @@ func Solve(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, error
 	if opts.SATConflictBudget == 0 {
 		opts.SATConflictBudget = 500000
 	}
-	satOpts, err := sat.ProfileOptions(opts.SATProfile)
-	if err != nil {
-		return nil, fmt.Errorf("cegar: %w", err)
-	}
-
 	newSolver := func() *sat.Solver {
-		s := sat.NewWith(satOpts)
+		s := sat.New()
 		s.SetConflictBudget(opts.SATConflictBudget)
 		s.SetContext(ctx)
 		return s

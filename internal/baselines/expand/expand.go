@@ -46,10 +46,6 @@ type Options struct {
 	MaxTableCells int
 	// SATConflictBudget bounds the final SAT call (default unlimited).
 	SATConflictBudget int64
-	// SATProfile names the sat search profile of the final SAT call
-	// (sat.ProfileOptions; "" means the tuned default). Solve rejects
-	// unknown names.
-	SATProfile string
 }
 
 // Stats reports the expansion size.
@@ -86,10 +82,6 @@ func Solve(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, error
 	}
 	if opts.MaxTableCells == 0 {
 		opts.MaxTableCells = 1 << 20
-	}
-	satOpts, err := sat.ProfileOptions(opts.SATProfile)
-	if err != nil {
-		return nil, fmt.Errorf("expand: %w", err)
 	}
 	nX := len(in.Univ)
 	if nX > opts.MaxUnivVars {
@@ -169,7 +161,7 @@ func Solve(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, error
 	stats.ClausesOut = len(out.Clauses)
 
 	rec.Begin(backend.PhaseSolve)
-	s := sat.NewWith(satOpts)
+	s := sat.New()
 	s.AddFormula(out)
 	if opts.SATConflictBudget > 0 {
 		s.SetConflictBudget(opts.SATConflictBudget)

@@ -38,10 +38,6 @@ func SolveIterative(ctx context.Context, in *dqbf.Instance, opts Options) (*Resu
 	if opts.MaxTableCells == 0 {
 		opts.MaxTableCells = 1 << 20
 	}
-	satOpts, err := sat.ProfileOptions(opts.SATProfile)
-	if err != nil {
-		return nil, fmt.Errorf("expand: %w", err)
-	}
 	if len(in.Univ) > opts.MaxUnivVars {
 		return nil, fmt.Errorf("%w: %d universal variables (limit %d)", ErrTooLarge, len(in.Univ), opts.MaxUnivVars)
 	}
@@ -77,7 +73,7 @@ func SolveIterative(ctx context.Context, in *dqbf.Instance, opts Options) (*Resu
 
 	// Propositional endgame: every remaining variable is existential.
 	rec.Begin(backend.PhaseSolve)
-	s := sat.NewWith(satOpts)
+	s := sat.New()
 	s.AddFormula(cur.Matrix)
 	if opts.SATConflictBudget > 0 {
 		s.SetConflictBudget(opts.SATConflictBudget)

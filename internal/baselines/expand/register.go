@@ -14,7 +14,7 @@ import (
 func init() {
 	backend.Register(backend.NewFunc("expand",
 		func(ctx context.Context, in *dqbf.Instance, opts backend.Options) (*backend.Result, error) {
-			res, err := Solve(ctx, in, Options{SATProfile: opts.SATProfile, SATConflictBudget: opts.SATConflictBudget})
+			res, err := Solve(ctx, in, Options{SATConflictBudget: opts.SATConflictBudget})
 			if err != nil {
 				return nil, backendErr(err)
 			}
@@ -27,7 +27,7 @@ func init() {
 		}))
 	backend.Register(backend.NewFunc("expand-iter",
 		func(ctx context.Context, in *dqbf.Instance, opts backend.Options) (*backend.Result, error) {
-			res, err := SolveIterative(ctx, in, Options{SATProfile: opts.SATProfile, SATConflictBudget: opts.SATConflictBudget})
+			res, err := SolveIterative(ctx, in, Options{SATConflictBudget: opts.SATConflictBudget})
 			if err != nil {
 				return nil, backendErr(err)
 			}

@@ -59,7 +59,7 @@ func (e *engine) newPadoaOracle() *sat.Solver {
 		f.AddClause(cnf.NegLit(ev), cnf.NegLit(x), cnf.PosLit(x+cnf.Var(n)))
 		f.AddClause(cnf.NegLit(ev), cnf.PosLit(x), cnf.NegLit(x+cnf.Var(n)))
 	}
-	s := sat.NewWith(e.satOpts)
+	s := sat.New()
 	s.SetConflictBudget(e.opts.SATConflictBudget)
 	s.SetContext(e.ctx)
 	s.AddFormula(f)

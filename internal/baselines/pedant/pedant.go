@@ -77,11 +77,6 @@ type Options struct {
 	// oracle.Pool of doubled-ϕ-loaded solvers and merge in declaration
 	// order, so Stats.DefinedVars is bit-identical for every worker count.
 	DefineWorkers int
-	// SATProfile names the sat search profile of every solver this run
-	// builds — arbiter, verification, extension, and the Padoa pool
-	// (sat.ProfileOptions; "" means the tuned default). Solve rejects
-	// unknown names.
-	SATProfile string
 }
 
 // Stats reports work performed.
@@ -116,11 +111,10 @@ type cellKey struct {
 }
 
 type engine struct {
-	ctx     context.Context
-	in      *dqbf.Instance
-	opts    Options
-	satOpts sat.Options // resolved from Options.SATProfile
-	stats   Stats
+	ctx   context.Context
+	in    *dqbf.Instance
+	opts  Options
+	stats Stats
 
 	arb     *sat.Solver         // incremental arbiter instance
 	arbForm *cnf.Formula        // mirror of variables for allocation
@@ -151,10 +145,6 @@ func Solve(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, error
 	if opts.SATConflictBudget == 0 {
 		opts.SATConflictBudget = 500000
 	}
-	satOpts, err := sat.ProfileOptions(opts.SATProfile)
-	if err != nil {
-		return nil, fmt.Errorf("pedant: %w", err)
-	}
 	for _, y := range in.Exist {
 		// Arbiter cells are allocated lazily per counterexample, so large
 		// dependency sets are fine as long as few cells are touched; only
@@ -168,12 +158,11 @@ func Solve(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, error
 		ctx:     ctx,
 		in:      in,
 		opts:    opts,
-		satOpts: satOpts,
-		arb:     sat.NewWith(satOpts),
+		arb:     sat.New(),
 		arbForm: cnf.New(0),
 		cells:   make(map[cellKey]cnf.Var),
 		touched: make(map[cnf.Var][]int),
-		phi:     sat.NewWith(satOpts),
+		phi:     sat.New(),
 		xPos:    make(map[cnf.Var]int, len(in.Univ)),
 	}
 	e.arb.SetConflictBudget(opts.SATConflictBudget)
@@ -331,7 +320,7 @@ func (e *engine) verify(fv *dqbf.FuncVector) (cnf.Assignment, bool, error) {
 		out := fv.B.ToCNF(fv.Funcs[y], dst, boolfunc.CNFOptions{})
 		dst.AddEquivLit(cnf.PosLit(y), out)
 	}
-	s := sat.NewWith(e.satOpts)
+	s := sat.New()
 	s.SetConflictBudget(e.opts.SATConflictBudget)
 	s.SetContext(e.ctx)
 	s.AddFormula(dst)

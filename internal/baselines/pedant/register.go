@@ -15,7 +15,6 @@ func init() {
 		func(ctx context.Context, in *dqbf.Instance, opts backend.Options) (*backend.Result, error) {
 			res, err := Solve(ctx, in, Options{
 				DefineWorkers:     opts.PreprocWorkers,
-				SATProfile:        opts.SATProfile,
 				SATConflictBudget: opts.SATConflictBudget,
 			})
 			if err != nil {

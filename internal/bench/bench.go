@@ -125,9 +125,6 @@ type Options struct {
 	// call (default true via VerifyBudget>0 semantics; disable by setting
 	// SkipVerify).
 	SkipVerify bool
-	// SATProfile names the sat search profile every engine builds its
-	// solvers with ("" = the tuned default; see sat.ProfileOptions).
-	SATProfile string
 	// WrapBackend, when set, wraps every resolved backend before it runs —
 	// the seam the fault-injection harness (internal/faultinject,
 	// benchrunner's -faults flag) uses to inject dispatch-level faults. The
@@ -187,7 +184,6 @@ func RunEngine(ctx context.Context, engine string, in *dqbf.Instance, opts Optio
 	res, err := b.Synthesize(ctx, in, backend.Options{
 		Seed: opts.Seed, Workers: 1, PreprocWorkers: ppWorkers,
 		VerifyWorkers: vWorkers,
-		SATProfile:    opts.SATProfile,
 	})
 	dur := time.Since(start)
 	out := RunResult{Engine: engine, Duration: dur}

@@ -49,12 +49,6 @@ type Options struct {
 	MaxRepairIterations int
 	// SATConflictBudget bounds each SAT oracle call (default 500000).
 	SATConflictBudget int64
-	// SATProfile names the sat search profile every oracle of this run is
-	// built with — the persistent ϕ/verify/MaxSAT solvers, the preprocessing
-	// oracle pool, the per-check solvers, and the sampler
-	// (sat.ProfileOptions resolves it; "" means the tuned default).
-	// Synthesize rejects unknown names.
-	SATProfile string
 	// LearnWorkers bounds the decision-tree learning worker pool (0 =
 	// NumCPU). The learned candidates are bit-identical for every worker
 	// count; see learnPhase.
@@ -166,7 +160,7 @@ type Stats struct {
 	// SAT aggregates the lifetime counters of the run's persistent solvers
 	// (the ϕ solver, the verification solver, and FindCandi's base solver):
 	// conflict/propagation totals, learnt-tier sizes and glue, and the
-	// inprocessing and portfolio-sharing counters.
+	// inprocessing counters.
 	SAT sat.Stats
 }
 
@@ -181,11 +175,10 @@ type Result struct {
 
 // Engine carries the state of one synthesis run.
 type Engine struct {
-	ctx     context.Context
-	in      *dqbf.Instance
-	opts    Options
-	satOpts sat.Options // resolved from Options.SATProfile; used by every oracle
-	b       *boolfunc.Builder
+	ctx  context.Context
+	in   *dqbf.Instance
+	opts Options
+	b    *boolfunc.Builder
 
 	funcs map[cnf.Var]boolfunc.Node // current candidates (may reference Y)
 	fixed map[cnf.Var]bool          // set by preprocessing; never repaired
@@ -297,16 +290,11 @@ func Synthesize(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, 
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	satOpts, err := sat.ProfileOptions(opts.SATProfile)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	e := &Engine{
-		ctx:     ctx,
-		in:      in,
-		opts:    opts,
-		satOpts: satOpts,
-		b:       boolfunc.NewBuilder(),
+		ctx:   ctx,
+		in:    in,
+		opts:  opts,
+		b:     boolfunc.NewBuilder(),
 		funcs: make(map[cnf.Var]boolfunc.Node),
 		fixed: make(map[cnf.Var]bool),
 		deps:  make(map[cnf.Var]map[cnf.Var]bool),
@@ -469,7 +457,7 @@ func (e *Engine) oracleUnknown(s *sat.Solver, what string) error {
 }
 
 func (e *Engine) newSolver() *sat.Solver {
-	s := sat.NewWith(e.satOpts)
+	s := sat.New()
 	s.SetConflictBudget(e.opts.SATConflictBudget)
 	s.SetContext(e.ctx)
 	return s

@@ -98,7 +98,6 @@ func (e *Engine) drawSamples() ([]cnf.Assignment, error) {
 		Vars:         vars,
 		AdaptiveVars: adaptive,
 		Stats:        &sst,
-		SAT:          e.satOpts,
 	})
 	e.extraOracle += sst.Solves
 	if err != nil {

@@ -19,7 +19,6 @@ func init() {
 				LearnWorkers:      opts.Workers,
 				PreprocWorkers:    opts.PreprocWorkers,
 				VerifyWorkers:     opts.VerifyWorkers,
-				SATProfile:        opts.SATProfile,
 				SATConflictBudget: opts.SATConflictBudget,
 				Logf:              opts.Logf,
 			})
@@ -34,7 +33,7 @@ func init() {
 				// Verbose runs also report the pooled-solver lifecycle (panic
 				// evictions are otherwise invisible outside tests) and the
 				// aggregated SAT-solver counters: learnt tiers and glue next
-				// to the inprocessing and portfolio clause-sharing totals.
+				// to the inprocessing totals.
 				stats += fmt.Sprintf("; pools: %d preproc built, %d repair built, %d evicted",
 					res.Stats.PreprocSolversBuilt, res.Stats.RepairSolversBuilt,
 					res.Stats.SolversEvicted)
@@ -43,10 +42,10 @@ func init() {
 				if ss.LearntClauses > 0 {
 					avgGlue = float64(ss.LBDSum) / float64(ss.LearntClauses)
 				}
-				stats += fmt.Sprintf("; sat: %d conflicts, %d restarts, tiers %d/%d/%d, avg glue %.2f, %d inprocess rounds, %d vivified, %d subsumed, %d strengthened, %d vars eliminated, shared %d out / %d in",
+				stats += fmt.Sprintf("; sat: %d conflicts, %d restarts, tiers %d/%d/%d, avg glue %.2f, %d inprocess rounds, %d vivified, %d subsumed, %d strengthened, %d vars eliminated",
 					ss.Conflicts, ss.Restarts, ss.TierCore, ss.TierMid, ss.TierLocal, avgGlue,
 					ss.InprocessRounds, ss.Vivified, ss.SubsumedClauses, ss.Strengthened,
-					ss.ElimVars, ss.SharedExported, ss.SharedImported)
+					ss.ElimVars)
 			}
 			return &backend.Result{
 				Vector:        res.Vector,

@@ -34,10 +34,6 @@ type Options struct {
 	// Stats, when non-nil, receives sampling telemetry (callers feed it
 	// into their per-phase oracle accounting).
 	Stats *Stats
-	// SAT tunes the sampling solver's search heuristics (zero value =
-	// package defaults); callers thread their engine-wide search profile
-	// through it.
-	SAT sat.Options
 }
 
 // Stats reports the oracle work one Sample call performed.
@@ -80,7 +76,7 @@ func Sample(ctx context.Context, f *cnf.Formula, n int, opts Options) ([]cnf.Ass
 	// Frequency counters for adaptive bias.
 	freq := make(map[cnf.Var]int)
 
-	s := sat.NewWith(opts.SAT)
+	s := sat.New()
 	s.SetSeed(rng.Int63()) // one seed: the solver's stream stays random across draws
 	s.SetRandomVarFreq(0.6)
 	s.SetRandomPhaseFreq(1.0)

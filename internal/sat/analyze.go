@@ -1,8 +1,12 @@
 package sat
 
 // Conflict analysis: first-UIP learning, LBD (glue) computation, and
-// conflict-clause minimization (local one-step and MiniSat-style recursive,
-// selected by Options.CcMin).
+// MiniSat-style recursive conflict-clause minimization.
+
+// defaultMinimizeBudget bounds recursive minimization: the number of
+// reason-clause expansions allowed per conflict (Solver.minimizeBudget).
+// Exhaustion keeps the remaining literals — always sound.
+const defaultMinimizeBudget = 4096
 
 // minMark values used during recursive minimization.
 const (
@@ -144,33 +148,22 @@ func (s *Solver) analyze(confl cref) (learnt []lit, btLevel, lbd int) {
 	// checks) and must be unseen at the end whether kept or dropped — and
 	// appends below reuse learnt's backing array.
 	tail := append(s.minimizeTmp[:0], learnt[1:]...)
-	switch s.opts.CcMin {
-	case CcMinRecursive:
-		s.minBudget = s.opts.MinimizeBudget
-		var abstractLevels uint32
-		for _, q := range tail {
-			abstractLevels |= 1 << (uint32(s.level[q.varIdx()]) & 31)
-		}
-		out := learnt[:1]
-		for _, q := range tail {
-			if s.reason[q.varIdx()] == reasonUndef || !s.litRedundantRec(q, abstractLevels) {
-				out = append(out, q)
-			}
-		}
-		learnt = out
-		for _, v := range s.minClear {
-			s.minMark[v] = 0
-		}
-		s.minClear = s.minClear[:0]
-	case CcMinLocal:
-		out := learnt[:1]
-		for _, q := range tail {
-			if !s.litRedundant(q) {
-				out = append(out, q)
-			}
-		}
-		learnt = out
+	s.minBudget = s.minimizeBudget
+	var abstractLevels uint32
+	for _, q := range tail {
+		abstractLevels |= 1 << (uint32(s.level[q.varIdx()]) & 31)
 	}
+	out := learnt[:1]
+	for _, q := range tail {
+		if s.reason[q.varIdx()] == reasonUndef || !s.litRedundantRec(q, abstractLevels) {
+			out = append(out, q)
+		}
+	}
+	learnt = out
+	for _, v := range s.minClear {
+		s.minMark[v] = 0
+	}
+	s.minClear = s.minClear[:0]
 	s.minimizedLits += int64(len(tail) - (len(learnt) - 1))
 	for _, q := range tail {
 		s.seen[q.varIdx()] = false
@@ -193,31 +186,8 @@ func (s *Solver) analyze(confl cref) (learnt []lit, btLevel, lbd int) {
 	return learnt, btLevel, s.computeLBD(learnt)
 }
 
-// litRedundant reports whether q is implied by other seen literals via its
-// reason clause (one-step self-subsumption check; CcMinLocal).
-func (s *Solver) litRedundant(q lit) bool {
-	r := s.reason[q.varIdx()]
-	if r == reasonUndef {
-		return false
-	}
-	for _, u := range s.claLits(r) {
-		l := lit(u)
-		if l == q.neg() || l == q {
-			continue
-		}
-		v := l.varIdx()
-		if s.level[v] == 0 {
-			continue
-		}
-		if !s.seen[v] {
-			return false
-		}
-	}
-	return true
-}
-
 // litRedundantRec reports whether q0 is implied by the remaining learnt
-// literals through any depth of reason-clause resolution (CcMinRecursive).
+// literals through any depth of reason-clause resolution.
 // The DFS runs on an explicit stack; vars proven implied are memoized as
 // markImplied for later roots, and on failure (or budget exhaustion) the
 // vars reached by this call are marked poison so later roots hitting them

@@ -68,10 +68,10 @@ func BenchmarkPropagate(b *testing.B) {
 }
 
 // BenchmarkSolveRandom3SAT measures end-to-end CDCL search (AddFormula +
-// Solve) on near-phase-transition random 3-SAT instances, with the default
-// profile — inprocessing schedule on, one search thread.
+// Solve) on near-phase-transition random 3-SAT instances, with the
+// inprocessing schedule on.
 func BenchmarkSolveRandom3SAT(b *testing.B) {
-	benchmarkSolveRandom3SAT(b, Options{})
+	benchmarkSolveRandom3SAT(b, defaultInprocessConflicts)
 }
 
 // BenchmarkSolveRandom3SATNoInprocess is the inprocessing-off contrast run:
@@ -81,10 +81,12 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 // eliminations — so the two should stay within noise of each other; a
 // widening gap means the schedule's gating broke.
 func BenchmarkSolveRandom3SATNoInprocess(b *testing.B) {
-	benchmarkSolveRandom3SAT(b, Options{InprocessConflicts: -1})
+	benchmarkSolveRandom3SAT(b, -1)
 }
 
-func benchmarkSolveRandom3SAT(b *testing.B, opts Options) {
+// benchmarkSolveRandom3SAT solves the instances with the given first
+// inprocessing interval (negative disables inprocessing).
+func benchmarkSolveRandom3SAT(b *testing.B, inprocessConflicts int64) {
 	rng := rand.New(rand.NewSource(12345))
 	const nInstances = 8
 	formulas := make([]*cnf.Formula, nInstances)
@@ -94,7 +96,8 @@ func benchmarkSolveRandom3SAT(b *testing.B, opts Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := NewWith(opts)
+		s := New()
+		s.inprocessConflicts = inprocessConflicts
 		s.AddFormula(formulas[i%nInstances])
 		if st := s.Solve(); st == Unknown {
 			b.Fatal("unexpected Unknown")

@@ -3,7 +3,7 @@ package sat
 import "repro/internal/cnf"
 
 // Inprocessing: simplification of the live clause database between restarts,
-// scheduled by lifetime conflicts (Options.InprocessConflicts, doubling
+// scheduled by lifetime conflicts (Solver.inprocessConflicts, doubling
 // after every round) and always run at decision level 0. A round is
 //
 //  1. top-level simplification (reuse of simplifyDB),
@@ -11,7 +11,7 @@ import "repro/internal/cnf"
 //     lists carved per literal (subsumeRound),
 //  3. clause vivification: re-propagate each candidate clause's negated
 //     literals and shrink it on conflict or implication, bounded by
-//     Options.VivifyBudget propagations per round (vivifyRound),
+//     vivifyBudget propagations per round (vivifyRound),
 //  4. bounded variable elimination: resolve a low-occurrence variable away
 //     when that does not grow the database, saving the removed clauses on a
 //     reconstruction stack so models still cover it (bveRound),
@@ -35,6 +35,20 @@ import "repro/internal/cnf"
 // activation literal positively, and the strengthening guard below keeps it
 // there, preserving the ReleaseGroup reclamation invariant.
 
+// Inprocessing limits.
+const (
+	// defaultInprocessConflicts is the conflict interval before the first
+	// round (Solver.inprocessConflicts; negative disables inprocessing).
+	defaultInprocessConflicts = 1000
+	// vivifyBudget bounds each round's vivification pass in unit
+	// propagations; exhaustion leaves the remaining candidates for the next
+	// round.
+	vivifyBudget = 50000
+	// bveOccLimit caps bounded variable elimination: a variable with more
+	// occurrences than this in either polarity is never a candidate.
+	bveOccLimit = 16
+)
+
 // elimVarRec records one eliminated variable: which clauses were removed
 // with it (an index range into elimBnd/elimLits) and whether the
 // elimination is still in effect (restoreVar marks records dead).
@@ -45,16 +59,16 @@ type elimVarRec struct {
 }
 
 // inprocessDue reports whether the conflict-interval schedule calls for a
-// round. The first round fires once Options.InprocessConflicts lifetime
+// round. The first round fires once s.inprocessConflicts lifetime
 // conflicts have accumulated — never at solve entry, so the many short-lived
 // or short-query solvers in an engine run (oracle pools, candidate probes)
 // pay nothing until search is demonstrably hard.
 func (s *Solver) inprocessDue() bool {
 	gap := s.inprocGap
 	if gap == 0 {
-		gap = s.opts.InprocessConflicts
+		gap = s.inprocessConflicts
 	}
-	return s.opts.InprocessConflicts > 0 && s.ok &&
+	return s.inprocessConflicts > 0 && s.ok &&
 		s.conflicts-s.lastInproc >= gap
 }
 
@@ -66,8 +80,8 @@ func (s *Solver) inprocess() {
 	}
 	s.inprocRounds++
 	s.lastInproc = s.conflicts
-	if s.inprocGap < s.opts.InprocessConflicts {
-		s.inprocGap = s.opts.InprocessConflicts
+	if s.inprocGap < s.inprocessConflicts {
+		s.inprocGap = s.inprocessConflicts
 	} else {
 		s.inprocGap *= 2
 	}
@@ -307,19 +321,17 @@ func (s *Solver) strengthenClause(c cref, q lit) {
 // --- clause vivification ---
 
 // vivifyRound tries to shrink every problem clause and core/mid learnt by
-// re-propagating its negated literals, spending at most
-// Options.VivifyBudget unit propagations. Local-tier learnts churn too fast
-// to be worth the probes, and clauses over activation variables are left
-// alone (shrinking one could drop the activation literal a future
-// ReleaseGroup needs).
+// re-propagating its negated literals, spending at most vivifyBudget unit
+// propagations. Local-tier learnts churn too fast to be worth the probes,
+// and clauses over activation variables are left alone (shrinking one could
+// drop the activation literal a future ReleaseGroup needs).
 func (s *Solver) vivifyRound() {
-	budget := s.opts.VivifyBudget
 	start := s.propagations
 	for _, c := range s.inprocCand {
 		if !s.ok {
 			return
 		}
-		if s.propagations-start > budget {
+		if s.propagations-start > vivifyBudget {
 			return
 		}
 		if s.claSize(c) < 3 {
@@ -424,7 +436,7 @@ func (s *Solver) vivifyClause(c cref) {
 // --- bounded variable elimination ---
 
 // bveRound tries to eliminate every unassigned, unfrozen, non-activation
-// variable whose occurrence lists are within Options.BVEOccLimit.
+// variable whose occurrence lists are within bveOccLimit.
 func (s *Solver) bveRound() {
 	for v := 1; v <= s.numVars; v++ {
 		if !s.ok {
@@ -464,7 +476,7 @@ func (s *Solver) bveGather(dst []cref, p lit) ([]cref, bool) {
 			continue
 		}
 		dst = append(dst, c)
-		if len(dst) > s.opts.BVEOccLimit {
+		if len(dst) > bveOccLimit {
 			return dst, false
 		}
 	}
@@ -473,10 +485,10 @@ func (s *Solver) bveGather(dst []cref, p lit) ([]cref, bool) {
 
 // tryEliminate resolves variable v away if the non-tautological resolvents
 // of its positive × negative problem clauses number at most the clauses
-// removed plus Options.BVEGrowth. The removed clauses go to the
-// reconstruction stack first (the arena may reallocate while resolvents are
-// added), learnt clauses mentioning v are flushed, and v is skipped by
-// decisions until restoreVar brings it back.
+// removed, so elimination never grows the database. The removed clauses go
+// to the reconstruction stack first (the arena may reallocate while
+// resolvents are added), learnt clauses mentioning v are flushed, and v is
+// skipped by decisions until restoreVar brings it back.
 func (s *Solver) tryEliminate(v int) {
 	pv, nv := mkLit(v, false), mkLit(v, true)
 	var okP, okN bool
@@ -487,7 +499,7 @@ func (s *Solver) tryEliminate(v int) {
 	}
 	pos, neg := s.bvePos, s.bveNeg
 	// Count non-tautological resolvents, bailing once over budget.
-	budget := len(pos) + len(neg) + s.opts.BVEGrowth
+	budget := len(pos) + len(neg)
 	cnt := 0
 	for _, cp := range pos {
 		s.occStampN++

@@ -75,6 +75,47 @@ func TestInprocessPreservesAnswers(t *testing.T) {
 	}
 }
 
+// TestInprocessScheduleAgainstBruteForce runs the conflict-interval
+// schedule at its tightest (the first round after one conflict) through
+// incremental solves under random assumptions, so scheduled rounds fire
+// between the queries of one solver, over learnt clauses and eliminated
+// variables left by earlier queries. Every answer must match brute force
+// and every model must satisfy the formula and the assumptions.
+func TestInprocessScheduleAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(424242))
+	rounds := int64(0)
+	for trial := 0; trial < 60; trial++ {
+		nVars := 8 + rng.Intn(4)
+		f := random3SAT(rng, nVars, 3.5)
+		s := New()
+		s.inprocessConflicts = 1
+		s.AddFormula(f)
+		for q := 0; q < 6; q++ {
+			var assumps []cnf.Lit
+			g := f.Clone()
+			for v := 1; v <= nVars; v++ {
+				if rng.Intn(4) == 0 {
+					a := cnf.MkLit(cnf.Var(v), rng.Intn(2) == 0)
+					assumps = append(assumps, a)
+					g.AddUnit(a)
+				}
+			}
+			st := s.SolveAssume(assumps)
+			if want := bruteForceSat(g); (st == Sat) != want {
+				t.Fatalf("trial %d query %d: solver=%v brute=%v formula:\n%s", trial, q, st, want, g)
+			}
+			if st == Sat && !g.Eval(s.Model()) {
+				t.Fatalf("trial %d query %d: model violates the formula or the assumptions", trial, q)
+			}
+		}
+		rounds += s.inprocRounds
+	}
+	if rounds == 0 {
+		t.Fatal("no inprocessing round ran; test is vacuous")
+	}
+	t.Logf("%d inprocessing rounds", rounds)
+}
+
 // Model enumeration with an inprocessing round forced between every step
 // must count exactly the brute-force number of models: blocking clauses
 // mention eliminated variables (exercising restore), and every model is
@@ -301,6 +342,32 @@ func TestSelfSubsumptionKeepsActivationLiteral(t *testing.T) {
 	if got := s2.claSize(e); got != 2 {
 		t.Fatalf("control clause not strengthened (size %d); the guard test proves nothing", got)
 	}
+}
+
+// hardRandom3SAT returns a random 3-SAT instance near the phase transition
+// (distinct variables per clause): hard enough to accumulate learnts in
+// every tier, small enough to finish fast.
+func hardRandom3SAT(seed int64, nVars int) *cnf.Formula {
+	rng := rand.New(rand.NewSource(seed))
+	f := cnf.New(nVars)
+	nClauses := int(4.1 * float64(nVars))
+	for i := 0; i < nClauses; i++ {
+		c := make([]cnf.Lit, 0, 3)
+		for len(c) < 3 {
+			v := cnf.Var(1 + rng.Intn(nVars))
+			dup := false
+			for _, l := range c {
+				if l.Var() == v {
+					dup = true
+				}
+			}
+			if !dup {
+				c = append(c, cnf.MkLit(v, rng.Intn(2) == 0))
+			}
+		}
+		f.AddClause(c...)
+	}
+	return f
 }
 
 // TestInprocessZeroAlloc pins the steady-state allocation bar of an

@@ -54,86 +54,86 @@ func TestTieredReducePreservesAnswers(t *testing.T) {
 	}
 }
 
-// TestMinimizedLearntsAssertingAndImplied pins minimization correctness for
-// every mode: each learnt clause observed during search (pre-backtrack)
-// must be falsified with exactly its first literal at the conflict level
-// and every other literal strictly below it (the asserting shape), and must
-// be implied by the original formula (checked by assuming its negation on a
+// TestMinimizedLearntsAssertingAndImplied pins minimization correctness:
+// each learnt clause observed during search (pre-backtrack) must be
+// falsified with exactly its first literal at the conflict level and every
+// other literal strictly below it (the asserting shape), and must be
+// implied by the original formula (checked by assuming its negation on a
 // reference solver and expecting Unsat).
 func TestMinimizedLearntsAssertingAndImplied(t *testing.T) {
-	for _, mode := range []CcMinMode{CcMinRecursive, CcMinLocal, CcMinNone} {
-		rng := rand.New(rand.NewSource(777))
-		checked := 0
-		for trial := 0; trial < 25 && checked < 400; trial++ {
-			nVars := 20 + rng.Intn(20)
-			f := random3SAT(rng, nVars, 4.2)
-			ref := New()
-			ref.AddFormula(f)
-			s := NewWith(Options{CcMin: mode})
-			s.AddFormula(f)
-			s.testOnLearnt = func(learnt []lit, btLevel int) {
-				if checked >= 400 {
-					return
+	rng := rand.New(rand.NewSource(777))
+	checked := 0
+	for trial := 0; trial < 25 && checked < 400; trial++ {
+		nVars := 20 + rng.Intn(20)
+		f := random3SAT(rng, nVars, 4.2)
+		ref := New()
+		ref.AddFormula(f)
+		s := New()
+		s.AddFormula(f)
+		s.testOnLearnt = func(learnt []lit, btLevel int) {
+			if checked >= 400 {
+				return
+			}
+			checked++
+			lvl := s.decisionLevel()
+			if got := int(s.level[learnt[0].varIdx()]); got != lvl {
+				t.Fatalf("asserting literal at level %d, conflict level %d", got, lvl)
+			}
+			for i, p := range learnt {
+				if s.litValue(p) != lFalse {
+					t.Fatalf("learnt literal %d not falsified at the conflict", i)
 				}
-				checked++
-				lvl := s.decisionLevel()
-				if got := int(s.level[learnt[0].varIdx()]); got != lvl {
-					t.Fatalf("mode %v: asserting literal at level %d, conflict level %d", mode, got, lvl)
-				}
-				for i, p := range learnt {
-					if s.litValue(p) != lFalse {
-						t.Fatalf("mode %v: learnt literal %d not falsified at the conflict", mode, i)
-					}
-					if i > 0 && int(s.level[p.varIdx()]) >= lvl {
-						t.Fatalf("mode %v: tail literal %d at level %d ≥ conflict level %d",
-							mode, i, s.level[p.varIdx()], lvl)
-					}
-				}
-				if btLevel != 0 && int(s.level[learnt[1].varIdx()]) != btLevel {
-					t.Fatalf("mode %v: backtrack level %d but learnt[1] at %d",
-						mode, btLevel, s.level[learnt[1].varIdx()])
-				}
-				// Implied: f ∧ ¬C must be unsatisfiable. The reference solver
-				// holds only the original clauses, so this also re-derives
-				// that learning is sound end to end.
-				neg := make([]cnf.Lit, len(learnt))
-				for i, p := range learnt {
-					neg[i] = fromLit(p).Neg()
-				}
-				if st := ref.SolveAssume(neg); st != Unsat {
-					t.Fatalf("mode %v: learnt clause not implied by the formula (¬C gave %v)", mode, st)
+				if i > 0 && int(s.level[p.varIdx()]) >= lvl {
+					t.Fatalf("tail literal %d at level %d ≥ conflict level %d",
+						i, s.level[p.varIdx()], lvl)
 				}
 			}
-			s.Solve()
+			if btLevel != 0 && int(s.level[learnt[1].varIdx()]) != btLevel {
+				t.Fatalf("backtrack level %d but learnt[1] at %d",
+					btLevel, s.level[learnt[1].varIdx()])
+			}
+			// Implied: f ∧ ¬C must be unsatisfiable. The reference solver
+			// holds only the original clauses, so this also re-derives
+			// that learning is sound end to end.
+			neg := make([]cnf.Lit, len(learnt))
+			for i, p := range learnt {
+				neg[i] = fromLit(p).Neg()
+			}
+			if st := ref.SolveAssume(neg); st != Unsat {
+				t.Fatalf("learnt clause not implied by the formula (¬C gave %v)", st)
+			}
 		}
-		if checked == 0 {
-			t.Fatalf("mode %v: no learnt clauses observed; test is vacuous", mode)
-		}
+		s.Solve()
+	}
+	if checked == 0 {
+		t.Fatal("no learnt clauses observed; test is vacuous")
 	}
 }
 
 // TestRecursiveMinimizationIsSubset pins that recursive minimization only
 // ever removes literals relative to the unminimized clause — same
 // asserting literal, a subset of the tail — by solving the same instances
-// under CcMinNone and CcMinRecursive and comparing answers (statuses must
-// agree; models must satisfy the formula). The modes diverge in search
-// trajectory after the first differing clause, so only the answers are
-// comparable, which is exactly the soundness claim.
+// with a zero budget (every literal kept, the plain first-UIP clause) and
+// with the default budget, and comparing answers with brute force (models
+// must satisfy the formula). The two diverge in search trajectory after the
+// first differing clause, so only the answers are comparable, which is
+// exactly the soundness claim.
 func TestRecursiveMinimizationIsSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 80; trial++ {
 		nVars := 6 + rng.Intn(8)
 		f := randomFormula(rng, nVars, 3*nVars, 3)
 		want := bruteForceSat(f)
-		for _, mode := range []CcMinMode{CcMinNone, CcMinLocal, CcMinRecursive} {
-			s := NewWith(Options{CcMin: mode})
+		for _, budget := range []int{0, defaultMinimizeBudget} {
+			s := New()
+			s.minimizeBudget = budget
 			s.AddFormula(f)
 			st := s.Solve()
 			if (st == Sat) != want {
-				t.Fatalf("trial %d mode %v: got %v, brute force %v", trial, mode, st, want)
+				t.Fatalf("trial %d budget %d: got %v, brute force %v", trial, budget, st, want)
 			}
 			if st == Sat && !f.Eval(s.Model()) {
-				t.Fatalf("trial %d mode %v: invalid model", trial, mode)
+				t.Fatalf("trial %d budget %d: invalid model", trial, budget)
 			}
 		}
 	}
@@ -147,11 +147,12 @@ func TestMinimizeBudgetExhaustionSound(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		nVars := 6 + rng.Intn(8)
 		f := randomFormula(rng, nVars, 3*nVars, 3)
-		s := NewWith(Options{MinimizeBudget: 1})
+		s := New()
+		s.minimizeBudget = 1
 		s.AddFormula(f)
 		st := s.Solve()
 		if (st == Sat) != bruteForceSat(f) {
-			t.Fatalf("trial %d: wrong answer under MinimizeBudget=1", trial)
+			t.Fatalf("trial %d: wrong answer under minimization budget 1", trial)
 		}
 	}
 }
@@ -176,28 +177,5 @@ func TestDuplicateAssumptionsDeepLevels(t *testing.T) {
 	assumps := []cnf.Lit{a, a, a, a, a, a, a, a}
 	if st := s.SolveAssume(assumps); st != Unsat {
 		t.Fatalf("got %v, want Unsat", st)
-	}
-}
-
-// TestRestartProfilesAgree solves the same instances under every named
-// profile and cross-checks the answers: restart policy and tier tuning are
-// heuristics and must never change SAT/UNSAT.
-func TestRestartProfilesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(909))
-	for trial := 0; trial < 60; trial++ {
-		nVars := 6 + rng.Intn(10)
-		f := randomFormula(rng, nVars, 3*nVars+rng.Intn(12), 3)
-		want := bruteForceSat(f)
-		for _, name := range Profiles() {
-			opts, err := ProfileOptions(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := NewWith(opts)
-			s.AddFormula(f)
-			if st := s.Solve(); (st == Sat) != want {
-				t.Fatalf("trial %d profile %s: got %v, brute %v", trial, name, st, want)
-			}
-		}
 	}
 }

@@ -10,14 +10,14 @@ import (
 // Every learnt clause carries a meta word (arena[c+2]): its best observed
 // LBD, its tier, and a used-since-last-reduce bit. The tiers are:
 //
-//	core  (LBD ≤ Options.CoreLBD)  never deleted; these low-glue clauses are
-//	                               the distilled structure of the instance.
-//	mid   (LBD ≤ Options.MidLBD)   protected while they keep participating in
-//	                               conflicts; a clause whose used bit is
-//	                               still clear at the next reduceDB is
-//	                               demoted to local (with one grace round).
-//	local (everything else)        aggressively reduced: the less active half
-//	                               is deleted on every reduceDB.
+//	core  (LBD ≤ coreLBD)   never deleted; these low-glue clauses are the
+//	                        distilled structure of the instance.
+//	mid   (LBD ≤ midLBD)    protected while they keep participating in
+//	                        conflicts; a clause whose used bit is still
+//	                        clear at the next reduceDB is demoted to local
+//	                        (with one grace round).
+//	local (everything else) aggressively reduced: the less active half is
+//	                        deleted on every reduceDB.
 //
 // A clause is in exactly the list matching its meta tier bits; all list
 // moves happen inside reduceDB, which re-reads the LBD recorded by
@@ -31,6 +31,13 @@ const (
 	tierLocal = 0
 	tierMid   = 1
 	tierCore  = 2
+)
+
+// Glue cuts of the tiers: learnt clauses with LBD ≤ coreLBD are kept
+// forever, those with LBD ≤ midLBD while they stay in use.
+const (
+	coreLBD = 3
+	midLBD  = 6
 )
 
 // Meta word layout (learnt clauses, arena[c+2]).
@@ -51,11 +58,11 @@ func (s *Solver) claSetTier(c cref, t int) {
 }
 
 // tierFor maps a learning-time LBD to its tier.
-func (s *Solver) tierFor(lbd int) int {
+func tierFor(lbd int) int {
 	switch {
-	case lbd <= s.opts.CoreLBD:
+	case lbd <= coreLBD:
 		return tierCore
-	case lbd <= s.opts.MidLBD:
+	case lbd <= midLBD:
 		return tierMid
 	default:
 		return tierLocal
@@ -69,7 +76,7 @@ func (s *Solver) addLearnt(lits []lit, lbd int) cref {
 	if lbd > int(metaLBDMask) {
 		lbd = int(metaLBDMask)
 	}
-	tier := s.tierFor(lbd)
+	tier := tierFor(lbd)
 	s.arena[c+2] = uint32(lbd) | uint32(tier)<<metaTierShift
 	switch tier {
 	case tierCore:
@@ -100,7 +107,7 @@ func (s *Solver) reduceDB() {
 	mid := s.learntsMid[:0]
 	for _, c := range s.learntsMid {
 		switch {
-		case s.claLBD(c) <= s.opts.CoreLBD:
+		case s.claLBD(c) <= coreLBD:
 			s.claSetTier(c, tierCore)
 			s.learntsCore = append(s.learntsCore, c)
 			s.promotions++
@@ -122,7 +129,7 @@ func (s *Solver) reduceDB() {
 	// straight back into the protected tier.
 	local := s.learntsLocal[:0]
 	for _, c := range s.learntsLocal {
-		switch tier := s.tierFor(s.claLBD(c)); {
+		switch tier := tierFor(s.claLBD(c)); {
 		case tier == tierCore:
 			s.claSetTier(c, tierCore)
 			s.learntsCore = append(s.learntsCore, c)

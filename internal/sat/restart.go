@@ -1,30 +1,28 @@
 package sat
 
-// Restart policies. Both are pure functions of conflict counts and conflict
+// The restart policy. It is a pure function of conflict counts and conflict
 // LBDs — never of wall-clock time — so search results are deterministic.
 //
-// The adaptive policy (the default) follows the Glucose insight: restart
-// when the short-term average glue of learnt clauses drifts above the
-// long-term average (the current descent is producing worse clauses than
-// the search historically can), and postpone a pending restart while the
-// trail is much deeper than its own running average (the search is
-// plausibly about to complete a model). The averages are exponential moving
-// averages, seeded on the first conflict.
+// The policy follows the Glucose insight: restart when the short-term
+// average glue of learnt clauses drifts above the long-term average (the
+// current descent is producing worse clauses than the search historically
+// can), and postpone a pending restart while the trail is much deeper than
+// its own running average (the search is plausibly about to complete a
+// model). The averages are exponential moving averages, seeded on the first
+// conflict.
 
 const (
-	emaFastAlpha  = 1.0 / 32   // short-term LBD average: ~last 32 conflicts
-	emaSlowAlpha  = 1.0 / 8192 // long-term LBD average
-	emaTrailAlpha = 1.0 / 4096 // long-term trail-size average
-	restartMargin = 1.02       // restart when fast > margin × slow
-	blockMargin   = 1.4        // block when trail > margin × trail average
+	emaFastAlpha        = 1.0 / 32   // short-term LBD average: ~last 32 conflicts
+	emaSlowAlpha        = 1.0 / 8192 // long-term LBD average
+	emaTrailAlpha       = 1.0 / 4096 // long-term trail-size average
+	restartMargin       = 1.02       // restart when fast > margin × slow
+	blockMargin         = 1.4        // block when trail > margin × trail average
+	restartMinConflicts = 50         // minimum conflicts between two restarts
 )
 
 // noteConflict feeds one conflict's LBD and (pre-backtrack) trail size into
-// the adaptive restart state.
+// the restart state.
 func (s *Solver) noteConflict(lbd, trailLen int) {
-	if s.opts.Restart == RestartLuby {
-		return
-	}
 	if !s.emaSeeded {
 		s.emaFastLBD = float64(lbd)
 		s.emaSlowLBD = float64(lbd)
@@ -37,45 +35,21 @@ func (s *Solver) noteConflict(lbd, trailLen int) {
 	s.emaTrail += (float64(trailLen) - s.emaTrail) * emaTrailAlpha
 	// Trail blocking: a restart that is about to fire while the trail is
 	// much deeper than average is postponed by resetting the fast average.
-	if s.conflictsSinceRestart >= s.opts.RestartMinConflicts &&
-		s.emaFastLBD > restartMargin*s.emaSlowLBD &&
-		float64(trailLen) > blockMargin*s.emaTrail {
+	if s.restartDue() && float64(trailLen) > blockMargin*s.emaTrail {
 		s.emaFastLBD = s.emaSlowLBD
 		s.blockedRestarts++
 	}
 }
 
-// restartDue reports whether the active policy calls for a restart now.
+// restartDue reports whether the policy calls for a restart now.
 func (s *Solver) restartDue() bool {
-	if s.opts.Restart == RestartLuby {
-		return s.conflictsSinceRestart >= luby(s.restartNum)*s.opts.LubyUnit
-	}
-	return s.conflictsSinceRestart >= s.opts.RestartMinConflicts &&
+	return s.conflictsSinceRestart >= restartMinConflicts &&
 		s.emaFastLBD > restartMargin*s.emaSlowLBD
 }
 
 // didRestart updates policy state after a restart was performed.
 func (s *Solver) didRestart() {
 	s.restarts++
-	s.restartNum++
 	s.conflictsSinceRestart = 0
-	if s.opts.Restart != RestartLuby {
-		s.emaFastLBD = s.emaSlowLBD
-	}
-}
-
-// luby computes the Luby restart sequence value for 0-based index x
-// (1, 1, 2, 1, 1, 2, 4, …), following the standard MiniSat formulation.
-func luby(x int64) int64 {
-	size, seq := int64(1), 0
-	for size < x+1 {
-		seq++
-		size = 2*size + 1
-	}
-	for size-1 != x {
-		size = (size - 1) / 2
-		seq--
-		x %= size
-	}
-	return int64(1) << uint(seq)
+	s.emaFastLBD = s.emaSlowLBD
 }

@@ -5,8 +5,8 @@ import (
 	"errors"
 )
 
-// The CDCL driver loop: propagate, analyze conflicts, learn, restart per
-// the active policy, reduce the learnt database, decide.
+// The CDCL driver loop: propagate, analyze conflicts, learn, restart,
+// reduce the learnt database, decide.
 
 // search runs CDCL until a model, a conflict at level 0, or budget/context
 // exhaustion. Restarts happen inside the loop, driven by restart.go.
@@ -23,9 +23,6 @@ func (s *Solver) search() Status {
 			learnt, btLevel, lbd := s.analyze(confl)
 			if s.testOnLearnt != nil && len(learnt) > 1 {
 				s.testOnLearnt(learnt, btLevel)
-			}
-			if s.share != nil {
-				s.exportLearnt(learnt, lbd)
 			}
 			s.noteConflict(lbd, len(s.trail))
 			s.cancelUntil(btLevel)
@@ -60,19 +57,12 @@ func (s *Solver) search() Status {
 					return Unsat
 				}
 			}
-			// Inprocessing and portfolio clause import both run at level 0;
-			// backing below the assumption levels is fine — the loop below
-			// re-asserts assumptions as pseudo-decisions every iteration.
+			// Inprocessing runs at level 0; backing below the assumption
+			// levels is fine — the loop below re-asserts assumptions as
+			// pseudo-decisions every iteration.
 			if s.inprocessDue() {
 				s.cancelUntil(0)
 				s.inprocess()
-				if !s.ok {
-					return Unsat
-				}
-			}
-			if s.share != nil {
-				s.cancelUntil(0)
-				s.importShared()
 				if !s.ok {
 					return Unsat
 				}

@@ -2,8 +2,10 @@
 // in the MiniSat/Glucose lineage: two-watched-literal propagation, first-UIP
 // conflict analysis with recursive clause minimization, VSIDS branching,
 // phase saving, glue-aware (LBD) learnt-clause management in a three-tier
-// database, adaptive (LBD moving average) or Luby restarts, solving under
-// assumptions, and extraction of failed-assumption cores.
+// database, adaptive (LBD moving average) restarts, solving under
+// assumptions, and extraction of failed-assumption cores. There is one
+// search configuration: New builds every solver with the same tuned
+// constants, which live next to the code that uses them.
 //
 // It replaces the PicoSAT/CryptoMiniSat oracles used by the Manthan3 paper.
 // Unsatisfiable cores are reported over assumption literals, which is exactly
@@ -19,12 +21,10 @@
 //	propagate.go  two-watched-literal unit propagation
 //	analyze.go    first-UIP conflict analysis, LBD computation, minimization
 //	reduce.go     the three-tier learnt database and top-level simplification
-//	restart.go    Luby and adaptive (EMA + trail-blocking) restart policies
+//	restart.go    the adaptive (EMA + trail-blocking) restart policy
 //	search.go     the CDCL driver loop, decision heuristics, stop conditions
 //	inprocess.go  restart-boundary vivification, subsumption, and bounded
 //	              variable elimination with model reconstruction
-//	portfolio.go  the clause-sharing multi-worker search portfolio
-//	options.go    Options, tuning knobs, and named search profiles
 //
 // # Clause arena
 //
@@ -70,10 +70,10 @@
 // time, recomputed whenever the clause participates in conflict analysis and
 // kept at the minimum observed. Low-glue clauses connect few decision levels
 // and are empirically the ones worth keeping. The learnt database is three
-// tiers keyed on LBD (see reduce.go): a core tier (LBD ≤ Options.CoreLBD)
-// that is never deleted, a mid tier (LBD ≤ Options.MidLBD) whose clauses
-// must keep participating in conflicts to stay (stale ones are demoted), and
-// a local tier that reduceDB aggressively halves by activity. Clause
+// tiers keyed on LBD (see reduce.go): a core tier (LBD ≤ coreLBD) that is
+// never deleted, a mid tier (LBD ≤ midLBD) whose clauses must keep
+// participating in conflicts to stay (stale ones are demoted), and a local
+// tier that reduceDB aggressively halves by activity. Clause
 // re-tiering happens during reduceDB from the recorded LBD, so an improved
 // clause is promoted and never deleted out of turn.
 //
@@ -107,25 +107,19 @@
 //
 // Between restarts (and once at the start of the first solve) the solver
 // runs inprocessing rounds under a doubling conflict-interval schedule
-// (Options.InprocessConflicts): clause vivification, backward subsumption
-// with self-subsumption strengthening over occurrence lists, and bounded
-// variable elimination with a reconstruction stack that extends every model
-// over the eliminated variables (see inprocess.go). Group clauses and
-// activation variables are never vivified, subsumed, strengthened, or
-// eliminated, and assumption variables are frozen, so clause groups and
-// incremental solving stay sound. Adding a clause (or assuming a literal)
-// over an eliminated variable transparently restores its saved clauses.
+// (first round after defaultInprocessConflicts): clause vivification, backward
+// subsumption with self-subsumption strengthening over occurrence lists, and
+// bounded variable elimination with a reconstruction stack that extends
+// every model over the eliminated variables (see inprocess.go). Group
+// clauses and activation variables are never vivified, subsumed,
+// strengthened, or eliminated, and assumption variables are frozen, so
+// clause groups and incremental solving stay sound. Adding a clause (or
+// assuming a literal) over an eliminated variable transparently restores its
+// saved clauses.
 //
-// The package is under the determinism contract — results must be
-// bit-identical across runs and worker counts (see internal/analysis).
-// Sanctioned exception (the portfolio nondeterminism boundary): when
-// Options.SearchThreads > 1, Solve races k workers and the first definitive
-// answer wins, so the Status is still deterministic (all workers decide the
-// same formula) but WHICH model or core is returned, and all Stats
-// counters, may vary run to run with goroutine scheduling. Anything that
-// must be reproducible bit-for-bit — benchmarks, CSV runs, the determinism
-// analyzer's subjects — pins SearchThreads to 0/1 (every profile except
-// "parallel" does).
+// The package is under the determinism contract, without exceptions: every
+// answer, model, core, and Stats counter is bit-identical across runs (see
+// internal/analysis).
 //lint:deterministic
 package sat
 
@@ -343,12 +337,17 @@ const (
 	lFalse int8 = -1
 )
 
-// Solver is a CDCL SAT solver. The zero value is not usable; call New or
-// NewWith. A Solver is not safe for concurrent use.
+// Solver is a CDCL SAT solver. The zero value is not usable; call New. A
+// Solver is not safe for concurrent use.
 type Solver struct {
 	numVars int
 	ok      bool // false once a top-level conflict is derived
-	opts    Options
+
+	// The two tuned values tests vary: the per-conflict minimization budget
+	// (defaultMinimizeBudget) and the first inprocessing interval
+	// (defaultInprocessConflicts; negative disables inprocessing).
+	minimizeBudget     int
+	inprocessConflicts int64
 
 	arena    []uint32 // flat clause store; see the package comment for layout
 	wasted   int      // dead words in arena, eligible for compaction
@@ -425,7 +424,6 @@ type Solver struct {
 
 	// Restart policy state (restart.go).
 	conflictsSinceRestart int64
-	restartNum            int64 // restarts within the current Solve call (Luby index)
 	emaSeeded             bool
 	emaFastLBD            float64
 	emaSlowLBD            float64
@@ -475,23 +473,11 @@ type Solver struct {
 	bveNeg     []cref    // scratch: BVE negative-occurrence clauses
 	resolvTmp  []cnf.Lit // scratch: BVE resolvent under construction
 
-	// Portfolio state (portfolio.go). share is non-nil only on portfolio
-	// worker solvers; extModel holds a winning worker's model for the parent.
-	share       *shareGroup
-	shareIdx    int
-	shareCursor []int   // per sibling buffer: words already consumed
-	shareImp    []int32 // scratch: import copy taken under the buffer lock
-	importTmp   []lit   // scratch: imported clause under construction
-	extModel    cnf.Assignment
-	extModelOn  bool
-
-	inprocRounds   int64
-	vivified       int64
-	subsumedCls    int64
-	strengthened   int64
-	elimVarCnt     int64
-	sharedImported int64
-	sharedExported int64
+	inprocRounds int64
+	vivified     int64
+	subsumedCls  int64
+	strengthened int64
+	elimVarCnt   int64
 
 	// testOnLearnt, when non-nil, observes every multi-literal learnt clause
 	// right after analysis (before backtracking), with the backtrack level.
@@ -499,24 +485,21 @@ type Solver struct {
 	testOnLearnt func(learnt []lit, btLevel int)
 }
 
-// New returns an empty solver with the default search profile.
-func New() *Solver { return NewWith(Options{}) }
-
-// NewWith returns an empty solver tuned by opts (zero fields take the
-// package defaults; see Options and ProfileOptions).
-func NewWith(opts Options) *Solver {
+// New returns an empty solver.
+func New() *Solver {
 	s := &Solver{
-		ok:             true,
-		opts:           opts.withDefaults(),
-		varInc:         1,
-		varDecay:       0.95,
-		claInc:         1,
-		claDecay:       0.999,
-		conflictBudget: -1,
-		maxLearnts:     0,
-		learntAdjust:   100,
-		learntAdjCnt:   100,
-		learntAdjIncr:  1.5,
+		ok:                 true,
+		minimizeBudget:     defaultMinimizeBudget,
+		inprocessConflicts: defaultInprocessConflicts,
+		varInc:             1,
+		varDecay:           0.95,
+		claInc:             1,
+		claDecay:           0.999,
+		conflictBudget:     -1,
+		maxLearnts:         0,
+		learntAdjust:       100,
+		learntAdjCnt:       100,
+		learntAdjIncr:      1.5,
 	}
 	s.wspans = make([]watchSpan, 2)
 	s.assigns = make([]int8, 2)
@@ -690,7 +673,7 @@ type Stats struct {
 	// LBDSum/LearntClauses is the average glue of the run.
 	LBDSum int64
 	// MinimizedLits counts literals removed from learnt clauses by
-	// conflict-clause minimization (local or recursive).
+	// recursive conflict-clause minimization.
 	MinimizedLits int64
 	// TierCore/TierMid/TierLocal are the current learnt-tier sizes.
 	TierCore  int
@@ -713,17 +696,12 @@ type Stats struct {
 	SubsumedClauses int64
 	Strengthened    int64
 	ElimVars        int64
-	// SharedImported/SharedExported count learnt clauses received from and
-	// published to sibling portfolio workers (see portfolio.go); on the
-	// solver the caller holds, these aggregate over all workers it spawned.
-	SharedImported int64
-	SharedExported int64
-	ArenaWords     int       // current arena length (uint32 words)
-	ArenaWasted int       // dead words awaiting compaction
-	ArenaGCs    int64     // arena compactions performed
-	LiveGroups  int       // clause groups added and not yet released
-	GroupsFreed int64     // clause groups released over the solver's lifetime
-	LastStop    StopCause // why the last Solve returned Unknown (StopNone otherwise)
+	ArenaWords      int       // current arena length (uint32 words)
+	ArenaWasted     int       // dead words awaiting compaction
+	ArenaGCs        int64     // arena compactions performed
+	LiveGroups      int       // clause groups added and not yet released
+	GroupsFreed     int64     // clause groups released over the solver's lifetime
+	LastStop        StopCause // why the last Solve returned Unknown (StopNone otherwise)
 }
 
 // Stats reports cumulative solver statistics.
@@ -750,8 +728,6 @@ func (s *Solver) Stats() Stats {
 		SubsumedClauses: s.subsumedCls,
 		Strengthened:    s.strengthened,
 		ElimVars:        s.elimVarCnt,
-		SharedImported:  s.sharedImported,
-		SharedExported:  s.sharedExported,
 		ArenaWords:      len(s.arena),
 		ArenaWasted:     s.wasted,
 		ArenaGCs:        s.arenaGCs,
@@ -786,8 +762,6 @@ func (st *Stats) Accumulate(o Stats) {
 	st.SubsumedClauses += o.SubsumedClauses
 	st.Strengthened += o.Strengthened
 	st.ElimVars += o.ElimVars
-	st.SharedImported += o.SharedImported
-	st.SharedExported += o.SharedExported
 	st.ArenaWords += o.ArenaWords
 	st.ArenaWasted += o.ArenaWasted
 	st.ArenaGCs += o.ArenaGCs
@@ -1298,7 +1272,6 @@ func (s *Solver) SolveAssume(assumps []cnf.Lit) Status {
 	s.cancelUntil(0)
 	s.conflict = s.conflict[:0]
 	s.stopCause = StopNone
-	s.extModelOn = false
 	if s.solveHook != nil {
 		if cause, inject := s.solveHook(s.solves); inject {
 			s.stopCause = cause
@@ -1337,7 +1310,6 @@ func (s *Solver) SolveAssume(assumps []cnf.Lit) Status {
 	}
 	s.budgetStart = s.conflicts
 	s.conflictsSinceRestart = 0
-	s.restartNum = 0
 	if s.inprocessDue() {
 		s.inprocess()
 		if !s.ok {
@@ -1348,12 +1320,7 @@ func (s *Solver) SolveAssume(assumps []cnf.Lit) Status {
 		s.cancelUntil(0)
 		return Unknown
 	}
-	var status Status
-	if s.opts.SearchThreads > 1 && s.share == nil {
-		status = s.portfolioSolve(s.opts.SearchThreads)
-	} else {
-		status = s.search()
-	}
+	status := s.search()
 	if status == Sat {
 		// keep trail for Model; caller must read before next Solve
 		s.extendModel()
@@ -1402,21 +1369,11 @@ func (s *Solver) ModelInto(dst cnf.Assignment) cnf.Assignment {
 }
 
 // modelVal is the model value of variable v after a Sat result: the value
-// reconstructed by extendModel for eliminated variables, the winning
-// worker's value for portfolio solves, and otherwise the trail value (saved
-// phase for unconstrained variables, for determinism).
+// reconstructed by extendModel for eliminated variables, and otherwise the
+// trail value (saved phase for unconstrained variables, for determinism).
 func (s *Solver) modelVal(v int) cnf.Value {
 	if s.eliminated[v] {
 		return cnf.BoolValue(s.elimVal[v] == lTrue)
-	}
-	if s.extModelOn {
-		// Workers complete their models, so Unassigned only means v is newer
-		// than the snapshot; complete it from the saved phase like any other
-		// unconstrained variable.
-		if val := s.extModel.Get(cnf.Var(v)); val != cnf.Unassigned {
-			return val
-		}
-		return cnf.BoolValue(s.phase[v])
 	}
 	switch s.varValue(v) {
 	case lTrue:

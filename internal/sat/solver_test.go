@@ -489,15 +489,6 @@ func TestXorChains(t *testing.T) {
 	}
 }
 
-func TestLuby(t *testing.T) {
-	want := []int64{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8}
-	for i, w := range want {
-		if got := luby(int64(i)); got != w {
-			t.Fatalf("luby(%d) = %d, want %d", i, got, w)
-		}
-	}
-}
-
 func TestStatsProgress(t *testing.T) {
 	f := cnf.New(3)
 	f.AddClause(1, 2, 3)

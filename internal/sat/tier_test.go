@@ -146,45 +146,42 @@ func TestReduceLeavesGroupClausesAlone(t *testing.T) {
 // TestLearntsCarryActivationLiteral pins the invariant ReleaseGroup's
 // soundness rests on: every clause learnt from a conflict involving a live
 // group's clauses contains the group's activation literal positively, and
-// conflict-clause minimization (including the recursive mode) never removes
-// it — the activation variable is assigned by assumption, so it has no
-// reason clause to resolve it away with.
+// recursive conflict-clause minimization never removes it — the activation
+// variable is assigned by assumption, so it has no reason clause to resolve
+// it away with.
 func TestLearntsCarryActivationLiteral(t *testing.T) {
-	for _, mode := range []CcMinMode{CcMinRecursive, CcMinLocal, CcMinNone} {
-		s := NewWith(Options{CcMin: mode})
-		// Base clauses give the search room; the group alone is the only
-		// source of conflicts.
-		s.AddClause(1, 2, 3, 4, 5, 6)
-		var cls []cnf.Clause
-		add := func(ls ...cnf.Lit) { cls = append(cls, cnf.Clause(ls)) }
-		add(1, 2, 7)
-		add(1, -2, 7)
-		add(-1, 3, -7)
-		add(-1, -3, -7)
-		add(1, 2, -7)
-		add(1, -2, -7)
-		add(-1, 3, 7)
-		add(-1, -3, 7)
-		s.AddClauseGroup(cls)
-		selVar := s.groups[0].selVar
-		selPos := mkLit(selVar, false)
-		learnts := 0
-		s.testOnLearnt = func(learnt []lit, btLevel int) {
-			learnts++
-			for _, p := range learnt {
-				if p == selPos {
-					return
-				}
+	s := New()
+	// Base clauses give the search room; the group alone is the only
+	// source of conflicts.
+	s.AddClause(1, 2, 3, 4, 5, 6)
+	var cls []cnf.Clause
+	add := func(ls ...cnf.Lit) { cls = append(cls, cnf.Clause(ls)) }
+	add(1, 2, 7)
+	add(1, -2, 7)
+	add(-1, 3, -7)
+	add(-1, -3, -7)
+	add(1, 2, -7)
+	add(1, -2, -7)
+	add(-1, 3, 7)
+	add(-1, -3, 7)
+	s.AddClauseGroup(cls)
+	selVar := s.groups[0].selVar
+	selPos := mkLit(selVar, false)
+	learnts := 0
+	s.testOnLearnt = func(learnt []lit, btLevel int) {
+		learnts++
+		for _, p := range learnt {
+			if p == selPos {
+				return
 			}
-			t.Fatalf("mode %v: learnt clause %v lacks the activation literal %v",
-				mode, learnt, selPos)
 		}
-		if st := s.Solve(); st != Unsat {
-			t.Fatalf("mode %v: tangle should be Unsat, got %v", mode, st)
-		}
-		if learnts == 0 {
-			t.Fatalf("mode %v: no learnt clauses observed; test is vacuous", mode)
-		}
+		t.Fatalf("learnt clause %v lacks the activation literal %v", learnt, selPos)
+	}
+	if st := s.Solve(); st != Unsat {
+		t.Fatalf("tangle should be Unsat, got %v", st)
+	}
+	if learnts == 0 {
+		t.Fatal("no learnt clauses observed; test is vacuous")
 	}
 }
 

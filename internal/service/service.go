@@ -83,7 +83,6 @@ type Config struct {
 	Workers        int
 	PreprocWorkers int
 	VerifyWorkers  int
-	SATProfile     string
 
 	// VerifyConflictBudget bounds each response verification; 0 means
 	// DefaultVerifyConflictBudget, negative disables verification (trust
@@ -482,7 +481,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 			Workers:           s.cfg.Workers,
 			PreprocWorkers:    s.cfg.PreprocWorkers,
 			VerifyWorkers:     s.cfg.VerifyWorkers,
-			SATProfile:        s.cfg.SATProfile,
 			SATConflictBudget: budget,
 		},
 		result: make(chan *Response, 1),

@@ -38,7 +38,12 @@ type verifier struct {
 	tick    int64 // LRU clock
 	hits    int64
 	misses  int64
-	retired int64 // solvers retired after maxUses (excludes panic evictions)
+	// Solver lifecycle totals over the verifier's lifetime, counted here
+	// rather than read from the pools, so they survive LRU drops: built
+	// solvers, evicted ones (panics and retirements), and retirements alone.
+	built   int64
+	evicted int64
+	retired int64
 }
 
 type verifyEntry struct {
@@ -98,6 +103,9 @@ func (v *verifier) entryFor(fp string, in *dqbf.Instance) *verifyEntry {
 	in.Matrix.NegationInto(base)
 	e := &verifyEntry{lastUsed: v.tick}
 	e.pool = oracle.NewPool(v.poolSize, func() *sat.Solver {
+		v.mu.Lock()
+		v.built++
+		v.mu.Unlock()
 		s := sat.New()
 		s.AddFormula(base)
 		return s
@@ -134,7 +142,7 @@ func (v *verifier) verify(ctx context.Context, fp string, in *dqbf.Instance, vec
 	healthy := false
 	defer func() {
 		if !healthy {
-			e.pool.Evict(s)
+			v.evict(e, s, false)
 			return
 		}
 		e.mu.Lock()
@@ -146,10 +154,7 @@ func (v *verifier) verify(ctx context.Context, fp string, in *dqbf.Instance, vec
 			// and activation variables, so a long-lived solver's tables grow
 			// without bound. A periodic rebuild caps that at maxUses
 			// verifications' worth.
-			e.pool.Evict(s)
-			v.mu.Lock()
-			v.retired++
-			v.mu.Unlock()
+			v.evict(e, s, true)
 			return
 		}
 		e.pool.Put(s)
@@ -182,6 +187,18 @@ func (v *verifier) verify(ctx context.Context, fp string, in *dqbf.Instance, vec
 	}
 }
 
+// evict discards s from e's pool and counts it; retire marks a planned
+// max-use retirement rather than a panic eviction.
+func (v *verifier) evict(e *verifyEntry, s *sat.Solver, retire bool) {
+	e.pool.Evict(s)
+	v.mu.Lock()
+	v.evicted++
+	if retire {
+		v.retired++
+	}
+	v.mu.Unlock()
+}
+
 // VerifyStats is the verifier's /statz block.
 type VerifyStats struct {
 	// WarmFormulas is how many distinct formulas currently have warm pools.
@@ -189,9 +206,11 @@ type VerifyStats struct {
 	// Hits/Misses count fingerprint lookups that found / had to build a pool.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// SolversBuilt and SolversEvicted aggregate the per-formula
-	// oracle.Pool counters (evictions include both panic evictions and
-	// max-use retirements); Retired counts only the planned retirements.
+	// SolversBuilt and SolversEvicted count every verification solver
+	// built and evicted over the server's lifetime, including those of
+	// formulas the LRU has since dropped (evictions include both panic
+	// evictions and max-use retirements); Retired counts only the planned
+	// retirements.
 	SolversBuilt   int64 `json:"solvers_built"`
 	SolversEvicted int64 `json:"solvers_evicted"`
 	Retired        int64 `json:"retired"`
@@ -200,15 +219,12 @@ type VerifyStats struct {
 func (v *verifier) stats() VerifyStats {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	st := VerifyStats{
-		WarmFormulas: len(v.entries),
-		Hits:         v.hits,
-		Misses:       v.misses,
-		Retired:      v.retired,
+	return VerifyStats{
+		WarmFormulas:   len(v.entries),
+		Hits:           v.hits,
+		Misses:         v.misses,
+		SolversBuilt:   v.built,
+		SolversEvicted: v.evicted,
+		Retired:        v.retired,
 	}
-	for _, e := range v.entries {
-		st.SolversBuilt += int64(e.pool.Built() + e.pool.Evicted())
-		st.SolversEvicted += int64(e.pool.Evicted())
-	}
-	return st
 }
