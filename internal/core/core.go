@@ -46,18 +46,29 @@
 //
 //   - phiSolver holds ϕ and answers all assumption queries (counterexample
 //     extension, the Gk repair queries with their UNSAT cores).
+//
 //   - The preprocessing phase checks out ϕ-loaded solvers from an
 //     oracle.Pool sized to its worker count, so a thousand per-existential
 //     queries cost at most PreprocWorkers formula loads
 //     (Stats.PreprocSolversBuilt).
+//
 //   - verifySolver holds ¬ϕ(X,Y′) permanently, the Tseitin definitions of
 //     every candidate-DAG node encoded exactly once through a persistent
 //     node → literal cache, and per candidate a tiny releasable clause
 //     group tying Y′y to its function's root literal (sat.AddClauseGroup).
 //     A repair round releases and re-encodes only the candidates that
-//     changed.
+//     changed. Its search branches on X alone (sat.RestrictBranching),
+//     because X defines every other variable: Y′ through the equivalence
+//     groups, the ¬ϕ clause selectors through their AND definitions, and
+//     node outputs through their Tseitin definitions, while group
+//     activation literals are always assumptions. Once X is assigned,
+//     propagation assigns the rest, so the decision heap holds |X|
+//     variables instead of the whole growing encoding, and the solver's
+//     fallback for a broken promise never has work to do.
+//
 //   - FindCandi's MaxSAT localization runs through maxsat.Incremental
 //     against a solver that loads ϕ once.
+//
 //   - The sampler draws all training assignments from one solver, blocking
 //     each projected sample instead of rebuilding.
 //
@@ -76,5 +87,6 @@
 //
 // The package is under the determinism contract — results must be
 // bit-identical across runs and worker counts (see internal/analysis).
+//
 //lint:deterministic
 package core

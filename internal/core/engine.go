@@ -249,6 +249,11 @@ type Engine struct {
 	extraOracle int64
 
 	stats Stats
+
+	// testOnCounterexample, when non-nil, observes every counterexample δ
+	// verify returns, before the loop extends it. Test instrumentation
+	// only; nil in production.
+	testOnCounterexample func(delta cnf.Assignment)
 }
 
 // oracleCount totals every SAT/MaxSAT solver call issued so far: the
@@ -289,7 +294,12 @@ func Synthesize(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, 
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
+	return newEngine(ctx, in, opts.withDefaults()).synthesize()
+}
+
+// newEngine builds the engine state for one run, with ϕ loaded into the
+// persistent ϕ-solver.
+func newEngine(ctx context.Context, in *dqbf.Instance, opts Options) *Engine {
 	e := &Engine{
 		ctx:   ctx,
 		in:    in,
@@ -307,7 +317,12 @@ func Synthesize(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, 
 	}
 	e.phiSolver = e.newSolver()
 	e.phiSolver.AddFormula(in.Matrix)
+	return e
+}
 
+// synthesize runs the phase pipeline and assembles the result.
+func (e *Engine) synthesize() (*Result, error) {
+	in, opts := e.in, e.opts
 	// Trivial cases: no existentials — valid iff ϕ is a tautology. The one
 	// oracle call is reported as a verify-repair phase so even this path
 	// honors the phase-telemetry contract (every success fills Phases).
@@ -577,6 +592,10 @@ func (e *Engine) buildVerifySolver() {
 
 	e.verifySolver = e.newSolver()
 	e.verifySolver.AddFormula(ef)
+	// Once X is assigned, propagation assigns every other variable of this
+	// solver (see the verifySolver bullet of the package comment), so the
+	// search branches on X alone.
+	e.verifySolver.RestrictBranching(e.in.Univ)
 	// ef stays on as the solver's variable allocator: candidate encodings
 	// allocate Tseitin variables from it, clauses are transferred and the
 	// clause list truncated, and NumVars is re-synced whenever the solver
@@ -663,6 +682,9 @@ func (e *Engine) verify() (model cnf.Assignment, status sat.Status, err error) {
 		}
 		for _, y := range e.in.Exist {
 			e.delta.Set(y, e.verifySolver.ModelValue(e.prime[y]))
+		}
+		if e.testOnCounterexample != nil {
+			e.testOnCounterexample(e.delta)
 		}
 		return e.delta, sat.Sat, nil
 	default:

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/boolfunc"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
+	"repro/internal/gen"
 )
 
 // paperExample is Example 1 from the paper (see dqbf tests for the clause
@@ -467,5 +470,65 @@ func TestStatsPopulated(t *testing.T) {
 	}
 	if res.Stats.VerifyCalls == 0 {
 		t.Fatal("no verify calls recorded")
+	}
+}
+
+// TestVerifyCounterexamplesGenuine runs generator instances whose
+// verify–repair loops end on the repair budget and checks every
+// counterexample δ the verification oracle returns: each δ[Y′y] must equal
+// the candidate fy evaluated at δ, and ϕ must be false at δ. The oracle's
+// search branches on X alone, so this pins that its models stay genuine.
+func TestVerifyCounterexamplesGenuine(t *testing.T) {
+	cexs := 0
+	for _, c := range []struct {
+		fam gen.Family
+		idx []int
+	}{
+		{gen.FamilyEquiv, []int{1, 2, 3, 4}},
+		{gen.FamilyController, []int{2, 3, 4}},
+	} {
+		for _, idx := range c.idx {
+			inst := gen.Generate(c.fam, idx, 1)
+			e := newEngine(context.Background(), inst.DQBF, Options{Seed: 1, MaxRepairIterations: 200}.withDefaults())
+			e.testOnCounterexample = func(delta cnf.Assignment) {
+				cexs++
+				for _, y := range e.in.Exist {
+					if got, want := delta.Get(y) == cnf.True, e.b.Eval(e.funcs[y], delta); got != want {
+						t.Fatalf("%s: δ[Y′%d] = %v, but its candidate gives %v", inst.Name, y, got, want)
+					}
+				}
+				if e.in.Matrix.Eval(delta) {
+					t.Fatalf("%s: ϕ holds at counterexample %d", inst.Name, cexs)
+				}
+			}
+			if _, err := e.synthesize(); !errors.Is(err, ErrBudget) {
+				t.Fatalf("%s: got %v, want the repair budget", inst.Name, err)
+			}
+		}
+	}
+	t.Logf("%d counterexamples checked", cexs)
+}
+
+// TestProblemLineDoesNotSizeTables: the DQDIMACS problem line only bounds
+// the variables a file may use. Every solver sizes its per-variable tables
+// by NumVars, so an instance that declares ten million variables and uses
+// two must parse to NumVars 2 and synthesize in well under 1 MB.
+func TestProblemLineDoesNotSizeTables(t *testing.T) {
+	in, err := dqbf.ParseDQDIMACS(strings.NewReader("p cnf 10000000 1\na 1 0\nd 2 1 0\n1 2 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Matrix.NumVars != 2 {
+		t.Fatalf("NumVars = %d, want 2", in.Matrix.NumVars)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Synthesize(context.Background(), in, Options{Seed: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("Synthesize: %v", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("synthesis allocated %d bytes, want < 1 MB", n)
 	}
 }

@@ -21,7 +21,9 @@ import (
 //	<clauses>
 //
 // Multiple a/e blocks may alternate (each e block depends on the universals
-// declared before it); d lines declare Henkin dependencies explicitly.
+// declared before it); d lines declare Henkin dependencies explicitly. The
+// problem line's variable count only bounds the variables the file may use:
+// Matrix.NumVars is the largest variable declared or used.
 func ParseDQDIMACS(r io.Reader) (*Instance, error) {
 	in := NewInstance()
 	sc := bufio.NewScanner(r)
@@ -132,9 +134,6 @@ func ParseDQDIMACS(r io.Reader) (*Instance, error) {
 	}
 	if !sawProblem {
 		return nil, fmt.Errorf("dqdimacs: missing problem line")
-	}
-	if numVars > in.Matrix.NumVars {
-		in.Matrix.NumVars = numVars
 	}
 	if err := in.Validate(); err != nil {
 		return nil, err

@@ -18,6 +18,7 @@
 //
 // The package is under the determinism contract — results must be
 // bit-identical across runs and worker counts (see internal/analysis).
+//
 //lint:deterministic
 package oracle
 

@@ -200,8 +200,8 @@ func TestBinaryHeavyPropagation(t *testing.T) {
 // resurrected the dead words forever.
 func TestBinaryReasonClearedOnRemoval(t *testing.T) {
 	s := New()
-	s.AddClause(1, 2)  // binary clause; lit for var 2 sits at position 1
-	s.AddClause(-1)    // unit: falsifies 1, propagates 2 with the binary reason
+	s.AddClause(1, 2) // binary clause; lit for var 2 sits at position 1
+	s.AddClause(-1)   // unit: falsifies 1, propagates 2 with the binary reason
 	if st := s.Solve(); st != Sat {
 		t.Fatalf("got %v, want SAT", st)
 	}

@@ -17,7 +17,7 @@ func propagationChainFormula(n int) *cnf.Formula {
 		f.AddClause(cnf.Lit(-i), cnf.Lit(i+1))
 	}
 	for i := 1; i+2 <= n; i++ {
-		f.AddClause(cnf.Lit(-i), cnf.Lit(-(i+1)), cnf.Lit(i+2))
+		f.AddClause(cnf.Lit(-i), cnf.Lit(-(i + 1)), cnf.Lit(i+2))
 	}
 	return f
 }

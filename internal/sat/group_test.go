@@ -126,60 +126,71 @@ func TestCoreExcludesActivationLiterals(t *testing.T) {
 // Property: for random formulas split into a base and a group, (base+group)
 // must agree with a monolithic solver, and after release the base must agree
 // with a base-only solver — across repeated swap cycles so compaction and
-// learnt recycling get exercised.
+// learnt recycling get exercised. Each seed runs once unrestricted and once
+// with branching restricted to a random subset of the base variables, which
+// leaves out every activation variable too.
 func TestGroupSwapEquivalenceProperty(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		nv := 8 + rng.Intn(8)
-		base := cnf.New(nv)
-		for i := 0; i < 15+rng.Intn(20); i++ {
+	for _, restrict := range []bool{false, true} {
+		for seed := int64(0); seed < 30; seed++ {
+			groupSwapCycles(t, seed, restrict)
+		}
+	}
+}
+
+func groupSwapCycles(t *testing.T, seed int64, restrict bool) {
+	rng := rand.New(rand.NewSource(seed))
+	nv := 8 + rng.Intn(8)
+	base := cnf.New(nv)
+	for i := 0; i < 15+rng.Intn(20); i++ {
+		k := 1 + rng.Intn(3)
+		cl := make([]cnf.Lit, 0, k)
+		for j := 0; j < k; j++ {
+			cl = append(cl, cnf.MkLit(cnf.Var(1+rng.Intn(nv)), rng.Intn(2) == 0))
+		}
+		base.AddClause(cl...)
+	}
+	s := New()
+	s.AddFormula(base)
+	if restrict {
+		restrictRandomly(rand.New(rand.NewSource(seed)), s, nv)
+	}
+	for round := 0; round < 4; round++ {
+		var groupCls []cnf.Clause
+		for i := 0; i < 5+rng.Intn(10); i++ {
 			k := 1 + rng.Intn(3)
-			cl := make([]cnf.Lit, 0, k)
+			cl := make(cnf.Clause, 0, k)
 			for j := 0; j < k; j++ {
 				cl = append(cl, cnf.MkLit(cnf.Var(1+rng.Intn(nv)), rng.Intn(2) == 0))
 			}
-			base.AddClause(cl...)
+			groupCls = append(groupCls, cl)
 		}
-		s := New()
-		s.AddFormula(base)
-		for round := 0; round < 4; round++ {
-			var groupCls []cnf.Clause
-			for i := 0; i < 5+rng.Intn(10); i++ {
-				k := 1 + rng.Intn(3)
-				cl := make(cnf.Clause, 0, k)
-				for j := 0; j < k; j++ {
-					cl = append(cl, cnf.MkLit(cnf.Var(1+rng.Intn(nv)), rng.Intn(2) == 0))
-				}
-				groupCls = append(groupCls, cl)
-			}
-			g := s.AddClauseGroup(groupCls)
+		g := s.AddClauseGroup(groupCls)
 
-			mono := New()
-			mono.AddFormula(base)
+		mono := New()
+		mono.AddFormula(base)
+		for _, c := range groupCls {
+			mono.AddClause(c...)
+		}
+		want, got := mono.Solve(), s.Solve()
+		if want != got {
+			t.Fatalf("restrict=%v seed %d round %d: group solver %v, monolithic %v", restrict, seed, round, got, want)
+		}
+		if got == Sat {
+			m := s.Model()
+			all := base.Clone()
 			for _, c := range groupCls {
-				mono.AddClause(c...)
+				all.AddClause(c...)
 			}
-			want, got := mono.Solve(), s.Solve()
-			if want != got {
-				t.Fatalf("seed %d round %d: group solver %v, monolithic %v", seed, round, got, want)
+			if !evalClausesOnly(all, m) {
+				t.Fatalf("restrict=%v seed %d round %d: group model falsifies formula", restrict, seed, round)
 			}
-			if got == Sat {
-				m := s.Model()
-				all := base.Clone()
-				for _, c := range groupCls {
-					all.AddClause(c...)
-				}
-				if !evalClausesOnly(all, m) {
-					t.Fatalf("seed %d round %d: group model falsifies formula", seed, round)
-				}
-			}
-			s.ReleaseGroup(g)
+		}
+		s.ReleaseGroup(g)
 
-			baseOnly := New()
-			baseOnly.AddFormula(base)
-			if want, got := baseOnly.Solve(), s.Solve(); want != got {
-				t.Fatalf("seed %d round %d: after release %v, base-only %v", seed, round, got, want)
-			}
+		baseOnly := New()
+		baseOnly.AddFormula(base)
+		if want, got := baseOnly.Solve(), s.Solve(); want != got {
+			t.Fatalf("restrict=%v seed %d round %d: after release %v, base-only %v", restrict, seed, round, got, want)
 		}
 	}
 }

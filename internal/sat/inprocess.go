@@ -155,7 +155,7 @@ func (s *Solver) buildOcc() {
 			s.occ[i] = nil
 			continue
 		}
-		s.occ[i] = flat[off:off : off+n]
+		s.occ[i] = flat[off : off : off+n]
 		off += n
 		cnt[i] = 0 // scratch table all-zero again on return
 	}
@@ -670,7 +670,7 @@ func (s *Solver) restoreVar(v int) {
 	s.elimIdx[v] = 0
 	s.frozen[v] = true
 	rec.live = false
-	if s.varValue(v) == lUndef && !s.heap.inHeap(v) {
+	if s.decision[v] && s.varValue(v) == lUndef && !s.heap.inHeap(v) {
 		s.heap.insert(v) // decisions skipped v while it was eliminated
 	}
 	var buf []cnf.Lit // rare path: restores happen per variable, not per solve

@@ -79,41 +79,59 @@ func TestInprocessPreservesAnswers(t *testing.T) {
 // schedule at its tightest (the first round after one conflict) through
 // incremental solves under random assumptions, so scheduled rounds fire
 // between the queries of one solver, over learnt clauses and eliminated
-// variables left by earlier queries. Every answer must match brute force
-// and every model must satisfy the formula and the assumptions.
+// variables left by earlier queries. Every answer must match brute force,
+// every model must satisfy the formula and the assumptions, and every core
+// must be a refuted subset of the assumptions — unrestricted, and with
+// branching restricted to a random subset of the variables, which leaves
+// the rest to elimination, vivification and the fallback.
 func TestInprocessScheduleAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(424242))
-	rounds := int64(0)
-	for trial := 0; trial < 60; trial++ {
-		nVars := 8 + rng.Intn(4)
-		f := random3SAT(rng, nVars, 3.5)
-		s := New()
-		s.inprocessConflicts = 1
-		s.AddFormula(f)
-		for q := 0; q < 6; q++ {
-			var assumps []cnf.Lit
-			g := f.Clone()
-			for v := 1; v <= nVars; v++ {
-				if rng.Intn(4) == 0 {
-					a := cnf.MkLit(cnf.Var(v), rng.Intn(2) == 0)
-					assumps = append(assumps, a)
-					g.AddUnit(a)
+	for _, restrict := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(424242))
+		rounds, elims, vivs, falls := int64(0), int64(0), int64(0), 0
+		for trial := 0; trial < 60; trial++ {
+			nVars := 8 + rng.Intn(4)
+			f := random3SAT(rng, nVars, 3.5)
+			s := New()
+			s.inprocessConflicts = 1
+			s.AddFormula(f)
+			if restrict {
+				restrictRandomly(rand.New(rand.NewSource(int64(trial))), s, nVars)
+			}
+			for q := 0; q < 6; q++ {
+				var assumps []cnf.Lit
+				g := f.Clone()
+				for v := 1; v <= nVars; v++ {
+					if rng.Intn(4) == 0 {
+						a := cnf.MkLit(cnf.Var(v), rng.Intn(2) == 0)
+						assumps = append(assumps, a)
+						g.AddUnit(a)
+					}
+				}
+				st := s.SolveAssume(assumps)
+				if want := bruteForceSat(g); (st == Sat) != want {
+					t.Fatalf("restrict=%v trial %d query %d: solver=%v brute=%v formula:\n%s", restrict, trial, q, st, want, g)
+				}
+				if st == Sat {
+					if !g.Eval(s.Model()) {
+						t.Fatalf("restrict=%v trial %d query %d: model violates the formula or the assumptions", restrict, trial, q)
+					}
+					falls += fallbackDecisions(s)
+				}
+				if st == Unsat {
+					checkCore(t, f, assumps, s.Core())
 				}
 			}
-			st := s.SolveAssume(assumps)
-			if want := bruteForceSat(g); (st == Sat) != want {
-				t.Fatalf("trial %d query %d: solver=%v brute=%v formula:\n%s", trial, q, st, want, g)
-			}
-			if st == Sat && !g.Eval(s.Model()) {
-				t.Fatalf("trial %d query %d: model violates the formula or the assumptions", trial, q)
-			}
+			rounds += s.inprocRounds
+			elims += s.elimVarCnt
+			vivs += s.vivified
 		}
-		rounds += s.inprocRounds
+		if rounds == 0 || elims == 0 || vivs == 0 || restrict && falls == 0 {
+			t.Fatalf("restrict=%v: test is vacuous: %d inprocessing rounds, %d variables eliminated, %d clauses vivified, %d fallback decisions",
+				restrict, rounds, elims, vivs, falls)
+		}
+		t.Logf("restrict=%v: %d inprocessing rounds, %d variables eliminated, %d clauses vivified, %d fallback decisions",
+			restrict, rounds, elims, vivs, falls)
 	}
-	if rounds == 0 {
-		t.Fatal("no inprocessing round ran; test is vacuous")
-	}
-	t.Logf("%d inprocessing rounds", rounds)
 }
 
 // Model enumeration with an inprocessing round forced between every step

@@ -48,11 +48,11 @@ const (
 	metaUsed      uint32 = 1 << 28
 )
 
-func (s *Solver) claLBD(c cref) int      { return int(s.arena[c+2] & metaLBDMask) }
-func (s *Solver) claTier(c cref) int     { return int(s.arena[c+2] >> metaTierShift & 3) }
-func (s *Solver) claUsed(c cref) bool    { return s.arena[c+2]&metaUsed != 0 }
-func (s *Solver) claSetUsed(c cref)      { s.arena[c+2] |= metaUsed }
-func (s *Solver) claClearUsed(c cref)    { s.arena[c+2] &^= metaUsed }
+func (s *Solver) claLBD(c cref) int   { return int(s.arena[c+2] & metaLBDMask) }
+func (s *Solver) claTier(c cref) int  { return int(s.arena[c+2] >> metaTierShift & 3) }
+func (s *Solver) claUsed(c cref) bool { return s.arena[c+2]&metaUsed != 0 }
+func (s *Solver) claSetUsed(c cref)   { s.arena[c+2] |= metaUsed }
+func (s *Solver) claClearUsed(c cref) { s.arena[c+2] &^= metaUsed }
 func (s *Solver) claSetTier(c cref, t int) {
 	s.arena[c+2] = s.arena[c+2]&^(uint32(3)<<metaTierShift) | uint32(t)<<metaTierShift
 }
@@ -214,18 +214,11 @@ func (s *Solver) simplifyList(cs []cref) []cref {
 			kept = append(kept, c)
 			continue
 		}
-		ls := s.claLits(c)
-		satisfied := false
-		for _, u := range ls {
-			if s.litValue(lit(u)) == lTrue {
-				satisfied = true
-				break
-			}
-		}
-		if satisfied {
+		if s.claSatisfied(c) {
 			s.removeClause(c)
 			continue
 		}
+		ls := s.claLits(c)
 		hasFalse := false
 		for _, u := range ls {
 			if s.litValue(lit(u)) == lFalse {

@@ -96,7 +96,7 @@ func (s *Solver) search() Status {
 		if next == 0 {
 			next = s.pickBranchLit()
 			if next == 0 {
-				return Sat // all variables assigned
+				return Sat // every clause has a true literal
 			}
 		}
 		s.newDecisionLevel()
@@ -114,7 +114,13 @@ func (s *Solver) pickBranchLit() lit {
 	}
 	for v == 0 {
 		if s.heap.empty() {
-			return 0
+			if s.restricted {
+				v = s.openVar()
+			}
+			if v == 0 {
+				return 0
+			}
+			break
 		}
 		// Eliminated variables are skipped (no live clause mentions them;
 		// restoreVar re-inserts them on restore). Dropping them from the heap
@@ -130,6 +136,30 @@ func (s *Solver) pickBranchLit() lit {
 		ph = s.random().Intn(2) == 0
 	}
 	return mkLit(v, !ph)
+}
+
+// openVar is the fallback of a restricted search whose decision heap is
+// empty: it returns an unassigned non-decision variable watched in a clause
+// with no true literal, or 0 when there is none. With the heap empty every
+// decision variable is assigned or eliminated (and an eliminated variable is
+// in no clause), and after conflict-free propagation both watched literals
+// of a clause with no true literal are unassigned. So 0 means every clause
+// is satisfied and the trail extends to a model whatever the unassigned
+// variables take.
+func (s *Solver) openVar() int {
+	for v := 1; v <= s.numVars; v++ {
+		if s.decision[v] || s.varValue(v) != lUndef || s.eliminated[v] {
+			continue
+		}
+		for _, p := range [2]lit{mkLit(v, false), mkLit(v, true)} {
+			for _, w := range s.watchList(p) {
+				if s.litValue(w.blocker) != lTrue && !s.claSatisfied(w.cref()) {
+					return v
+				}
+			}
+		}
+	}
+	return 0
 }
 
 func (s *Solver) assumptionLevel() int {

@@ -117,9 +117,27 @@
 // assuming a literal) over an eliminated variable transparently restores its
 // saved clauses.
 //
+// # Branching restriction
+//
+// RestrictBranching is MiniSat's per-variable decision flag as one call:
+// only the given variables enter the VSIDS heap, every other variable
+// (including ones allocated later) is assigned by propagation or as an
+// assumption, and the given variables are frozen against elimination. It
+// suits incremental queries over circuit encodings whose inputs define
+// everything else: the heap then holds the inputs alone, instead of every
+// encoding variable popped and reinserted on every query. The search stays
+// complete whatever the caller promises. With the heap empty, every
+// decision variable that occurs in a clause is assigned; after
+// conflict-free propagation a clause with no true literal has both watched
+// literals unassigned, so they are non-decision variables. The search looks through those variables' watch
+// lists, branches on one that sits in such a clause, and reports Sat only
+// when every clause has a true literal, so the trail extends to a model
+// whatever values the unassigned variables take.
+//
 // The package is under the determinism contract, without exceptions: every
 // answer, model, core, and Stats counter is bit-identical across runs (see
 // internal/analysis).
+//
 //lint:deterministic
 package sat
 
@@ -384,21 +402,28 @@ type Solver struct {
 	heap     varHeap
 	phase    []bool // saved phase: true means last assigned true
 
+	// The branching restriction (RestrictBranching). decision[v] is MiniSat's
+	// decision flag: only decision variables enter the heap. It is set for
+	// every variable until the first RestrictBranching call, after which
+	// restricted keeps it clear for every variable allocated later.
+	decision   []bool
+	restricted bool
+
 	claInc   float64
 	claDecay float64
 
 	seen        []bool
-	analyzeSt   []lit    // scratch: learnt clause under construction
-	minimizeTmp []lit    // scratch: minimization snapshot of the learnt tail
-	minStack    []lit    // scratch: recursive-minimization DFS stack
-	minMark     []byte   // per var: markImplied/markPoison during minimization
-	minClear    []int32  // vars whose minMark must be reset after analyze
-	minBudget   int      // remaining reason expansions for this conflict
+	analyzeSt   []lit     // scratch: learnt clause under construction
+	minimizeTmp []lit     // scratch: minimization snapshot of the learnt tail
+	minStack    []lit     // scratch: recursive-minimization DFS stack
+	minMark     []byte    // per var: markImplied/markPoison during minimization
+	minClear    []int32   // vars whose minMark must be reset after analyze
+	minBudget   int       // remaining reason expansions for this conflict
 	addTmp      []lit     // scratch: AddClause normalization
 	groupTmp    []cnf.Lit // scratch: AddClauseGroup clause-plus-selector buffer
 	watchCnt    []int32   // scratch: reserveWatches per-literal counts (all-zero between calls)
-	demoteTmp   []cref   // scratch: reduceDB demotion buffer
-	lbdStamps   []uint32 // per decision level: last stamp seen (LBD counting)
+	demoteTmp   []cref    // scratch: reduceDB demotion buffer
+	lbdStamps   []uint32  // per decision level: last stamp seen (LBD counting)
 	lbdStamp    uint32
 
 	assumptions []lit
@@ -406,8 +431,8 @@ type Solver struct {
 
 	groups      []clauseGroup
 	crefsFree   [][]cref // recycled cref backings from released groups
-	standing    []lit  // ¬activation for every live group; assumed on each Solve
-	isSel       []bool // per var: true when the var is a group activation var
+	standing    []lit    // ¬activation for every live group; assumed on each Solve
+	isSel       []bool   // per var: true when the var is a group activation var
 	groupsFreed int64
 
 	rng           *rand.Rand // lazily built: seeding is ~µs and most solvers never branch randomly
@@ -420,7 +445,7 @@ type Solver struct {
 	ctx            context.Context // nil = never interrupted
 	stopCause      StopCause       // why the last Solve returned Unknown
 	checkCnt       int64
-	solveHook      SolveHook       // nil except under fault injection
+	solveHook      SolveHook // nil except under fault injection
 
 	// Restart policy state (restart.go).
 	conflictsSinceRestart int64
@@ -451,27 +476,27 @@ type Solver struct {
 	simpLastTrail int // trail size at the last top-level simplification
 
 	// Inprocessing state (inprocess.go).
-	lastInproc int64 // lifetime conflicts at the last inprocessing round
-	inprocGap  int64 // conflicts between rounds; doubles after each round
-	eliminated []bool  // per var: removed by bounded variable elimination
-	frozen     []bool  // per var: never a BVE candidate (assumption vars, restored vars)
-	elimVal    []int8  // per var: reconstructed model value for eliminated vars
-	elimLits   []lit   // flat store of the clauses removed by elimination
-	elimBnd    []int32 // clause boundaries into elimLits (starts [0])
-	elimStack  []elimVarRec // elimination records, in elimination order
-	elimIdx    []int32      // per var: position+1 of its record in elimStack; 0 = none
-	occ        [][]cref // scratch: per lit code, clauses containing the literal
-	occFlat    []cref   // scratch: one flat backing the occ lists are carved from
-	occStamp   []uint32 // scratch: per lit code, subsumption/resolution stamps
-	occStampN  uint32
+	lastInproc  int64        // lifetime conflicts at the last inprocessing round
+	inprocGap   int64        // conflicts between rounds; doubles after each round
+	eliminated  []bool       // per var: removed by bounded variable elimination
+	frozen      []bool       // per var: never a BVE candidate (assumption vars, restored vars)
+	elimVal     []int8       // per var: reconstructed model value for eliminated vars
+	elimLits    []lit        // flat store of the clauses removed by elimination
+	elimBnd     []int32      // clause boundaries into elimLits (starts [0])
+	elimStack   []elimVarRec // elimination records, in elimination order
+	elimIdx     []int32      // per var: position+1 of its record in elimStack; 0 = none
+	occ         [][]cref     // scratch: per lit code, clauses containing the literal
+	occFlat     []cref       // scratch: one flat backing the occ lists are carved from
+	occStamp    []uint32     // scratch: per lit code, subsumption/resolution stamps
+	occStampN   uint32
 	roundFrozen []uint32 // per var: stamped when frozen for the current round
 	roundStamp  uint32
-	inprocCand []cref    // scratch: the round's candidate clause list
-	vivTmp     []lit     // scratch: vivification clause copy
-	vivOut     []lit     // scratch: vivification shrunk clause
-	bvePos     []cref    // scratch: BVE positive-occurrence clauses
-	bveNeg     []cref    // scratch: BVE negative-occurrence clauses
-	resolvTmp  []cnf.Lit // scratch: BVE resolvent under construction
+	inprocCand  []cref    // scratch: the round's candidate clause list
+	vivTmp      []lit     // scratch: vivification clause copy
+	vivOut      []lit     // scratch: vivification shrunk clause
+	bvePos      []cref    // scratch: BVE positive-occurrence clauses
+	bveNeg      []cref    // scratch: BVE negative-occurrence clauses
+	resolvTmp   []cnf.Lit // scratch: BVE resolvent under construction
 
 	inprocRounds int64
 	vivified     int64
@@ -558,10 +583,42 @@ func (s *Solver) EnsureVars(n int) {
 	if cap(s.heap.data) < n {
 		s.heap.data = slices.Grow(s.heap.data, n-len(s.heap.data))
 	}
-	for v := s.numVars + 1; v <= n; v++ {
-		s.heap.insert(v)
+	s.decision = growTo(s.decision, n+1)
+	if !s.restricted {
+		for v := s.numVars + 1; v <= n; v++ {
+			s.decision[v] = true
+			s.heap.insert(v)
+		}
 	}
 	s.numVars = n
+}
+
+// RestrictBranching limits the search to branching on vars: every other
+// variable, including variables allocated later, is assigned only by
+// propagation or as an assumption. The variables of the set are frozen
+// against bounded variable elimination, like assumption variables. A later
+// call replaces the set.
+//
+// It pays when the set defines the rest of the formula, so that propagation
+// assigns every other variable once the set is assigned (see "Branching
+// restriction" in the package comment). That is a promise about speed only:
+// when the set is exhausted while a clause with no true literal still holds
+// an unassigned variable, the search branches on that variable, so answers,
+// models and cores never depend on it.
+func (s *Solver) RestrictBranching(vars []cnf.Var) {
+	s.cancelUntil(0)
+	s.restricted = true
+	clear(s.decision)
+	s.heap.clear()
+	for _, x := range vars {
+		v := int(x)
+		s.EnsureVars(v)
+		s.decision[v] = true
+		s.freeze(v)
+		if s.varValue(v) == lUndef && !s.heap.inHeap(v) {
+			s.heap.insert(v)
+		}
+	}
 }
 
 // NumVars returns the number of allocated variables.
@@ -826,6 +883,16 @@ func (s *Solver) claLits(c cref) []uint32 {
 func (s *Solver) claWords(c cref) int {
 	hdr := s.arena[c]
 	return 1 + int(hdr&hdrLearnt)<<1 + int(hdr>>hdrSizeShift)
+}
+
+// claSatisfied reports whether some literal of clause c is true.
+func (s *Solver) claSatisfied(c cref) bool {
+	for _, u := range s.claLits(c) {
+		if s.litValue(lit(u)) == lTrue {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Solver) claSetSize(c cref, n int) {
@@ -1250,7 +1317,7 @@ func (s *Solver) cancelUntil(lvl int) {
 		s.assigns[p] = lUndef
 		s.assigns[p.neg()] = lUndef
 		s.reason[v] = reasonUndef
-		if !s.heap.inHeap(v) {
+		if s.decision[v] && !s.heap.inHeap(v) {
 			s.heap.insert(v)
 		}
 	}
@@ -1339,13 +1406,19 @@ func (s *Solver) restoreAssumed(assumps []cnf.Lit) {
 		if v <= 0 || v > s.numVars {
 			continue // allocated later by the assumption loop; nothing to restore
 		}
-		s.frozen[v] = true
-		if s.eliminated[v] {
-			s.restoreVar(v)
-			if !s.ok {
-				return
-			}
+		s.freeze(v)
+		if !s.ok {
+			return
 		}
+	}
+}
+
+// freeze keeps v out of bounded variable elimination from now on, restoring
+// it first if a past round eliminated it.
+func (s *Solver) freeze(v int) {
+	s.frozen[v] = true
+	if s.eliminated[v] {
+		s.restoreVar(v)
 	}
 }
 
@@ -1445,6 +1518,13 @@ func (h *varHeap) less(a, b int) bool { return (*h.activity)[a] > (*h.activity)[
 func (h *varHeap) inHeap(v int) bool { return v < len(h.indices) && h.indices[v] != 0 }
 
 func (h *varHeap) empty() bool { return len(h.data) == 0 }
+
+func (h *varHeap) clear() {
+	for _, v := range h.data {
+		h.indices[v] = 0
+	}
+	h.data = h.data[:0]
+}
 
 func (h *varHeap) insert(v int) {
 	for len(h.indices) <= v {

@@ -3,6 +3,7 @@ package sat
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -173,8 +174,59 @@ func TestPigeonholeSatVariant(t *testing.T) {
 	}
 }
 
+// restrictRandomly restricts s to branching on a random subset (possibly
+// empty) of the variables 1..n. The variables left out are mostly not
+// implied by the subset, so the search must fall back to branching on them.
+func restrictRandomly(rng *rand.Rand, s *Solver, n int) {
+	var set []cnf.Var
+	for v := 1; v <= n; v++ {
+		if rng.Intn(2) == 0 {
+			set = append(set, cnf.Var(v))
+		}
+	}
+	s.RestrictBranching(set)
+}
+
+// fallbackDecisions counts the decisions on non-decision variables in the
+// trail a Sat result leaves behind: the restricted search's fallback.
+func fallbackDecisions(s *Solver) int {
+	n := 0
+	for lvl := len(s.assumptions); lvl < len(s.trailLim); lvl++ {
+		if !s.decision[s.trail[s.trailLim[lvl]].varIdx()] {
+			n++
+		}
+	}
+	return n
+}
+
+// addGates appends k Tseitin-defined variables to f, each an AND or OR of
+// two literals over the variables before it, plus a clause over each, so
+// that the original variables define every added one.
+func addGates(rng *rand.Rand, f *cnf.Formula, k int) {
+	for i := 0; i < k; i++ {
+		n := f.NumVars
+		in := []cnf.Lit{
+			cnf.MkLit(cnf.Var(1+rng.Intn(n)), rng.Intn(2) == 0),
+			cnf.MkLit(cnf.Var(1+rng.Intn(n)), rng.Intn(2) == 0),
+		}
+		z := cnf.PosLit(f.NewVar())
+		if rng.Intn(2) == 0 {
+			f.AddAndN(z, in)
+		} else {
+			f.AddOrN(z, in)
+		}
+		f.AddClause(cnf.MkLit(z.Var(), rng.Intn(2) == 0), cnf.MkLit(cnf.Var(1+rng.Intn(n)), rng.Intn(2) == 0))
+	}
+}
+
+// Every formula is solved three ways: unrestricted, with branching
+// restricted to a random subset of its variables, and extended by gates
+// with branching restricted to the variables that define them. The
+// restricted searches must give the same answers; the gated ones must never
+// need the fallback, and the random subsets must need it.
 func TestRandomAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	subsetFallbacks := 0
 	for trial := 0; trial < 300; trial++ {
 		nVars := 1 + rng.Intn(8)
 		nClauses := 1 + rng.Intn(20)
@@ -187,7 +239,44 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 		if st == Sat && !f.Eval(m) {
 			t.Fatalf("trial %d: returned model does not satisfy formula", trial)
 		}
+
+		sub := rand.New(rand.NewSource(int64(trial)))
+		s := New()
+		s.AddFormula(f)
+		restrictRandomly(sub, s, nVars)
+		if st := s.Solve(); (st == Sat) != want {
+			t.Fatalf("trial %d: restricted solver=%v brute=%v formula:\n%s", trial, st, want, f)
+		} else if st == Sat {
+			if !f.Eval(s.Model()) {
+				t.Fatalf("trial %d: restricted model does not satisfy formula", trial)
+			}
+			subsetFallbacks += fallbackDecisions(s)
+		}
+
+		g := f.Clone()
+		addGates(sub, g, 1+sub.Intn(4))
+		inputs := make([]cnf.Var, nVars)
+		for i := range inputs {
+			inputs[i] = cnf.Var(i + 1)
+		}
+		s = New()
+		s.AddFormula(g)
+		s.RestrictBranching(inputs)
+		if st, want := s.Solve(), bruteForceSat(g); (st == Sat) != want {
+			t.Fatalf("trial %d: gated solver=%v brute=%v formula:\n%s", trial, st, want, g)
+		} else if st == Sat {
+			if !g.Eval(s.Model()) {
+				t.Fatalf("trial %d: gated model does not satisfy formula", trial)
+			}
+			if n := fallbackDecisions(s); n != 0 {
+				t.Fatalf("trial %d: %d fallback decisions on defined variables", trial, n)
+			}
+		}
 	}
+	if subsetFallbacks == 0 {
+		t.Fatal("no restricted search fell back; the fallback is untested")
+	}
+	t.Logf("%d fallback decisions over random subsets", subsetFallbacks)
 }
 
 func TestAssumptionsSatAndUnsat(t *testing.T) {
@@ -248,44 +337,63 @@ func TestCoreIsActuallyUnsat(t *testing.T) {
 	}
 }
 
+// Each query runs once unrestricted and once with branching restricted to a
+// random subset of the variables.
 func TestRandomAssumptionCores(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 150; trial++ {
-		nVars := 3 + rng.Intn(7)
-		f := randomFormula(rng, nVars, 2+rng.Intn(15), 3)
-		nAssume := 1 + rng.Intn(nVars)
-		assumps := make([]cnf.Lit, 0, nAssume)
-		used := map[cnf.Var]bool{}
-		for len(assumps) < nAssume {
-			v := cnf.Var(1 + rng.Intn(nVars))
-			if used[v] {
-				continue
+	for _, restrict := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 150; trial++ {
+			nVars := 3 + rng.Intn(7)
+			f := randomFormula(rng, nVars, 2+rng.Intn(15), 3)
+			nAssume := 1 + rng.Intn(nVars)
+			assumps := make([]cnf.Lit, 0, nAssume)
+			used := map[cnf.Var]bool{}
+			for len(assumps) < nAssume {
+				v := cnf.Var(1 + rng.Intn(nVars))
+				if used[v] {
+					continue
+				}
+				used[v] = true
+				assumps = append(assumps, cnf.MkLit(v, rng.Intn(2) == 0))
 			}
-			used[v] = true
-			assumps = append(assumps, cnf.MkLit(v, rng.Intn(2) == 0))
-		}
-		s := New()
-		s.AddFormula(f)
-		st := s.SolveAssume(assumps)
-		// Cross-check with brute force: conjoin assumptions as units.
-		g := f.Clone()
-		for _, a := range assumps {
-			g.AddUnit(a)
-		}
-		want := bruteForceSat(g)
-		if (st == Sat) != want {
-			t.Fatalf("trial %d: solver=%v brute=%v", trial, st, want)
-		}
-		if st == Unsat {
-			core := s.Core()
-			h := f.Clone()
-			for _, a := range core {
-				h.AddUnit(a)
+			s := New()
+			s.AddFormula(f)
+			if restrict {
+				restrictRandomly(rand.New(rand.NewSource(int64(trial))), s, nVars)
 			}
-			if bruteForceSat(h) {
-				t.Fatalf("trial %d: reported core %v is satisfiable", trial, core)
+			st := s.SolveAssume(assumps)
+			// Cross-check with brute force: conjoin assumptions as units.
+			g := f.Clone()
+			for _, a := range assumps {
+				g.AddUnit(a)
+			}
+			want := bruteForceSat(g)
+			if (st == Sat) != want {
+				t.Fatalf("restrict=%v trial %d: solver=%v brute=%v", restrict, trial, st, want)
+			}
+			if st == Sat && !g.Eval(s.Model()) {
+				t.Fatalf("restrict=%v trial %d: model violates the formula or the assumptions", restrict, trial)
+			}
+			if st == Unsat {
+				checkCore(t, f, assumps, s.Core())
 			}
 		}
+	}
+}
+
+// checkCore fails the test unless core is a subset of assumps that f
+// refutes on its own.
+func checkCore(t *testing.T, f *cnf.Formula, assumps, core []cnf.Lit) {
+	t.Helper()
+	h := f.Clone()
+	for _, a := range core {
+		if !slices.Contains(assumps, a) {
+			t.Fatalf("core literal %v is not an assumption of %v", a, assumps)
+		}
+		h.AddUnit(a)
+	}
+	if bruteForceSat(h) {
+		t.Fatalf("reported core %v is satisfiable", core)
 	}
 }
 

@@ -11,9 +11,9 @@ type fakeClock struct {
 	t time.Time
 }
 
-func (c *fakeClock) now() time.Time               { return c.t }
-func (c *fakeClock) advance(d time.Duration)      { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                    { return &fakeClock{t: time.Unix(1700000000, 0)} }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1700000000, 0)} }
 func testBreaker(th int, cd time.Duration) (*breaker, *fakeClock) {
 	clk := newFakeClock()
 	return newBreaker(BreakerConfig{Threshold: th, Cooldown: cd}, clk.now), clk
