@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -125,7 +126,7 @@ func runMicroBenchmarks(outPath string, count int, benchtime string) error {
 	}
 	fmt.Printf("bench medians (%d runs × %s) for %d benchmarks written to %s\n",
 		count, benchtime, len(report.Results), outPath)
-	printBenchDelta(&report, outPath)
+	printBenchDelta(os.Stdout, &report, outPath)
 	return nil
 }
 
@@ -133,15 +134,16 @@ func runMicroBenchmarks(outPath string, count int, benchtime string) error {
 var benchFile = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
 
 // printBenchDelta compares the fresh report against the newest committed
-// BENCH_<n>.json in the working directory and prints the per-benchmark
-// percentage change for each metric, flagging regressions above 10%. The
+// BENCH_<n>.json in the working directory and writes to w the per-benchmark
+// percentage change for each metric, flagging regressions above 10%, and
+// one line for each baseline benchmark the fresh run no longer has. The
 // delta is advisory — machines differ — but it surfaces accidental perf
 // regressions at the moment the new medians are generated rather than in
 // review. Missing baseline files or unparseable content just skip the
 // report; generating medians must never fail on comparison problems.
 // The freshly written outPath is excluded so a regeneration of the newest
 // BENCH_<n>.json still compares against its predecessor.
-func printBenchDelta(cur *benchReport, outPath string) {
+func printBenchDelta(w io.Writer, cur *benchReport, outPath string) {
 	entries, err := os.ReadDir(".")
 	if err != nil {
 		return
@@ -175,7 +177,7 @@ func printBenchDelta(cur *benchReport, outPath string) {
 	for _, r := range base.Results {
 		baseline[r.Package+" "+r.Name] = r
 	}
-	fmt.Printf("\ndelta vs %s:\n", bestName)
+	fmt.Fprintf(w, "\ndelta vs %s:\n", bestName)
 	regressions := 0
 	pct := func(old, new float64) string {
 		if old == 0 {
@@ -184,11 +186,13 @@ func printBenchDelta(cur *benchReport, outPath string) {
 		return fmt.Sprintf("%+6.1f%%", 100*(new-old)/old)
 	}
 	for _, r := range cur.Results {
-		b, ok := baseline[r.Package+" "+r.Name]
+		key := r.Package + " " + r.Name
+		b, ok := baseline[key]
 		if !ok {
-			fmt.Printf("  %-45s (new benchmark, no baseline)\n", r.Name)
+			fmt.Fprintf(w, "  %-45s (new benchmark, no baseline)\n", r.Name)
 			continue
 		}
+		delete(baseline, key)
 		flag := ""
 		for _, m := range [][2]float64{{b.NsPerOp, r.NsPerOp}, {b.BytesPerOp, r.BytesPerOp}, {b.AllocsPerOp, r.AllocsPerOp}} {
 			if m[0] > 0 && (m[1]-m[0])/m[0] > 0.10 {
@@ -197,12 +201,18 @@ func printBenchDelta(cur *benchReport, outPath string) {
 				break
 			}
 		}
-		fmt.Printf("  %-45s ns %s   B %s   allocs %s%s\n",
+		fmt.Fprintf(w, "  %-45s ns %s   B %s   allocs %s%s\n",
 			r.Name, pct(b.NsPerOp, r.NsPerOp), pct(b.BytesPerOp, r.BytesPerOp),
 			pct(b.AllocsPerOp, r.AllocsPerOp), flag)
 	}
+	// What is left of the baseline was not run: walk it in file order.
+	for _, r := range base.Results {
+		if _, ok := baseline[r.Package+" "+r.Name]; ok {
+			fmt.Fprintf(w, "  %-45s (in %s only, no longer run)\n", r.Name, bestName)
+		}
+	}
 	if regressions > 0 {
-		fmt.Printf("%d benchmark(s) regressed >10%% against %s\n", regressions, bestName)
+		fmt.Fprintf(w, "%d benchmark(s) regressed >10%% against %s\n", regressions, bestName)
 	}
 }
 

@@ -5,10 +5,9 @@
 //
 // Usage:
 //
-//	manthan3 [-engine manthan3|expand|expand-iter|pedant|cegar]
-//	         [-portfolio manthan3,expand,pedant] [-timeout 60s] [-j 0]
-//	         [-pp-workers 0] [-verify-workers 0] [-seed 1] [-verify] [-pre]
-//	         [-verilog out.v] [-v] [-q] instance.dqdimacs
+//	manthan3 [-engine manthan3|expand|expand-iter|pedant|cegar|portfolio:manthan3+expand+pedant]
+//	         [-timeout 60s] [-j 0] [-pp-workers 0] [-verify-workers 0]
+//	         [-seed 1] [-verify] [-verilog out.v] [-v] [-q] instance.dqdimacs
 //
 // -timeout bounds the whole synthesis through a context threaded into every
 // engine's SAT search loops, so expiry interrupts a run promptly.
@@ -20,12 +19,11 @@
 // ("retry(2):manthan3"); retry composes with the others
 // ("retry(1):portfolio:a+b"). Every resolved spec runs under panic
 // isolation — an engine that panics yields a classified internal error
-// (exit 2), never a crash. -portfolio races the named backends
-// (comma-separated specs) under one context: the first definitive answer
-// (functions or a False proof) wins and the losers are canceled; it
-// overrides -engine. -j bounds engine-internal parallelism (the manthan3
-// learn phase; 0 = NumCPU) and -pp-workers its preprocessing worker pool
-// (0 = NumCPU; the same flag drives the pedant Padoa pass); -verify-workers
+// (exit 2), never a crash. A portfolio races its members under one
+// context: the first definitive answer (functions or a False proof) wins
+// and the losers are canceled. -j bounds engine-internal parallelism (the
+// manthan3 learn phase; 0 = NumCPU) and -pp-workers its preprocessing worker
+// pool (0 = NumCPU; the same flag drives the pedant Padoa pass); -verify-workers
 // bounds the manthan3 repair-phase verification pool the same way. Every
 // engine-internal SAT solver runs the one search configuration of
 // internal/sat. On success the engine's per-phase telemetry is printed as
@@ -52,7 +50,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/boolfunc"
 	"repro/internal/dqbf"
-	"repro/internal/preproc"
 
 	// Engine registrations: each engine package registers itself with the
 	// backend registry in its init.
@@ -68,7 +65,6 @@ func main() {
 
 func run() int {
 	engine := flag.String("engine", "manthan3", "synthesis engine spec (also name@seed, portfolio:a+b+c, fallback:a>b, retry(k):spec): "+strings.Join(backend.Names(), ", "))
-	portfolio := flag.String("portfolio", "", "race a comma-separated list of engine specs, first definitive answer wins (overrides -engine)")
 	timeout := flag.Duration("timeout", 60*time.Second, "synthesis timeout (enforced via context cancellation)")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("j", 0, "engine-internal worker count (0 = NumCPU)")
@@ -78,7 +74,6 @@ func run() int {
 	quiet := flag.Bool("q", false, "suppress function printing; report status only")
 	verilog := flag.String("verilog", "", "also write the functions as a structural Verilog module to this file")
 	verbose := flag.Bool("v", false, "trace engine progress to stderr (manthan3 engine only)")
-	pre := flag.Bool("pre", false, "run the HQSpre-style preprocessor before synthesis")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: manthan3 [flags] instance.dqdimacs")
@@ -86,25 +81,10 @@ func run() int {
 		return 1
 	}
 
-	var be backend.Backend
-	if *portfolio != "" {
-		var members []backend.Backend
-		for _, spec := range strings.Split(*portfolio, ",") {
-			b, err := backend.Resolve(strings.TrimSpace(spec))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			members = append(members, b)
-		}
-		be = backend.Portfolio(members...)
-	} else {
-		b, err := backend.Resolve(*engine)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		be = b
+	be, err := backend.Resolve(*engine)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 
 	f, err := os.Open(flag.Arg(0))
@@ -121,28 +101,6 @@ func run() int {
 	st := in.Stats()
 	fmt.Printf("c instance: %d universal, %d existential, %d clauses, dep sizes %d..%d\n",
 		st.NumUniv, st.NumExist, st.NumClauses, st.MinDepSize, st.MaxDepSize)
-
-	var prep *preproc.Result
-	if *pre {
-		var perr error
-		prep, perr = preproc.Simplify(in)
-		if errors.Is(perr, preproc.ErrFalse) {
-			fmt.Println("c preprocessing refuted the instance")
-			fmt.Println("s FALSE")
-			return 0
-		}
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, perr)
-			return 1
-		}
-		fmt.Printf("c preprocess: %d→%d clauses, %d forced, %d universals reduced\n",
-			prep.Stats.ClausesBefore, prep.Stats.ClausesAfter,
-			len(prep.ForcedExist), len(prep.ReducedUniv))
-	}
-	orig := in
-	if prep != nil {
-		in = prep.Simplified
-	}
 
 	bopts := backend.Options{Seed: *seed, Workers: *workers, PreprocWorkers: *ppWorkers, VerifyWorkers: *verifyWorkers}
 	if *verbose {
@@ -191,13 +149,8 @@ func run() int {
 		fmt.Printf("c stats: attempts: %s\n", strings.Join(parts, ", "))
 	}
 
-	if prep != nil {
-		// Extend the vector with the preprocessor's forced constants and
-		// validate against the original instance.
-		vec = preproc.ReconstructVector(prep, vec)
-	}
 	if *verify {
-		vr, verr := dqbf.VerifyVector(orig, vec, -1)
+		vr, verr := dqbf.VerifyVector(in, vec, -1)
 		if verr != nil {
 			fmt.Fprintf(os.Stderr, "verification error: %v\n", verr)
 			return 2

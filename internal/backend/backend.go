@@ -14,8 +14,7 @@
 // # Spec grammar
 //
 // Resolve parses one uniform engine-spec grammar shared by every front end
-// (-engine and -portfolio on cmd/manthan3, -engines on cmd/benchrunner,
-// internal/bench):
+// (-engine on cmd/manthan3, -engines on cmd/benchrunner, internal/bench):
 //
 //	name                 plain registry lookup ("manthan3")
 //	name@seed            seed pinned per run ("manthan3@7"); the pinned

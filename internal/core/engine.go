@@ -159,8 +159,8 @@ type Stats struct {
 	Phases []backend.PhaseStat
 	// SAT aggregates the lifetime counters of the run's persistent solvers
 	// (the ϕ solver, the verification solver, and FindCandi's base solver):
-	// conflict/propagation totals, learnt-tier sizes and glue, and the
-	// inprocessing counters.
+	// search totals (solves, conflicts, propagations, decisions, restarts),
+	// learnt-tier sizes and glue, and arena and clause-group sizes.
 	SAT sat.Stats
 }
 

@@ -32,8 +32,8 @@ func init() {
 			if opts.Logf != nil {
 				// Verbose runs also report the pooled-solver lifecycle (panic
 				// evictions are otherwise invisible outside tests) and the
-				// aggregated SAT-solver counters: learnt tiers and glue next
-				// to the inprocessing totals.
+				// aggregated SAT-solver counters: conflicts, restarts, learnt
+				// tiers and glue.
 				stats += fmt.Sprintf("; pools: %d preproc built, %d repair built, %d evicted",
 					res.Stats.PreprocSolversBuilt, res.Stats.RepairSolversBuilt,
 					res.Stats.SolversEvicted)
@@ -42,10 +42,8 @@ func init() {
 				if ss.LearntClauses > 0 {
 					avgGlue = float64(ss.LBDSum) / float64(ss.LearntClauses)
 				}
-				stats += fmt.Sprintf("; sat: %d conflicts, %d restarts, tiers %d/%d/%d, avg glue %.2f, %d inprocess rounds, %d vivified, %d subsumed, %d strengthened, %d vars eliminated",
-					ss.Conflicts, ss.Restarts, ss.TierCore, ss.TierMid, ss.TierLocal, avgGlue,
-					ss.InprocessRounds, ss.Vivified, ss.SubsumedClauses, ss.Strengthened,
-					ss.ElimVars)
+				stats += fmt.Sprintf("; sat: %d conflicts, %d restarts, tiers %d/%d/%d, avg glue %.2f",
+					ss.Conflicts, ss.Restarts, ss.TierCore, ss.TierMid, ss.TierLocal, avgGlue)
 			}
 			return &backend.Result{
 				Vector:        res.Vector,

@@ -68,25 +68,8 @@ func BenchmarkPropagate(b *testing.B) {
 }
 
 // BenchmarkSolveRandom3SAT measures end-to-end CDCL search (AddFormula +
-// Solve) on near-phase-transition random 3-SAT instances, with the
-// inprocessing schedule on.
+// Solve) on near-phase-transition random 3-SAT instances.
 func BenchmarkSolveRandom3SAT(b *testing.B) {
-	benchmarkSolveRandom3SAT(b, defaultInprocessConflicts)
-}
-
-// BenchmarkSolveRandom3SATNoInprocess is the inprocessing-off contrast run:
-// the gap between this and BenchmarkSolveRandom3SAT is the schedule's net
-// cost (or win) on this instance family. Uniform random 3-SAT is the
-// worst case for inprocessing — no subsumption pairs, no profitable
-// eliminations — so the two should stay within noise of each other; a
-// widening gap means the schedule's gating broke.
-func BenchmarkSolveRandom3SATNoInprocess(b *testing.B) {
-	benchmarkSolveRandom3SAT(b, -1)
-}
-
-// benchmarkSolveRandom3SAT solves the instances with the given first
-// inprocessing interval (negative disables inprocessing).
-func benchmarkSolveRandom3SAT(b *testing.B, inprocessConflicts int64) {
 	rng := rand.New(rand.NewSource(12345))
 	const nInstances = 8
 	formulas := make([]*cnf.Formula, nInstances)
@@ -97,7 +80,6 @@ func benchmarkSolveRandom3SAT(b *testing.B, inprocessConflicts int64) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := New()
-		s.inprocessConflicts = inprocessConflicts
 		s.AddFormula(formulas[i%nInstances])
 		if st := s.Solve(); st == Unknown {
 			b.Fatal("unexpected Unknown")

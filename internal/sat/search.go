@@ -57,16 +57,6 @@ func (s *Solver) search() Status {
 					return Unsat
 				}
 			}
-			// Inprocessing runs at level 0; backing below the assumption
-			// levels is fine — the loop below re-asserts assumptions as
-			// pseudo-decisions every iteration.
-			if s.inprocessDue() {
-				s.cancelUntil(0)
-				s.inprocess()
-				if !s.ok {
-					return Unsat
-				}
-			}
 			// Restart boundaries are off the hot path: force a context
 			// check so cancellation latency never exceeds one restart.
 			if s.stopRequested(true) {
@@ -108,7 +98,7 @@ func (s *Solver) pickBranchLit() lit {
 	v := 0
 	if s.randVarFreq > 0 && s.random().Float64() < s.randVarFreq && !s.heap.empty() {
 		cand := s.heap.data[s.random().Intn(len(s.heap.data))]
-		if s.varValue(cand) == lUndef && !s.eliminated[cand] {
+		if s.varValue(cand) == lUndef {
 			v = cand
 		}
 	}
@@ -122,11 +112,8 @@ func (s *Solver) pickBranchLit() lit {
 			}
 			break
 		}
-		// Eliminated variables are skipped (no live clause mentions them;
-		// restoreVar re-inserts them on restore). Dropping them from the heap
-		// here is fine — cancelUntil only re-inserts assigned variables.
 		cand := s.heap.removeMin()
-		if s.varValue(cand) == lUndef && !s.eliminated[cand] {
+		if s.varValue(cand) == lUndef {
 			v = cand
 		}
 	}
@@ -141,14 +128,13 @@ func (s *Solver) pickBranchLit() lit {
 // openVar is the fallback of a restricted search whose decision heap is
 // empty: it returns an unassigned non-decision variable watched in a clause
 // with no true literal, or 0 when there is none. With the heap empty every
-// decision variable is assigned or eliminated (and an eliminated variable is
-// in no clause), and after conflict-free propagation both watched literals
-// of a clause with no true literal are unassigned. So 0 means every clause
-// is satisfied and the trail extends to a model whatever the unassigned
-// variables take.
+// decision variable is assigned, and after conflict-free propagation both
+// watched literals of a clause with no true literal are unassigned. So 0
+// means every clause is satisfied and the trail extends to a model whatever
+// the unassigned variables take.
 func (s *Solver) openVar() int {
 	for v := 1; v <= s.numVars; v++ {
-		if s.decision[v] || s.varValue(v) != lUndef || s.eliminated[v] {
+		if s.decision[v] || s.varValue(v) != lUndef {
 			continue
 		}
 		for _, p := range [2]lit{mkLit(v, false), mkLit(v, true)} {

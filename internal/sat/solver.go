@@ -5,7 +5,11 @@
 // database, adaptive (LBD moving average) restarts, solving under
 // assumptions, and extraction of failed-assumption cores. There is one
 // search configuration: New builds every solver with the same tuned
-// constants, which live next to the code that uses them.
+// constants, which live next to the code that uses them. Every clause the
+// solver derives, a learnt clause or a level-0 shortening, is a
+// reverse-unit-propagation (RUP) consequence of the clauses before it; the
+// one other addition is the unit ReleaseGroup asserts on an activation
+// variable that no clause contains negated.
 //
 // It replaces the PicoSAT/CryptoMiniSat oracles used by the Manthan3 paper.
 // Unsatisfiable cores are reported over assumption literals, which is exactly
@@ -23,8 +27,6 @@
 //	reduce.go     the three-tier learnt database and top-level simplification
 //	restart.go    the adaptive (EMA + trail-blocking) restart policy
 //	search.go     the CDCL driver loop, decision heuristics, stop conditions
-//	inprocess.go  restart-boundary vivification, subsumption, and bounded
-//	              variable elimination with model reconstruction
 //
 // # Clause arena
 //
@@ -103,36 +105,21 @@
 // list, so neither reduceDB nor simplifyDB ever frees or demotes them; only
 // ReleaseGroup does. Core never reports activation literals.
 //
-// # Inprocessing
-//
-// Between restarts (and once at the start of the first solve) the solver
-// runs inprocessing rounds under a doubling conflict-interval schedule
-// (first round after defaultInprocessConflicts): clause vivification, backward
-// subsumption with self-subsumption strengthening over occurrence lists, and
-// bounded variable elimination with a reconstruction stack that extends
-// every model over the eliminated variables (see inprocess.go). Group
-// clauses and activation variables are never vivified, subsumed,
-// strengthened, or eliminated, and assumption variables are frozen, so
-// clause groups and incremental solving stay sound. Adding a clause (or
-// assuming a literal) over an eliminated variable transparently restores its
-// saved clauses.
-//
 // # Branching restriction
 //
 // RestrictBranching is MiniSat's per-variable decision flag as one call:
 // only the given variables enter the VSIDS heap, every other variable
 // (including ones allocated later) is assigned by propagation or as an
-// assumption, and the given variables are frozen against elimination. It
-// suits incremental queries over circuit encodings whose inputs define
-// everything else: the heap then holds the inputs alone, instead of every
-// encoding variable popped and reinserted on every query. The search stays
-// complete whatever the caller promises. With the heap empty, every
-// decision variable that occurs in a clause is assigned; after
-// conflict-free propagation a clause with no true literal has both watched
-// literals unassigned, so they are non-decision variables. The search looks through those variables' watch
-// lists, branches on one that sits in such a clause, and reports Sat only
-// when every clause has a true literal, so the trail extends to a model
-// whatever values the unassigned variables take.
+// assumption. It suits incremental queries over circuit encodings whose
+// inputs define everything else: the heap then holds the inputs alone,
+// instead of every encoding variable popped and reinserted on every query.
+// The search stays complete whatever the caller promises. With the heap
+// empty, every decision variable is assigned; after conflict-free
+// propagation a clause with no true literal has both watched literals
+// unassigned, so they are non-decision variables. The search looks through
+// those variables' watch lists, branches on one that sits in such a clause,
+// and reports Sat only when every clause has a true literal, so the trail
+// extends to a model whatever values the unassigned variables take.
 //
 // The package is under the determinism contract, without exceptions: every
 // answer, model, core, and Stats counter is bit-identical across runs (see
@@ -361,11 +348,9 @@ type Solver struct {
 	numVars int
 	ok      bool // false once a top-level conflict is derived
 
-	// The two tuned values tests vary: the per-conflict minimization budget
-	// (defaultMinimizeBudget) and the first inprocessing interval
-	// (defaultInprocessConflicts; negative disables inprocessing).
-	minimizeBudget     int
-	inprocessConflicts int64
+	// The per-conflict minimization budget (defaultMinimizeBudget), a field
+	// so that tests can vary it.
+	minimizeBudget int
 
 	arena    []uint32 // flat clause store; see the package comment for layout
 	wasted   int      // dead words in arena, eligible for compaction
@@ -475,35 +460,6 @@ type Solver struct {
 
 	simpLastTrail int // trail size at the last top-level simplification
 
-	// Inprocessing state (inprocess.go).
-	lastInproc  int64        // lifetime conflicts at the last inprocessing round
-	inprocGap   int64        // conflicts between rounds; doubles after each round
-	eliminated  []bool       // per var: removed by bounded variable elimination
-	frozen      []bool       // per var: never a BVE candidate (assumption vars, restored vars)
-	elimVal     []int8       // per var: reconstructed model value for eliminated vars
-	elimLits    []lit        // flat store of the clauses removed by elimination
-	elimBnd     []int32      // clause boundaries into elimLits (starts [0])
-	elimStack   []elimVarRec // elimination records, in elimination order
-	elimIdx     []int32      // per var: position+1 of its record in elimStack; 0 = none
-	occ         [][]cref     // scratch: per lit code, clauses containing the literal
-	occFlat     []cref       // scratch: one flat backing the occ lists are carved from
-	occStamp    []uint32     // scratch: per lit code, subsumption/resolution stamps
-	occStampN   uint32
-	roundFrozen []uint32 // per var: stamped when frozen for the current round
-	roundStamp  uint32
-	inprocCand  []cref    // scratch: the round's candidate clause list
-	vivTmp      []lit     // scratch: vivification clause copy
-	vivOut      []lit     // scratch: vivification shrunk clause
-	bvePos      []cref    // scratch: BVE positive-occurrence clauses
-	bveNeg      []cref    // scratch: BVE negative-occurrence clauses
-	resolvTmp   []cnf.Lit // scratch: BVE resolvent under construction
-
-	inprocRounds int64
-	vivified     int64
-	subsumedCls  int64
-	strengthened int64
-	elimVarCnt   int64
-
 	// testOnLearnt, when non-nil, observes every multi-literal learnt clause
 	// right after analysis (before backtracking), with the backtrack level.
 	// Test instrumentation only; nil in production.
@@ -513,18 +469,17 @@ type Solver struct {
 // New returns an empty solver.
 func New() *Solver {
 	s := &Solver{
-		ok:                 true,
-		minimizeBudget:     defaultMinimizeBudget,
-		inprocessConflicts: defaultInprocessConflicts,
-		varInc:             1,
-		varDecay:           0.95,
-		claInc:             1,
-		claDecay:           0.999,
-		conflictBudget:     -1,
-		maxLearnts:         0,
-		learntAdjust:       100,
-		learntAdjCnt:       100,
-		learntAdjIncr:      1.5,
+		ok:             true,
+		minimizeBudget: defaultMinimizeBudget,
+		varInc:         1,
+		varDecay:       0.95,
+		claInc:         1,
+		claDecay:       0.999,
+		conflictBudget: -1,
+		maxLearnts:     0,
+		learntAdjust:   100,
+		learntAdjCnt:   100,
+		learntAdjIncr:  1.5,
 	}
 	s.wspans = make([]watchSpan, 2)
 	s.assigns = make([]int8, 2)
@@ -565,10 +520,6 @@ func (s *Solver) EnsureVars(n int) {
 	s.activity = growTo(s.activity, n+1)
 	s.phase = growTo(s.phase, n+1)
 	s.seen = growTo(s.seen, n+1)
-	s.eliminated = growTo(s.eliminated, n+1)
-	s.frozen = growTo(s.frozen, n+1)
-	s.elimVal = growTo(s.elimVal, n+1)
-	s.elimIdx = growTo(s.elimIdx, n+1)
 	s.minMark = growTo(s.minMark, n+1)
 	s.lbdStamps = growTo(s.lbdStamps, n+1)
 	old := len(s.reason)
@@ -595,9 +546,7 @@ func (s *Solver) EnsureVars(n int) {
 
 // RestrictBranching limits the search to branching on vars: every other
 // variable, including variables allocated later, is assigned only by
-// propagation or as an assumption. The variables of the set are frozen
-// against bounded variable elimination, like assumption variables. A later
-// call replaces the set.
+// propagation or as an assumption. A later call replaces the set.
 //
 // It pays when the set defines the rest of the formula, so that propagation
 // assigns every other variable once the set is assigned (see "Branching
@@ -614,7 +563,6 @@ func (s *Solver) RestrictBranching(vars []cnf.Var) {
 		v := int(x)
 		s.EnsureVars(v)
 		s.decision[v] = true
-		s.freeze(v)
 		if s.varValue(v) == lUndef && !s.heap.inHeap(v) {
 			s.heap.insert(v)
 		}
@@ -742,23 +690,13 @@ type Stats struct {
 	Promotions int64
 	Demotions  int64
 	// ReduceDBs counts learnt-database reductions.
-	ReduceDBs int64
-	// InprocessRounds counts inprocessing rounds (see inprocess.go); the
-	// next four counters are that machinery's lifetime totals: clauses
-	// shrunk by vivification, clauses removed by backward subsumption,
-	// clauses strengthened by self-subsumption, and variables eliminated by
-	// bounded variable elimination (restored variables are not subtracted).
-	InprocessRounds int64
-	Vivified        int64
-	SubsumedClauses int64
-	Strengthened    int64
-	ElimVars        int64
-	ArenaWords      int       // current arena length (uint32 words)
-	ArenaWasted     int       // dead words awaiting compaction
-	ArenaGCs        int64     // arena compactions performed
-	LiveGroups      int       // clause groups added and not yet released
-	GroupsFreed     int64     // clause groups released over the solver's lifetime
-	LastStop        StopCause // why the last Solve returned Unknown (StopNone otherwise)
+	ReduceDBs   int64
+	ArenaWords  int       // current arena length (uint32 words)
+	ArenaWasted int       // dead words awaiting compaction
+	ArenaGCs    int64     // arena compactions performed
+	LiveGroups  int       // clause groups added and not yet released
+	GroupsFreed int64     // clause groups released over the solver's lifetime
+	LastStop    StopCause // why the last Solve returned Unknown (StopNone otherwise)
 }
 
 // Stats reports cumulative solver statistics.
@@ -780,11 +718,6 @@ func (s *Solver) Stats() Stats {
 		Promotions:      s.promotions,
 		Demotions:       s.demotions,
 		ReduceDBs:       s.reduceDBs,
-		InprocessRounds: s.inprocRounds,
-		Vivified:        s.vivified,
-		SubsumedClauses: s.subsumedCls,
-		Strengthened:    s.strengthened,
-		ElimVars:        s.elimVarCnt,
 		ArenaWords:      len(s.arena),
 		ArenaWasted:     s.wasted,
 		ArenaGCs:        s.arenaGCs,
@@ -814,11 +747,6 @@ func (st *Stats) Accumulate(o Stats) {
 	st.Promotions += o.Promotions
 	st.Demotions += o.Demotions
 	st.ReduceDBs += o.ReduceDBs
-	st.InprocessRounds += o.InprocessRounds
-	st.Vivified += o.Vivified
-	st.SubsumedClauses += o.SubsumedClauses
-	st.Strengthened += o.Strengthened
-	st.ElimVars += o.ElimVars
 	st.ArenaWords += o.ArenaWords
 	st.ArenaWasted += o.ArenaWasted
 	st.ArenaGCs += o.ArenaGCs
@@ -1106,13 +1034,6 @@ func (s *Solver) addClauseCref(lits []cnf.Lit) (cref, bool) {
 	if !s.ok {
 		return crefUndef, false
 	}
-	// A new clause over a variable a past inprocessing round eliminated
-	// reintroduces that variable: its saved clauses must come back first so
-	// the database stays equivalent to "everything ever added".
-	s.restoreLits(lits)
-	if !s.ok {
-		return crefUndef, false
-	}
 	// Normalize: sort-dedup and detect tautology / false literals at level 0.
 	tmp := s.addTmp[:0]
 	for _, l := range lits {
@@ -1348,12 +1269,6 @@ func (s *Solver) SolveAssume(assumps []cnf.Lit) Status {
 	if !s.ok {
 		return Unsat
 	}
-	// Assumed variables must exist in the database: freeze them against
-	// elimination and bring back any a past round already eliminated.
-	s.restoreAssumed(assumps)
-	if !s.ok {
-		return Unsat
-	}
 	if s.propagate() != crefUndef {
 		s.ok = false
 		return Unsat
@@ -1377,12 +1292,6 @@ func (s *Solver) SolveAssume(assumps []cnf.Lit) Status {
 	}
 	s.budgetStart = s.conflicts
 	s.conflictsSinceRestart = 0
-	if s.inprocessDue() {
-		s.inprocess()
-		if !s.ok {
-			return Unsat
-		}
-	}
 	if s.stopRequested(true) {
 		s.cancelUntil(0)
 		return Unknown
@@ -1390,36 +1299,10 @@ func (s *Solver) SolveAssume(assumps []cnf.Lit) Status {
 	status := s.search()
 	if status == Sat {
 		// keep trail for Model; caller must read before next Solve
-		s.extendModel()
 		return Sat
 	}
 	s.cancelUntil(0)
 	return status
-}
-
-// restoreAssumed prepares the assumption variables of an incoming solve:
-// each is frozen against future elimination, and any already eliminated is
-// restored (its saved clauses re-added) so assuming it is meaningful.
-func (s *Solver) restoreAssumed(assumps []cnf.Lit) {
-	for _, a := range assumps {
-		v := int(a.Var())
-		if v <= 0 || v > s.numVars {
-			continue // allocated later by the assumption loop; nothing to restore
-		}
-		s.freeze(v)
-		if !s.ok {
-			return
-		}
-	}
-}
-
-// freeze keeps v out of bounded variable elimination from now on, restoring
-// it first if a past round eliminated it.
-func (s *Solver) freeze(v int) {
-	s.frozen[v] = true
-	if s.eliminated[v] {
-		s.restoreVar(v)
-	}
 }
 
 // Model returns the satisfying assignment found by the last successful
@@ -1441,13 +1324,9 @@ func (s *Solver) ModelInto(dst cnf.Assignment) cnf.Assignment {
 	return m
 }
 
-// modelVal is the model value of variable v after a Sat result: the value
-// reconstructed by extendModel for eliminated variables, and otherwise the
-// trail value (saved phase for unconstrained variables, for determinism).
+// modelVal is the model value of variable v after a Sat result: the trail
+// value, or the saved phase for unconstrained variables (for determinism).
 func (s *Solver) modelVal(v int) cnf.Value {
-	if s.eliminated[v] {
-		return cnf.BoolValue(s.elimVal[v] == lTrue)
-	}
 	switch s.varValue(v) {
 	case lTrue:
 		return cnf.True

@@ -25,6 +25,23 @@ func bruteForceSat(f *cnf.Formula) bool {
 	return false
 }
 
+// bruteForceCount enumerates the number of models of f over all its
+// variables (NumVars must be small).
+func bruteForceCount(f *cnf.Formula) int {
+	n := f.NumVars
+	count := 0
+	for mask := 0; mask < 1<<n; mask++ {
+		a := cnf.NewAssignment(n)
+		for v := 1; v <= n; v++ {
+			a.SetBool(cnf.Var(v), mask&(1<<(v-1)) != 0)
+		}
+		if f.Eval(a) {
+			count++
+		}
+	}
+	return count
+}
+
 func randomFormula(rng *rand.Rand, nVars, nClauses, maxLen int) *cnf.Formula {
 	f := cnf.New(nVars)
 	for i := 0; i < nClauses; i++ {
@@ -381,6 +398,57 @@ func TestRandomAssumptionCores(t *testing.T) {
 	}
 }
 
+// TestIncrementalAssumptionsAgainstBruteForce asks one solver a series of
+// queries under random assumptions, so every query after the first runs over
+// the learnt clauses and saved phases the earlier ones left. Every answer
+// must match brute force, every model must satisfy the formula and the
+// assumptions, and every core must be a refuted subset of the assumptions —
+// unrestricted, and with branching restricted to a random subset of the
+// variables, which leaves the rest to propagation and the fallback.
+func TestIncrementalAssumptionsAgainstBruteForce(t *testing.T) {
+	for _, restrict := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(424242))
+		falls := 0
+		for trial := 0; trial < 60; trial++ {
+			nVars := 8 + rng.Intn(4)
+			f := random3SAT(rng, nVars, 3.5)
+			s := New()
+			s.AddFormula(f)
+			if restrict {
+				restrictRandomly(rand.New(rand.NewSource(int64(trial))), s, nVars)
+			}
+			for q := 0; q < 6; q++ {
+				var assumps []cnf.Lit
+				g := f.Clone()
+				for v := 1; v <= nVars; v++ {
+					if rng.Intn(4) == 0 {
+						a := cnf.MkLit(cnf.Var(v), rng.Intn(2) == 0)
+						assumps = append(assumps, a)
+						g.AddUnit(a)
+					}
+				}
+				st := s.SolveAssume(assumps)
+				if want := bruteForceSat(g); (st == Sat) != want {
+					t.Fatalf("restrict=%v trial %d query %d: solver=%v brute=%v formula:\n%s", restrict, trial, q, st, want, g)
+				}
+				if st == Sat {
+					if !g.Eval(s.Model()) {
+						t.Fatalf("restrict=%v trial %d query %d: model violates the formula or the assumptions", restrict, trial, q)
+					}
+					falls += fallbackDecisions(s)
+				}
+				if st == Unsat {
+					checkCore(t, f, assumps, s.Core())
+				}
+			}
+		}
+		if restrict && falls == 0 {
+			t.Fatal("no restricted query fell back; the fallback is untested")
+		}
+		t.Logf("restrict=%v: %d fallback decisions", restrict, falls)
+	}
+}
+
 // checkCore fails the test unless core is a subset of assumps that f
 // refutes on its own.
 func checkCore(t *testing.T, f *cnf.Formula, assumps, core []cnf.Lit) {
@@ -419,6 +487,9 @@ func TestIncrementalAddClause(t *testing.T) {
 	}
 }
 
+// Enumerating models by blocking clauses must count exactly the brute-force
+// number of models: x1 ∨ x2 over 2 vars has 3, and random formulas are
+// model-counted by brute force.
 func TestBlockModelEnumeration(t *testing.T) {
 	// x1 ∨ x2 over 2 vars has exactly 3 models.
 	f := cnf.New(2)
@@ -438,6 +509,37 @@ func TestBlockModelEnumeration(t *testing.T) {
 	}
 	if count != 3 {
 		t.Fatalf("enumerated %d models, want 3", count)
+	}
+}
+
+// Enumerating with BlockModel over all variables of a random formula must
+// visit exactly the models brute force counts, each satisfying the formula.
+func TestBlockModelEnumerationRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(31337))
+	for trial := 0; trial < 60; trial++ {
+		nVars := 2 + rng.Intn(5)
+		f := randomFormula(rng, nVars, 1+rng.Intn(12), 3)
+		want := bruteForceCount(f)
+		s := New()
+		s.AddFormula(f)
+		vars := make([]cnf.Var, nVars)
+		for i := range vars {
+			vars[i] = cnf.Var(i + 1)
+		}
+		count := 0
+		for s.Solve() == Sat {
+			if m := s.Model(); !f.Eval(m) {
+				t.Fatalf("trial %d: enumerated model %v does not satisfy formula:\n%s", trial, m, f)
+			}
+			count++
+			if count > want || !s.BlockModel(vars) {
+				break
+			}
+		}
+		if count != want {
+			t.Fatalf("trial %d: enumerated %d models, brute force says %d; formula:\n%s",
+				trial, count, want, f)
+		}
 	}
 }
 
