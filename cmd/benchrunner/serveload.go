@@ -251,8 +251,8 @@ func runServeLoad(cfg serveLoadConfig) int {
 	fmt.Printf("serve-load: outcomes: %s\n", strings.Join(parts, ", "))
 	if srv != nil {
 		st := srv.Stats()
-		fmt.Printf("serve-load: server: admitted=%d completed=%d shed=%d breaker-rejected=%d rerouted=%d pool-evictions=%d\n",
-			st.Admitted, st.Completed, st.Shed, st.BreakerRejected, st.Rerouted, st.EnginePoolEvictions)
+		fmt.Printf("serve-load: server: admitted=%d completed=%d shed=%d breaker-rejected=%d rerouted=%d\n",
+			st.Admitted, st.Completed, st.Shed, st.BreakerRejected, st.Rerouted)
 		fmt.Printf("serve-load: verify: warm=%d hits=%d misses=%d built=%d evicted=%d\n",
 			st.Verify.WarmFormulas, st.Verify.Hits, st.Verify.Misses,
 			st.Verify.SolversBuilt, st.Verify.SolversEvicted)

@@ -13,11 +13,12 @@ import (
 // be recovered anywhere else, so the launch site itself must contain the
 // isolation. A `go` statement is compliant when it
 //
-//   - invokes a *Safe-suffixed wrapper directly (go p.synthesizeSafe(...)),
+//   - invokes a *Safe-suffixed wrapper directly (go s.workerLoopSafe()),
 //   - runs a function literal that defers a recover(), or
 //   - runs a function literal whose body calls a *Safe-suffixed wrapper or
 //     backend.Protect-style guard (the worker-pool shape: the literal only
-//     loops and delegates each item to preprocessOneSafe/learnTreeSafe/...).
+//     loops and delegates each item to a wrapper, as oracle.ForEach's
+//     workers do through callSafe).
 //
 // Anything else is a goroutine that can crash the process.
 var GoRecover = &analysis.Analyzer{
@@ -98,7 +99,7 @@ func literalIsolatesPanics(info *types.Info, lit *ast.FuncLit) bool {
 
 // isSafeName reports whether name advertises panic isolation under the
 // naming contract: a Safe prefix (backend.SafeSynthesize) or suffix
-// (preprocessOneSafe, learnTreeSafe, isDefinedSafe).
+// (oracle's callSafe, the service's workerLoopSafe).
 func isSafeName(name string) bool {
 	return name != "" && (strings.HasPrefix(name, "Safe") || strings.HasSuffix(name, "Safe"))
 }

@@ -188,11 +188,6 @@ type Result struct {
 	// run has none (the dispatch made no resilience decisions). See
 	// AttemptStat.
 	Attempts []AttemptStat
-	// PoolEvictions counts the engine's internal oracle solver-pool
-	// evictions during the run: pooled solvers discarded as poisoned after
-	// a panic inside an oracle query (see oracle.Pool/SlotPool). A non-zero
-	// count on a successful run means panic isolation did real work.
-	PoolEvictions int
 }
 
 // Backend is one registered Henkin-function synthesis engine.

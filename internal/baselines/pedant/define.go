@@ -1,11 +1,8 @@
 package pedant
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cnf"
 	"repro/internal/oracle"
@@ -26,14 +23,15 @@ import (
 // A query is then a plain assumption solve — {e_d : d ∈ H(y)} ∪ {y, ¬ŷ} —
 // and a thousand queries cost one formula load per pooled solver.
 //
-// The per-existential queries are independent, so they run on a worker pool
-// (Options.DefineWorkers) drawing solvers from an oracle.Pool sized to the
-// worker count. Workers only record per-index verdicts; the merge into
-// Stats.DefinedVars happens serially in declaration order, so the result is
-// bit-identical for every worker count. Each query's SAT/UNSAT answer is a
-// semantic fact; only budget exhaustion (ErrBudget) can depend on which
-// pooled solver — with which learnt-clause warmth — served the query, and
-// that can never flip a verdict, only fail the run.
+// The per-existential queries are independent, so they run through
+// oracle.ForEach (Options.DefineWorkers), drawing solvers from an
+// oracle.Pool sized to the worker count. Workers only record per-index
+// verdicts; the count into Stats.DefinedVars happens serially afterwards,
+// so the result is bit-identical for every worker count. Each query's
+// SAT/UNSAT answer is a semantic fact; only budget exhaustion (ErrBudget)
+// can depend on which pooled solver — with which learnt-clause warmth —
+// served the query, and that can never flip a verdict, only fail the run. A
+// worker panic is recovered by ForEach and fails the pass with ErrInternal.
 
 // padoaSel returns the equality-selector variable of the i-th universal:
 // selectors live above the two ϕ copies (vars 1..N original, N+1..2N
@@ -66,29 +64,10 @@ func (e *engine) newPadoaOracle() *sat.Solver {
 	return s
 }
 
-// padoaResult is one worker's verdict for one existential.
-type padoaResult struct {
-	defined bool
-	err     error
-}
-
-// isDefinedSafe runs isDefined under panic isolation: a recover() on the
-// caller's goroutine cannot catch a panic raised inside a worker goroutine,
-// so each worker converts its own panics into an ErrInternal-classified
-// error that the merge loop surfaces like any other query failure.
-func (e *engine) isDefinedSafe(y cnf.Var, pool *oracle.Pool) (r padoaResult) {
-	defer func() {
-		if p := recover(); p != nil {
-			r = padoaResult{err: fmt.Errorf("%w: define worker for y%d panicked: %v\n%s", ErrInternal, y, p, debug.Stack())}
-		}
-	}()
-	return e.isDefined(y, pool)
-}
-
 // isDefined runs one existential's Padoa query on a pooled solver, checked
 // out through With so a panicking query evicts the solver instead of
 // recycling it.
-func (e *engine) isDefined(y cnf.Var, pool *oracle.Pool) padoaResult {
+func (e *engine) isDefined(y cnf.Var, pool *oracle.Pool) (bool, error) {
 	n := e.in.Matrix.NumVars
 	deps := e.in.DepSet(y)
 	assumps := make([]cnf.Lit, 0, len(deps)+2)
@@ -96,73 +75,44 @@ func (e *engine) isDefined(y cnf.Var, pool *oracle.Pool) padoaResult {
 		assumps = append(assumps, cnf.PosLit(padoaSel(n, e.xPos[d])))
 	}
 	assumps = append(assumps, cnf.PosLit(y), cnf.NegLit(y+cnf.Var(n)))
-	var r padoaResult
+	var defined bool
+	var err error
 	pool.With(func(s *sat.Solver) {
 		switch s.SolveAssume(assumps) {
 		case sat.Unsat:
-			r = padoaResult{defined: true}
+			defined = true
 		case sat.Unknown:
-			r = padoaResult{err: s.UnknownError(ErrBudget, "definition check")}
+			err = s.UnknownError(ErrBudget, "definition check")
 		}
 	})
-	return r
+	return defined, err
 }
 
-// countDefined runs the Padoa check per existential for statistics, on a
-// worker pool over pooled incremental oracles; see the file comment.
+// countDefined runs the Padoa check per existential for statistics through
+// oracle.ForEach over pooled incremental oracles; see the file comment.
 func (e *engine) countDefined() error {
 	exist := e.in.Exist
 	if len(exist) == 0 {
 		return nil
 	}
-	workers := e.opts.DefineWorkers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(exist) {
-		workers = len(exist)
-	}
+	workers := oracle.Workers(e.opts.DefineWorkers, len(exist))
 	pool := oracle.NewPool(workers, e.newPadoaOracle)
-	results := make([]padoaResult, len(exist))
-	if workers <= 1 {
-		for i, y := range exist {
-			if err := e.ctx.Err(); err != nil {
-				results[i] = padoaResult{err: fmt.Errorf("%w: interrupted: %w", ErrBudget, err)}
-				break
-			}
-			results[i] = e.isDefinedSafe(y, pool)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(exist) {
-						return
-					}
-					if err := e.ctx.Err(); err != nil {
-						results[i] = padoaResult{err: fmt.Errorf("%w: interrupted: %w", ErrBudget, err)}
-						return
-					}
-					results[i] = e.isDefinedSafe(exist[i], pool)
-				}
-			}()
-		}
-		wg.Wait()
+	defined := make([]bool, len(exist))
+	err := oracle.ForEach(e.ctx, workers, len(exist), func(i int) (err error) {
+		defined[i], err = e.isDefined(exist[i], pool)
+		return err
+	})
+	switch {
+	case err == nil:
+	case errors.Is(err, oracle.ErrPanic):
+		return fmt.Errorf("%w: define worker: %w", ErrInternal, err)
+	case errors.Is(err, ErrBudget):
+		return err
+	default: // ForEach saw the context stop between queries
+		return fmt.Errorf("%w: interrupted: %w", ErrBudget, err)
 	}
-	e.stats.SolversEvicted = pool.Evicted()
-	// Deterministic merge in declaration order. Indices are claimed in
-	// increasing order, so any unprocessed suffix left by a canceled run
-	// sits behind an errored slot and is never merged.
-	for _, r := range results {
-		if r.err != nil {
-			return r.err
-		}
-		if r.defined {
+	for _, d := range defined {
+		if d {
 			e.stats.DefinedVars++
 		}
 	}

@@ -56,10 +56,12 @@ var (
 	ErrBudget = errors.New("pedant: budget exhausted")
 	// ErrTooLarge means a dependency set exceeds the cell limit.
 	ErrTooLarge = errors.New("pedant: dependency sets too large")
-	// ErrInternal means a worker goroutine panicked mid-pass; the panic was
-	// recovered at the worker boundary (a caller-side recover cannot cross
-	// goroutines) and carries the panic value and stack in its message. The
-	// backend adapter maps it to backend.ErrInternal.
+	// ErrInternal means a Padoa worker panicked, or the engine caught itself
+	// in an inconsistent state. A worker panic is recovered by
+	// oracle.ForEach on the goroutine that raised it (a caller-side recover
+	// cannot cross goroutines), and its oracle.ErrPanic error, carrying the
+	// panic value and stack, stays in the chain. The backend adapter maps
+	// ErrInternal to backend.ErrInternal.
 	ErrInternal = errors.New("pedant: internal panic")
 )
 
@@ -88,9 +90,6 @@ type Stats struct {
 	InstClauses int
 	VerifyCalls int
 	SynthesisNs int64
-	// SolversEvicted counts Padoa-pool oracles discarded as poisoned after a
-	// panic inside a definition check (oracle.Pool.Evicted).
-	SolversEvicted int
 	// Phases is the per-phase telemetry (define → refine) in the shared
 	// backend vocabulary: define is the Padoa definition pass, refine the
 	// counterexample-guided arbiter loop (including its verification

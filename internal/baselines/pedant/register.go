@@ -24,8 +24,7 @@ func init() {
 				Vector: res.Vector,
 				Stats: fmt.Sprintf("%d iterations, %d arbiter vars, %d defined vars",
 					res.Stats.Iterations, res.Stats.ArbiterVars, res.Stats.DefinedVars),
-				Phases:        res.Stats.Phases,
-				PoolEvictions: res.Stats.SolversEvicted,
+				Phases: res.Stats.Phases,
 			}, nil
 		}))
 }

@@ -8,15 +8,14 @@
 // the same decomposition the paper's evaluation (§6) uses to report where
 // time goes:
 //
-//	preprocess    constant/unate detection and Padoa unique-definedness
-//	              marking, one independent oracle-query chain per
-//	              existential, run on a worker pool (Options.PreprocWorkers)
-//	              over shared incremental oracles: an oracle.Pool of
-//	              ϕ-loaded solvers for the constant checks, plus one
-//	              selector-guarded two-copy encoding each for the unate
-//	              (ϕ ∧ ¬ϕ with primed existentials) and Padoa (doubled ϕ)
-//	              checks, so per-existential queries are assumption calls
-//	              instead of fresh formula constructions;
+//	preprocess    constant/unate detection, one independent oracle-query
+//	              chain per existential, run through oracle.ForEach
+//	              (Options.PreprocWorkers) over shared incremental oracles:
+//	              an oracle.Pool of ϕ-loaded solvers for the constant
+//	              checks, plus one selector-guarded two-copy encoding
+//	              (ϕ ∧ ¬ϕ with primed existentials) for the unate checks, so
+//	              per-existential queries are assumption calls instead of
+//	              fresh formula constructions;
 //	sample        constrained sampling of ϕ for the training set Σ;
 //	learn         per-existential decision trees respecting the Henkin
 //	              dependencies (Algorithm 2), speculatively parallel
@@ -27,17 +26,19 @@
 //
 // Each executed phase reports a backend.PhaseStat — name, wall-clock
 // duration, SAT/MaxSAT oracle calls — in Stats.Phases, in execution order.
-// The parallel phases are deterministic: for a fixed seed the fixed set,
-// the synthesized constants, and the final functions are bit-identical for
-// every PreprocWorkers/LearnWorkers/VerifyWorkers count, because workers
-// only compute and all merging happens serially in declaration order. The
-// repair phase additionally batches the Gk probes of provably independent
-// queue members (no member may appear in a later member's Ŷ) over a
-// fixed-slot solver pool: probe i of a batch always runs on slot i mod
-// repairSlots, per-slot probes stay in index order, and VerifyWorkers only
-// throttles how many slots drain concurrently — so every solver's query
-// history, and with it every UNSAT core and model, is a function of the
-// query stream alone, not of scheduling (see repair.go).
+// The parallel phases all run through oracle.ForEach, which runs inline
+// with one worker, and they are deterministic: for a fixed seed the fixed
+// set, the synthesized constants, and the final functions are bit-identical
+// for every PreprocWorkers/LearnWorkers/VerifyWorkers count, because
+// workers only write their own item's result and all merging happens
+// serially in declaration (or queue) order. The repair phase batches the Gk
+// probes of provably independent queue members (no member may appear in a
+// later member's Ŷ), and there answers alone are not enough: UNSAT cores
+// and models depend on solver history. So probe i of a batch always runs on
+// slot solver i mod repairSlots, per-slot probes stay in index order, and
+// VerifyWorkers only sets how many slots run at once — every solver's query
+// history is a function of the query stream alone, not of scheduling (see
+// repair.go). A panic on any worker fails the run with ErrInternal.
 //
 // # Persistent oracles
 //
@@ -72,9 +73,9 @@
 //   - The sampler draws all training assignments from one solver, blocking
 //     each projected sample instead of rebuilding.
 //
-//   - Batched repair probes run on a fixed-size oracle.SlotPool of
-//     ϕ-loaded solvers (Stats.RepairSolversBuilt), lazily built on the
-//     first multi-member batch.
+//   - Batched repair probes run on repairSlots ϕ-loaded slot solvers
+//     (Stats.RepairSolversBuilt), each built on the first batch that
+//     reaches its slot and kept for the rest of the run.
 //
 // The verify–repair loop itself is allocation-free in steady state: repair
 // rounds run entirely on engine-owned scratch (assumption/queue/core/soft

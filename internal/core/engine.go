@@ -29,10 +29,12 @@ var (
 	// wrapped chain also contains context.Canceled, so either sentinel works
 	// with errors.Is.
 	ErrCanceled = errors.New("core: synthesis canceled")
-	// ErrInternal means a worker goroutine panicked mid-phase. The recover
-	// that isolated it (a panic on a worker goroutine cannot be recovered at
-	// the dispatch boundary) wraps the panic value and stack into the chain;
-	// the backend adapter maps it to backend.ErrInternal.
+	// ErrInternal means a worker panicked mid-phase, or the engine caught
+	// itself in an inconsistent state. A worker panic is recovered by
+	// oracle.ForEach on the goroutine that raised it (a panic there cannot be
+	// recovered at the dispatch boundary), and its oracle.ErrPanic error,
+	// carrying the panic value and stack, stays in the chain. The backend
+	// adapter maps ErrInternal to backend.ErrInternal.
 	ErrInternal = errors.New("core: internal panic")
 )
 
@@ -54,15 +56,14 @@ type Options struct {
 	// count; see learnPhase.
 	LearnWorkers int
 	// PreprocWorkers bounds the preprocessing worker pool (0 = NumCPU): the
-	// per-existential constant/unate/definedness query chains run
-	// concurrently over an oracle.Pool of ϕ-loaded solvers and merge in
-	// declaration order, so the fixed set and synthesized constants are
-	// bit-identical for every worker count; see preprocess. Caveat: each
-	// query's SAT/UNSAT answer is a fact, but which pooled solver (with
-	// which learnt-clause warmth) serves a query is scheduling-dependent,
-	// so an instance whose preprocessing needs close to SATConflictBudget
-	// conflicts may flip between succeeding and ErrBudget across worker
-	// counts — never between different results.
+	// per-existential constant/unate query chains run concurrently over
+	// oracle.Pools of loaded solvers and merge in declaration order, so the
+	// fixed set and synthesized constants are bit-identical for every worker
+	// count; see preprocess. Caveat: each query's SAT/UNSAT answer is a
+	// fact, but which pooled solver (with which learnt-clause warmth) serves
+	// a query is scheduling-dependent, so an instance whose preprocessing
+	// needs close to SATConflictBudget conflicts may flip between succeeding
+	// and ErrBudget across worker counts — never between different results.
 	PreprocWorkers int
 	// VerifyWorkers bounds the batched repair-verification worker pool (0 =
 	// NumCPU). When the repair queue holds a run of independent candidates
@@ -116,7 +117,6 @@ type Stats struct {
 	Samples            int
 	ConstantsDetected  int
 	UnatesDetected     int
-	UniqueDefined      int
 	VerifyCalls        int
 	RepairIterations   int
 	CandidatesRepaired int
@@ -143,14 +143,9 @@ type Stats struct {
 	// BatchedProbes totals the queries so batched.
 	VerifyBatches int
 	BatchedProbes int
-	// RepairSolversBuilt counts ϕ-loaded solvers constructed (including
-	// rebuilt after a panic eviction) by the batched-verification slot pool.
+	// RepairSolversBuilt counts the ϕ-loaded slot solvers built for batched
+	// repair probes; it never exceeds repairSlots.
 	RepairSolversBuilt int
-	// SolversEvicted totals the pooled solvers discarded as poisoned after a
-	// panic inside an oracle query, across the preprocessing pools
-	// (constant/unate/Padoa) and the batched-repair slot pool. Non-zero means
-	// panic isolation actually fired during the run.
-	SolversEvicted int
 	// OracleCalls totals the SAT/MaxSAT solver calls of the whole run.
 	OracleCalls int64
 	// Phases reports per-phase telemetry (name, wall-clock duration, oracle
@@ -208,15 +203,12 @@ type Engine struct {
 	grpCls       [2]cnf.Clause
 	dirty        map[cnf.Var]bool // candidates changed since last encode
 
-	// Batched repair verification (see repair.go): a fixed-slot pool of
-	// ϕ-loaded solvers, the probe array reused across batches, and the
+	// Batched repair verification (see repair.go): the lazily built
+	// ϕ-loaded slot solvers, the probe array reused across batches, and the
 	// per-slot probe index lists.
-	repairPool *oracle.SlotPool
-	probes     []repairProbe
-	slotIdxs   [repairSlots][]int
-	// preprocEvicted carries the preprocessing pools' eviction total forward
-	// so Stats.SolversEvicted can stay cumulative as repair batches add to it.
-	preprocEvicted int
+	slotSolvers [repairSlots]*sat.Solver
+	probes      []repairProbe
+	slotIdxs    [repairSlots][]int
 
 	// Engine-owned verify-repair scratch, reused across rounds so the hot
 	// loop stops allocating: the repackaged verify model, the persistent
@@ -243,9 +235,9 @@ type Engine struct {
 
 	samples []cnf.Assignment // training set Σ, produced by the sample phase
 
-	// extraOracle counts solver calls outside the persistent solvers: fresh
-	// per-check solvers (tautology/unate/Padoa), pooled preprocessing
-	// queries (merged from workers), and the sampler's draws.
+	// extraOracle counts solver calls outside the persistent solvers: the
+	// tautology check's fresh solver, pooled preprocessing queries (merged
+	// from workers), batched repair probes, and the sampler's draws.
 	extraOracle int64
 
 	stats Stats
@@ -254,6 +246,9 @@ type Engine struct {
 	// verify returns, before the loop extends it. Test instrumentation
 	// only; nil in production.
 	testOnCounterexample func(delta cnf.Assignment)
+	// testSolveHook, when non-nil, is installed by newSolver on every solver
+	// built after it is set. Test instrumentation only; nil in production.
+	testSolveHook sat.SolveHook
 }
 
 // oracleCount totals every SAT/MaxSAT solver call issued so far: the
@@ -315,8 +310,7 @@ func newEngine(ctx context.Context, in *dqbf.Instance, opts Options) *Engine {
 		e.deps[y] = make(map[cnf.Var]bool)
 		e.up[y] = make(map[cnf.Var]bool)
 	}
-	e.phiSolver = e.newSolver()
-	e.phiSolver.AddFormula(in.Matrix)
+	e.phiSolver = e.newPhiSolver()
 	return e
 }
 
@@ -471,10 +465,32 @@ func (e *Engine) oracleUnknown(s *sat.Solver, what string) error {
 	}
 }
 
+// workerErr classifies the failure of a phase run through oracle.ForEach: a
+// stopped context becomes its sentinel (see interrupted), a recovered worker
+// panic becomes ErrInternal, and anything else, already classified by the
+// worker, passes through.
+func (e *Engine) workerErr(phase string, err error) error {
+	if cerr := e.interrupted(); cerr != nil {
+		return cerr
+	}
+	if errors.Is(err, oracle.ErrPanic) {
+		return fmt.Errorf("%w: %s worker: %w", ErrInternal, phase, err)
+	}
+	return err
+}
+
 func (e *Engine) newSolver() *sat.Solver {
 	s := sat.New()
 	s.SetConflictBudget(e.opts.SATConflictBudget)
 	s.SetContext(e.ctx)
+	s.SetSolveHook(e.testSolveHook)
+	return s
+}
+
+// newPhiSolver returns a fresh solver with ϕ loaded.
+func (e *Engine) newPhiSolver() *sat.Solver {
+	s := e.newSolver()
+	s.AddFormula(e.in.Matrix)
 	return s
 }
 

@@ -2,13 +2,10 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cnf"
 	"repro/internal/dtree"
+	"repro/internal/oracle"
 	"repro/internal/sampler"
 )
 
@@ -30,15 +27,16 @@ func (e *Engine) samplePhase() error {
 //
 // Decision-tree learning is the expensive part and, given the samples and a
 // snapshot of the dependency matrix, each existential's tree is independent
-// of the others, so the trees are learned speculatively on a worker pool
-// (Options.LearnWorkers). The deps/recordUse bookkeeping is NOT independent
-// — in the serial algorithm, the tree learned for y1 bans y1 as a feature
-// for later trees that would close a reference cycle — so the learned trees
-// are merged back sequentially in declaration order: a tree that references
-// a feature banned by an earlier merge is relearned serially against the
-// current matrix (Stats.LearnConflicts counts these). Because the parallel
-// phase depends only on the snapshot and the merge only on declaration
-// order, the resulting candidates are bit-identical for every worker count.
+// of the others, so the trees are learned speculatively through
+// oracle.ForEach (Options.LearnWorkers). The deps/recordUse bookkeeping is
+// NOT independent — in the serial algorithm, the tree learned for y1 bans y1
+// as a feature for later trees that would close a reference cycle — so the
+// learned trees are merged back sequentially in declaration order: a tree
+// that references a feature banned by an earlier merge is relearned
+// serially against the current matrix (Stats.LearnConflicts counts these).
+// Because the parallel phase depends only on the snapshot and the merge
+// only on declaration order, the resulting candidates are bit-identical for
+// every worker count.
 func (e *Engine) learnPhase() error {
 	samples := e.samples
 
@@ -118,71 +116,22 @@ type learnedTree struct {
 	constVal bool
 }
 
-// learnTrees learns a candidate tree for every variable of todo on a worker
-// pool of Options.LearnWorkers goroutines. Workers only read shared state;
-// results land at their own index, so the output is independent of
+// learnTrees learns a candidate tree for every variable of todo through
+// oracle.ForEach with Options.LearnWorkers workers. Workers only read shared
+// state; results land at their own index, so the output is independent of
 // scheduling.
 func (e *Engine) learnTrees(samples []cnf.Assignment, todo []cnf.Var) ([]learnedTree, error) {
-	workers := e.opts.LearnWorkers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(todo) {
-		workers = len(todo)
-	}
 	out := make([]learnedTree, len(todo))
-	errs := make([]error, len(todo))
-	if workers <= 1 {
-		for i, yi := range todo {
-			if err := e.interrupted(); err != nil {
-				return nil, err
-			}
-			out[i], errs[i] = e.learnTreeSafe(samples, yi)
+	err := oracle.ForEach(e.ctx, e.opts.LearnWorkers, len(todo), func(i int) (err error) {
+		if out[i], err = e.learnTree(samples, todo[i]); err != nil {
+			return fmt.Errorf("core: learning candidate for %d: %w", todo[i], err)
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(todo) {
-						return
-					}
-					if err := e.ctx.Err(); err != nil {
-						errs[i] = err
-						return
-					}
-					out[i], errs[i] = e.learnTreeSafe(samples, todo[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for i, err := range errs {
-		if err != nil {
-			if cerr := e.interrupted(); cerr != nil {
-				return nil, cerr
-			}
-			return nil, fmt.Errorf("core: learning candidate for %d: %w", todo[i], err)
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, e.workerErr("learn", err)
 	}
 	return out, nil
-}
-
-// learnTreeSafe runs learnTree under panic isolation: a recover() on the
-// main goroutine cannot catch a panic raised inside a worker goroutine, so
-// each worker converts its own panics into an ErrInternal-classified error
-// that the merge loop surfaces like any other learning failure.
-func (e *Engine) learnTreeSafe(samples []cnf.Assignment, yi cnf.Var) (lt learnedTree, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("%w: learn worker for y%d panicked: %v\n%s", ErrInternal, yi, p, debug.Stack())
-		}
-	}()
-	return e.learnTree(samples, yi)
 }
 
 // featuresFor computes Algorithm 2's feature set for yi against the CURRENT

@@ -13,6 +13,8 @@ import (
 	"repro/internal/boolfunc"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
+	"repro/internal/oracle"
+	"repro/internal/sat"
 )
 
 // plantedChainInstance builds a True instance with nY existentials over nX
@@ -88,10 +90,10 @@ func outcomeFingerprint(t *testing.T, in *dqbf.Instance, opts Options) string {
 	if err := dqbf.WriteCertificate(&sb, res.Vector); err != nil {
 		t.Fatalf("opts=%+v: certificate: %v", opts, err)
 	}
-	fmt.Fprintf(&sb, "stats: samples=%d verify=%d repairs=%d learnConflicts=%d constants=%d unates=%d defined=%d oracle=%d\n",
+	fmt.Fprintf(&sb, "stats: samples=%d verify=%d repairs=%d learnConflicts=%d constants=%d unates=%d oracle=%d\n",
 		res.Stats.Samples, res.Stats.VerifyCalls, res.Stats.CandidatesRepaired,
 		res.Stats.LearnConflicts, res.Stats.ConstantsDetected, res.Stats.UnatesDetected,
-		res.Stats.UniqueDefined, res.Stats.OracleCalls)
+		res.Stats.OracleCalls)
 	for _, p := range res.Stats.Phases {
 		fmt.Fprintf(&sb, "phase %s: %d oracle calls\n", p.Name, p.OracleCalls)
 	}
@@ -123,8 +125,8 @@ func TestParallelLearnDeterministic(t *testing.T) {
 // preprocHeavyInstance builds a True instance whose existentials exercise
 // every preprocessing verdict: a semantic constant (both polarities occur
 // but ϕ ∧ y1 is UNSAT), a syntactic unate, a semantic unate (equal
-// cofactors), a uniquely-defined variable, and ordinary learnable
-// functions.
+// cofactors), and functions no check fixes, which the learn phase must
+// learn.
 func preprocHeavyInstance() *dqbf.Instance {
 	in := dqbf.NewInstance()
 	in.AddUniv(1) // x1
@@ -167,7 +169,7 @@ func TestParallelPreprocessDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("preprocHeavyInstance does not synthesize: %v", err)
 	}
-	if res.Stats.ConstantsDetected == 0 || res.Stats.UnatesDetected == 0 || res.Stats.UniqueDefined == 0 {
+	if res.Stats.ConstantsDetected == 0 || res.Stats.UnatesDetected == 0 {
 		t.Fatalf("preprocHeavyInstance misses a preprocessing path: %+v", res.Stats)
 	}
 	if res.Stats.PreprocSolversBuilt != 1 {
@@ -188,6 +190,21 @@ func TestParallelPreprocessDeterministic(t *testing.T) {
 					name, w, workerCounts[0], want, got)
 			}
 		}
+	}
+}
+
+// TestWorkerPanicIsInternal pins panic isolation inside the engine's own
+// worker goroutines: a solve that panics on a preprocessing worker must fail
+// the run with ErrInternal instead of crashing the process. The hook is set
+// after newEngine, so the ϕ-solver's initial check runs clean and the first
+// solvers to panic are the pooled preprocessing ones, queried from
+// goroutines that oracle.ForEach started.
+func TestWorkerPanicIsInternal(t *testing.T) {
+	e := newEngine(context.Background(), preprocHeavyInstance(), Options{Seed: 7, PreprocWorkers: 2}.withDefaults())
+	e.testSolveHook = func(int64) (sat.StopCause, bool) { panic("injected solve panic") }
+	_, err := e.synthesize()
+	if !errors.Is(err, ErrInternal) || !errors.Is(err, oracle.ErrPanic) {
+		t.Fatalf("want ErrInternal wrapping oracle.ErrPanic, got %v", err)
 	}
 }
 

@@ -1,46 +1,35 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/cnf"
 	"repro/internal/oracle"
 	"repro/internal/sat"
 )
 
 // The preprocess phase performs the semantic preprocessing inherited from
-// the Manthan lineage: constant detection, unate detection, and Padoa
-// unique-definedness marking.
+// the Manthan lineage: constant and unate detection.
 //
 //   - Constant: if ϕ ∧ yi is UNSAT then fi = 0; if ϕ ∧ ¬yi is UNSAT, fi = 1.
 //   - Positive unate: if ϕ[yi:=0] ∧ ¬ϕ[yi:=1] is UNSAT then setting yi to 1
 //     never hurts, so fi = 1 (symmetrically fi = 0 for negative unate).
 //     Constants have empty support, so they trivially satisfy any Henkin
 //     dependency set.
-//   - Unique definedness (Padoa's theorem): yi is defined by Hi in ϕ iff
-//     ϕ(X,Y) ∧ ϕ(X̂,Ŷ) ∧ (Hi ↔ Ĥi) ∧ yi ∧ ¬ŷi is UNSAT. The paper extracts
-//     such definitions with the interpolation-based UNIQUE tool; this
-//     reproduction substitutes interpolation with the learn+repair loop
-//     itself (defined variables converge quickly because every sample agrees
-//     with the unique definition) and uses the check for statistics and to
-//     prioritize learning fidelity.
+//
+// The paper also extracts unique definitions (Padoa's theorem) with the
+// interpolation-based UNIQUE tool; this reproduction leaves defined
+// variables to the learn+repair loop, where they converge quickly because
+// every sample agrees with the unique definition.
 //
 // The query chain of one existential is independent of every other's, so
-// the chains run on a worker pool (Options.PreprocWorkers): constant checks
-// borrow ϕ-loaded solvers from an oracle.Pool sized to the worker count
-// (built once, checked out per query), and the unate/Padoa checks borrow
-// from two more pools loaded with shared assumption-driven check formulas —
-// ϕ(X,Y) ∧ ¬ϕ(X,Y″) with per-existential equality selectors for unateness,
-// ϕ(X,Y) ∧ ϕ(X̂,Ŷ) with per-variable equality selectors for Padoa — built
-// once per run instead of re-encoding cofactors and renamed copies into a
-// fresh solver per check. Workers only compute; the results are merged —
-// setFunc, the fixed set, the stats counters — strictly in declaration
-// order, so the outcome is bit-identical for every worker count
-// (TestParallelPreprocessDeterministic).
+// the chains run through oracle.ForEach (Options.PreprocWorkers): constant
+// checks borrow ϕ-loaded solvers from an oracle.Pool sized to the worker
+// count (built once, checked out per query), and the unate checks borrow
+// from a second pool loaded with one shared assumption-driven check formula
+// — ϕ(X,Y) ∧ ¬ϕ(X,Y″) with per-existential equality selectors — built once
+// per run instead of re-encoding cofactors into a fresh solver per check.
+// Workers only compute; the results are merged — setFunc, the fixed set, the
+// stats counters — strictly in declaration order, so the outcome is
+// bit-identical for every worker count (TestParallelPreprocessDeterministic).
 
 // preprocKind classifies the outcome of one existential's check chain.
 type preprocKind int
@@ -55,10 +44,9 @@ const (
 
 // preprocResult is one worker's verdict for one existential.
 type preprocResult struct {
-	kind    preprocKind
-	defined bool  // Padoa: uniquely defined by its dependency set
-	oracle  int64 // solver calls issued for this chain
-	err     error
+	kind   preprocKind
+	oracle int64 // solver calls issued for this chain
+	err    error
 }
 
 // preprocess runs the preprocess phase; see the comment above.
@@ -100,69 +88,26 @@ func (e *Engine) preprocess() error {
 		return nil
 	}
 
-	workers := e.opts.PreprocWorkers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(todo) {
-		workers = len(todo)
-	}
+	workers := oracle.Workers(e.opts.PreprocWorkers, len(todo))
 	pool := &preprocOracles{
-		consts: oracle.NewPool(workers, func() *sat.Solver {
-			s := e.newSolver()
-			s.AddFormula(e.in.Matrix)
-			return s
-		}),
-		unate: e.buildUnateOracle(workers),
-		padoa: e.buildPadoaOracle(workers),
+		consts: oracle.NewPool(workers, e.newPhiSolver),
+		unate:  e.buildUnateOracle(workers),
 	}
 	results := make([]preprocResult, len(todo))
-	if workers <= 1 {
-		for i, y := range todo {
-			if err := e.interrupted(); err != nil {
-				return err
-			}
-			results[i] = e.preprocessOneSafe(y, pool)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(todo) {
-						return
-					}
-					if err := e.ctx.Err(); err != nil {
-						results[i] = preprocResult{err: err}
-						return
-					}
-					results[i] = e.preprocessOneSafe(todo[i], pool)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	err := oracle.ForEach(e.ctx, workers, len(todo), func(i int) error {
+		results[i] = e.preprocessOne(todo[i], pool)
+		return results[i].err
+	})
 	e.stats.PreprocSolversBuilt = pool.consts.Built()
-	e.preprocEvicted = pool.consts.Evicted() + pool.unate.pool.Evicted() + pool.padoa.pool.Evicted()
-	e.stats.SolversEvicted = e.preprocEvicted
+	if err != nil {
+		return e.workerErr("preprocess", err)
+	}
 
 	// Deterministic merge in declaration order: all engine mutation happens
-	// here, serially. Indices are claimed in increasing order, so any
-	// unprocessed suffix left by a canceled run sits behind an errored slot
-	// and is never merged.
+	// here, serially.
 	for i, y := range todo {
 		r := results[i]
 		e.extraOracle += r.oracle
-		if r.err != nil {
-			if cerr := e.interrupted(); cerr != nil {
-				return cerr
-			}
-			return r.err
-		}
 		switch r.kind {
 		case preprocConstFalse:
 			e.setFunc(y, e.b.False())
@@ -181,48 +126,25 @@ func (e *Engine) preprocess() error {
 			e.fixed[y] = true
 			e.stats.UnatesDetected++
 		}
-		if r.defined {
-			e.stats.UniqueDefined++
-		}
 	}
-	e.tracef("preprocess: %d constants, %d unates, %d uniquely defined (%d workers, %d pooled solvers)",
-		e.stats.ConstantsDetected, e.stats.UnatesDetected, e.stats.UniqueDefined,
-		workers, e.stats.PreprocSolversBuilt)
+	e.tracef("preprocess: %d constants, %d unates (%d workers, %d pooled solvers)",
+		e.stats.ConstantsDetected, e.stats.UnatesDetected, workers, e.stats.PreprocSolversBuilt)
 	return nil
 }
 
-// preprocOracles bundles the three preprocessing solver pools handed to the
-// workers: ϕ-loaded solvers for the constant checks plus the shared
-// unate/Padoa check oracles. Every pool is sized to the worker count, so
-// concurrent checkouts never block on each other.
+// preprocOracles bundles the two preprocessing solver pools handed to the
+// workers: ϕ-loaded solvers for the constant checks plus the shared unate
+// check oracle. Both pools are sized to the worker count, so concurrent
+// checkouts never block on each other.
 type preprocOracles struct {
 	consts *oracle.Pool
 	unate  *unateOracle
-	padoa  *padoaOracle
 }
 
-// preprocessOneSafe runs preprocessOne under panic isolation: a recover()
-// on the main goroutine cannot catch a panic raised inside a worker
-// goroutine, so each worker converts its own panics into an
-// ErrInternal-classified error that the merge loop surfaces like any other
-// preprocessing failure. Pooled-solver checkouts go through oracle.With,
-// which evicts a solver whose query panicked instead of returning it —
-// isolation never recycles a possibly-corrupted solver.
-func (e *Engine) preprocessOneSafe(y cnf.Var, pool *preprocOracles) (r preprocResult) {
-	defer func() {
-		if p := recover(); p != nil {
-			r.err = fmt.Errorf("%w: preprocess worker for y%d panicked: %v\n%s", ErrInternal, y, p, debug.Stack())
-		}
-	}()
-	return e.preprocessOne(y, pool)
-}
-
-// preprocessOne runs one existential's full check chain — constant, unate,
-// Padoa — reading the engine strictly read-only (safe from worker
-// goroutines); all mutation is deferred to the merge. Each pooled solver is
-// held only for its own queries (via With, so a panicking query evicts it
-// instead of poisoning the pool) and other workers' checkouts interleave
-// freely.
+// preprocessOne runs one existential's check chain — constant, then unate —
+// reading the engine strictly read-only (safe from worker goroutines); all
+// mutation is deferred to the merge. Each pooled solver is held only for
+// its own queries, and other workers' checkouts interleave freely.
 func (e *Engine) preprocessOne(y cnf.Var, pool *preprocOracles) preprocResult {
 	r := preprocResult{}
 	done := false
@@ -273,11 +195,7 @@ func (e *Engine) preprocessOne(y cnf.Var, pool *preprocOracles) preprocResult {
 	}
 	if neg {
 		r.kind = preprocUnateFalse
-		return r
 	}
-	// Unique-definedness statistics (bounded effort; only for unfixed).
-	r.defined, r.err = e.isUniquelyDefined(pool.padoa, y)
-	r.oracle++
 	return r
 }
 
@@ -365,76 +283,4 @@ func (e *Engine) isUnate(u *unateOracle, y cnf.Var, positive bool) (bool, error)
 		}
 	})
 	return unate, err
-}
-
-// padoaOracle is the shared machinery of every Padoa unique-definedness
-// check: one formula ϕ(X,Y) ∧ ϕ(X̂,Ŷ) — the hatted copy renames EVERY
-// variable — with a per-variable equality selector s_v → (v ↔ v̂). A check
-// for y assumes the selectors of y's dependency set plus y ∧ ¬ŷ, which is
-// exactly ϕ ∧ ϕ̂ ∧ (H ↔ Ĥ) ∧ y ∧ ¬ŷ without cloning and re-renaming the
-// matrix per check.
-type padoaOracle struct {
-	hat  []cnf.Var // 1..NumVars → v̂
-	sel  []cnf.Var // 1..NumVars → s_v
-	pool *oracle.Pool
-}
-
-// buildPadoaOracle constructs the shared Padoa check formula and its solver
-// pool (sized to the preprocessing worker count; solvers build lazily on
-// first checkout).
-func (e *Engine) buildPadoaOracle(workers int) *padoaOracle {
-	n := e.in.Matrix.NumVars
-	f := cnf.New(n)
-	for _, c := range e.in.Matrix.Clauses {
-		f.AddClause(c...)
-	}
-	p := &padoaOracle{hat: make([]cnf.Var, n+1), sel: make([]cnf.Var, n+1)}
-	for v := 1; v <= n; v++ {
-		p.hat[v] = f.NewVar()
-	}
-	nc := make([]cnf.Lit, 0, 8)
-	for _, c := range e.in.Matrix.Clauses {
-		nc = nc[:0]
-		for _, l := range c {
-			nc = append(nc, cnf.MkLit(p.hat[l.Var()], l.IsPos()))
-		}
-		f.AddClause(nc...)
-	}
-	for v := 1; v <= n; v++ {
-		s := f.NewVar()
-		p.sel[v] = s
-		f.AddClause(cnf.NegLit(s), cnf.NegLit(cnf.Var(v)), cnf.PosLit(p.hat[v]))
-		f.AddClause(cnf.NegLit(s), cnf.PosLit(cnf.Var(v)), cnf.NegLit(p.hat[v]))
-	}
-	p.pool = oracle.NewPool(workers, func() *sat.Solver {
-		s := e.newSolver()
-		s.AddFormula(f)
-		return s
-	})
-	return p
-}
-
-// isUniquelyDefined applies Padoa's theorem: y is uniquely defined by its
-// dependency set H in ϕ iff ϕ(X,Y) ∧ ϕ(X̂,Ŷ) ∧ (H ↔ Ĥ) ∧ y ∧ ¬ŷ is UNSAT.
-// Read-only on the engine, safe from worker goroutines.
-func (e *Engine) isUniquelyDefined(p *padoaOracle, y cnf.Var) (bool, error) {
-	deps := e.in.DepSet(y)
-	assumps := make([]cnf.Lit, 0, len(deps)+2)
-	for _, d := range deps {
-		assumps = append(assumps, cnf.PosLit(p.sel[d]))
-	}
-	assumps = append(assumps, cnf.PosLit(y), cnf.NegLit(p.hat[y]))
-	var defined bool
-	var err error
-	p.pool.With(func(s *sat.Solver) {
-		switch st := s.SolveAssume(assumps); st {
-		case sat.Unsat:
-			defined = true
-		case sat.Sat:
-			defined = false
-		default:
-			err = e.oracleUnknown(s, "Padoa check")
-		}
-	})
-	return defined, err
 }

@@ -25,18 +25,16 @@ func init() {
 			if err != nil {
 				return nil, backendErr(err)
 			}
-			stats := fmt.Sprintf("%d samples, %d verify calls, %d repair iterations, %d repairs, %d constants, %d unates, %d defined, %d oracle calls",
+			stats := fmt.Sprintf("%d samples, %d verify calls, %d repair iterations, %d repairs, %d constants, %d unates, %d oracle calls",
 				res.Stats.Samples, res.Stats.VerifyCalls, res.Stats.RepairIterations,
 				res.Stats.CandidatesRepaired, res.Stats.ConstantsDetected,
-				res.Stats.UnatesDetected, res.Stats.UniqueDefined, res.Stats.OracleCalls)
+				res.Stats.UnatesDetected, res.Stats.OracleCalls)
 			if opts.Logf != nil {
-				// Verbose runs also report the pooled-solver lifecycle (panic
-				// evictions are otherwise invisible outside tests) and the
+				// Verbose runs also report the solvers the pools built and the
 				// aggregated SAT-solver counters: conflicts, restarts, learnt
 				// tiers and glue.
-				stats += fmt.Sprintf("; pools: %d preproc built, %d repair built, %d evicted",
-					res.Stats.PreprocSolversBuilt, res.Stats.RepairSolversBuilt,
-					res.Stats.SolversEvicted)
+				stats += fmt.Sprintf("; pools: %d preproc built, %d repair built",
+					res.Stats.PreprocSolversBuilt, res.Stats.RepairSolversBuilt)
 				ss := res.Stats.SAT
 				avgGlue := 0.0
 				if ss.LearntClauses > 0 {
@@ -46,10 +44,9 @@ func init() {
 					ss.Conflicts, ss.Restarts, ss.TierCore, ss.TierMid, ss.TierLocal, avgGlue)
 			}
 			return &backend.Result{
-				Vector:        res.Vector,
-				Stats:         stats,
-				Phases:        res.Stats.Phases,
-				PoolEvictions: res.Stats.SolversEvicted,
+				Vector: res.Vector,
+				Stats:  stats,
+				Phases: res.Stats.Phases,
 			}, nil
 		}))
 }

@@ -2,10 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/boolfunc"
 	"repro/internal/cnf"
@@ -14,15 +10,16 @@ import (
 	"repro/internal/sat"
 )
 
-// repairSlots fixes the size of the batched-verification solver pool. It is
-// a constant rather than a function of Options.VerifyWorkers on purpose:
+// repairSlots fixes the number of batched-verification slot solvers. It is a
+// constant rather than a function of Options.VerifyWorkers on purpose:
 // probe i of a batch always runs on slot i mod repairSlots, and each slot
 // executes its probes sequentially in probe-index order, so every slot
 // solver sees a query sequence determined by the queue alone. UNSAT cores
 // and models — unlike plain SAT/UNSAT facts — are artifacts of solver
 // history, so this binding is what makes the repairs bit-identical across
 // scheduling and worker counts; VerifyWorkers only throttles how many slots
-// run at once.
+// run at once. The slot solvers are ϕ-loaded, built on the first batch that
+// needs them, and live for the whole run.
 const repairSlots = 4
 
 // repairProbe is one Gk query of a repair batch: inputs (yk, assumps, Ŷ)
@@ -50,7 +47,7 @@ type repairProbe struct {
 // criterion). A singleton batch — the common case when candidates are
 // entangled through their Ŷ sets — solves on the warm persistent ϕ-solver
 // exactly as the serial algorithm always has; a multi-candidate batch fans
-// its probes out over the fixed-slot pool. Either way mergeProbes then
+// its probes out over the slot solvers. Either way mergeProbes then
 // replays the answers strictly in queue order, performing all engine
 // mutation (repairs, blame appends, the line-18 σ[yk] realignment)
 // serially, so the batched loop is observationally a serial loop.
@@ -84,7 +81,9 @@ func (e *Engine) repair(sigma *counterexample) (bool, error) {
 		if n == 1 {
 			e.runProbe(e.phiSolver, &e.probes[0])
 		} else {
-			e.runBatch(n)
+			if err := e.runBatch(n); err != nil {
+				return false, err
+			}
 			e.stats.VerifyBatches++
 			e.stats.BatchedProbes += n
 		}
@@ -189,19 +188,15 @@ func (e *Engine) runProbe(s *sat.Solver, p *repairProbe) {
 	}
 }
 
-// runBatch executes probes [0, n) on the fixed-slot pool: probe i belongs
-// to slot i mod repairSlots, workers claim whole slots off an atomic
-// counter and run each slot's probes sequentially in index order. Worker
+// runBatch executes probes [0, n) on the slot solvers: probe i belongs to
+// slot i mod repairSlots, and oracle.ForEach hands whole slots to workers,
+// each running its slot's probes sequentially in index order. The worker
 // count (VerifyWorkers, default NumCPU) therefore affects only how many
-// slots solve concurrently, never which solver answers which query.
-func (e *Engine) runBatch(n int) {
-	if e.repairPool == nil {
-		e.repairPool = oracle.NewSlotPool(repairSlots, func(int) *sat.Solver {
-			s := e.newSolver()
-			s.AddFormula(e.in.Matrix)
-			return s
-		})
-	}
+// slots solve concurrently, never which solver answers which query. Probe
+// failures (Unknown) are left for the merge; a worker panic fails the
+// batch, and with it the run, so no slot solver is queried after a panic
+// left it in an arbitrary state.
+func (e *Engine) runBatch(n int) error {
 	for s := range e.slotIdxs {
 		e.slotIdxs[s] = e.slotIdxs[s][:0]
 	}
@@ -209,77 +204,24 @@ func (e *Engine) runBatch(n int) {
 		s := i % repairSlots
 		e.slotIdxs[s] = append(e.slotIdxs[s], i)
 	}
-	active := n
-	if active > repairSlots {
-		active = repairSlots
-	}
-	workers := e.opts.VerifyWorkers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > active {
-		workers = active
-	}
-	if workers <= 1 {
-		for s := 0; s < active; s++ {
-			e.probeSlotSafe(s)
+	active := min(n, repairSlots)
+	for s := 0; s < active; s++ {
+		if e.slotSolvers[s] == nil {
+			e.slotSolvers[s] = e.newPhiSolver()
+			e.stats.RepairSolversBuilt++
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					s := int(next.Add(1)) - 1
-					if s >= active {
-						return
-					}
-					if err := e.ctx.Err(); err != nil {
-						for _, i := range e.slotIdxs[s] {
-							e.probes[i].status = sat.Unknown
-							e.probes[i].err = err
-						}
-						return
-					}
-					e.probeSlotSafe(s)
-				}
-			}()
-		}
-		wg.Wait()
 	}
 	e.extraOracle += int64(n)
-	e.stats.RepairSolversBuilt = e.repairPool.Built() + e.repairPool.Evicted()
-	e.stats.SolversEvicted = e.preprocEvicted + e.repairPool.Evicted()
-}
-
-// probeSlotSafe runs one slot's probes in index order under panic
-// isolation: a recover() on the main goroutine cannot catch a panic raised
-// inside a worker goroutine, so the worker converts its own panic into
-// ErrInternal-classified probe errors that the merge surfaces like any
-// other oracle failure. The pool's With evicts the slot solver on panic so
-// a possibly-corrupted solver is never recycled; cancellation is handled
-// inside the Solve calls themselves (the slot solvers carry the engine
-// context), which turn it into Unknown probes.
-func (e *Engine) probeSlotSafe(slot int) {
-	idxs := e.slotIdxs[slot]
-	done := 0
-	defer func() {
-		if p := recover(); p != nil {
-			err := fmt.Errorf("%w: repair probe worker panicked: %v\n%s", ErrInternal, p, debug.Stack())
-			for _, i := range idxs[done:] {
-				e.probes[i].status = sat.Unknown
-				e.probes[i].err = err
-			}
+	err := oracle.ForEach(e.ctx, e.opts.VerifyWorkers, active, func(s int) error {
+		for _, i := range e.slotIdxs[s] {
+			e.runProbe(e.slotSolvers[s], &e.probes[i])
 		}
-	}()
-	e.repairPool.With(slot, func(s *sat.Solver) {
-		for _, i := range idxs[done:] {
-			e.runProbe(s, &e.probes[i])
-			done++
-		}
+		return nil
 	})
+	if err != nil {
+		return e.workerErr("repair probe", err)
+	}
+	return nil
 }
 
 // mergeProbes replays probes [0, n) strictly in queue order, applying the
@@ -422,8 +364,7 @@ func (e *Engine) findCandi(sigma *counterexample) ([]cnf.Var, error) {
 	// counterexample-specific X ↔ σ[X] units are passed as assumptions and
 	// the per-query MaxSAT machinery lives in released clause groups.
 	if e.candi == nil {
-		s := e.newSolver()
-		s.AddFormula(e.in.Matrix)
+		s := e.newPhiSolver()
 		e.candi = maxsat.NewIncremental(s)
 		e.candiSolver = s // oracleCount reads its lifetime Solve counter
 	}

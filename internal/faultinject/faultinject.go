@@ -13,17 +13,20 @@
 // each rule exactly once, but which worker observes it depends on
 // scheduling.
 //
-// The two wrapping levels exercise the two halves of the resilience design:
+// The two wrapping levels are exercised against different layers:
 //
 //   - Plan.Backend injects at the dispatch boundary, where Protect /
 //     SafeSynthesize and the portfolio/fallback/retry compositors must
-//     contain the damage (internal/backend).
-//   - Plan.SolverSource injects inside an engine's oracle pool via
-//     sat.SolveHook, where the per-worker recover()s and oracle.With
-//     eviction must contain it (internal/core, internal/baselines/pedant).
-//
-// cmd/benchrunner exposes dispatch-level plans through its -faults flag
-// (see Parse for the spec grammar).
+//     contain the damage (internal/backend). This package's fault matrix
+//     drives it through every dispatch shape, and cmd/benchrunner and
+//     cmd/manthand arm it through their -faults flags (see Parse for the
+//     spec grammar).
+//   - Plan.SolverSource injects inside the solvers a constructor builds,
+//     via sat.SolveHook. No engine accepts a solver source; this package's
+//     tests run it against a bare oracle.Pool, where Pool.With must evict a
+//     solver whose query panicked. Panics on an engine's own worker
+//     goroutines are covered in internal/core, through a test-only solve
+//     hook that oracle.ForEach's recover must contain.
 //
 // The package is under the determinism contract — results must be
 // bit-identical across runs and worker counts (see internal/analysis).
@@ -277,8 +280,8 @@ func (f *faulty) Synthesize(ctx context.Context, in *dqbf.Instance, opts backend
 // and the firing rule's fault is injected inside the solve. Budget and
 // Unknown rules force Unknown with StopConflictBudget, Cancel forces
 // Unknown with StopCanceled, Stall sleeps and lets the search proceed,
-// Panic panics inside the call — which is exactly what the engines'
-// per-worker recover()s and oracle.With eviction must contain.
+// Panic panics inside the call. Its tests wrap a bare oracle.Pool, whose
+// With must evict the panicking solver; no engine takes a solver source.
 func (p *Plan) SolverSource(src func() *sat.Solver) func() *sat.Solver {
 	return func() *sat.Solver {
 		s := src()

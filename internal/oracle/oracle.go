@@ -1,14 +1,24 @@
-// Package oracle provides a checkout pool of identically-built SAT solvers.
+// Package oracle holds the engines' two concurrency helpers: ForEach, the
+// one panic-isolated worker loop, and Pool, a checkout pool of
+// identically-built SAT solvers.
+//
+// ForEach runs independent per-item work — the manthan3 preprocessing,
+// learning and batched repair-probe phases, the pedant Padoa pass — on a
+// bounded number of goroutines, inline when there is one worker. It claims
+// items in index order, recovers a worker's panic as an error wrapping
+// ErrPanic, and returns the lowest-indexed failure, so callers that write
+// results at their item's index and merge them serially get the same
+// answer for every worker count.
 //
 // A sat.Solver is fast but strictly single-goroutine: loading a formula is
 // the expensive part, and a loaded solver answers many incremental
 // assumption queries cheaply. When a phase has per-item queries that are
 // independent — the manthan3 preprocessing phase issues per-existential
-// constant/unate/definedness checks against the same ϕ, and the pedant
-// Padoa pass issues per-existential definedness queries against one
-// doubled ϕ with equality selectors — the natural shape is a fixed pool of
-// loaded solvers, each built once and then checked out by whichever worker
-// needs an oracle next.
+// constant/unate checks against the same ϕ, and the pedant Padoa pass
+// issues per-existential definedness queries against one doubled ϕ with
+// equality selectors — the natural shape is a fixed pool of loaded solvers,
+// each built once and then checked out by whichever worker needs an oracle
+// next.
 //
 // Pool builds solvers lazily through the constructor it is given: the first
 // Size checkouts each construct one solver, later checkouts reuse returned
@@ -38,7 +48,6 @@ type Pool struct {
 	mu      sync.Mutex
 	idle    []*sat.Solver
 	built   int
-	evicted int
 	size    int
 	waiting chan struct{} // closed-and-replaced broadcast on Put
 }
@@ -107,7 +116,6 @@ func (p *Pool) Evict(s *sat.Solver) {
 	if p.built > 0 {
 		p.built--
 	}
-	p.evicted++
 	close(p.waiting)
 	p.waiting = make(chan struct{})
 	p.mu.Unlock()
@@ -143,12 +151,4 @@ func (p *Pool) Built() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.built
-}
-
-// Evicted returns how many solvers have been discarded through Evict over
-// the pool's lifetime.
-func (p *Pool) Evicted() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.evicted
 }

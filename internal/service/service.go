@@ -32,8 +32,7 @@
 //
 // Telemetry: per-response queue/run/verify timings, phase and dispatch
 // attempt stats, plus a process-wide /statz endpoint (outcome counts, shed
-// and reroute totals, breaker states, warm-pool and engine pool-eviction
-// counters).
+// and reroute totals, breaker states, warm-pool counters).
 package service
 
 import (
@@ -220,17 +219,14 @@ type Response struct {
 	Rerouted bool   `json:"rerouted,omitempty"`
 	Error    string `json:"error,omitempty"`
 	// Functions holds the verified certificate lines ("y<N> := <expr>").
-	Functions []string `json:"functions,omitempty"`
-	Verified  bool     `json:"verified,omitempty"`
-	Stats     string   `json:"stats,omitempty"`
-	// PoolEvictions is the run's engine-internal solver evictions
-	// (poisoned solvers discarded after a panic inside an oracle query).
-	PoolEvictions int           `json:"pool_evictions,omitempty"`
-	Phases        []PhaseJSON   `json:"phases,omitempty"`
-	Attempts      []AttemptJSON `json:"attempts,omitempty"`
-	QueueMS       float64       `json:"queue_ms"`
-	RunMS         float64       `json:"run_ms"`
-	VerifyMS      float64       `json:"verify_ms,omitempty"`
+	Functions []string      `json:"functions,omitempty"`
+	Verified  bool          `json:"verified,omitempty"`
+	Stats     string        `json:"stats,omitempty"`
+	Phases    []PhaseJSON   `json:"phases,omitempty"`
+	Attempts  []AttemptJSON `json:"attempts,omitempty"`
+	QueueMS   float64       `json:"queue_ms"`
+	RunMS     float64       `json:"run_ms"`
+	VerifyMS  float64       `json:"verify_ms,omitempty"`
 }
 
 // task is one admitted request moving through the queue.
@@ -270,18 +266,17 @@ type Server struct {
 
 // serverStats aggregates process-wide counters for /statz.
 type serverStats struct {
-	mu                  sync.Mutex
-	admitted            int64
-	completed           int64
-	shed                int64
-	drainRejected       int64
-	breakerRejected     int64
-	rerouted            int64
-	inFlight            int
-	outcomes            map[string]int64
-	enginePoolEvictions int64
-	queueWaitTotal      time.Duration
-	runTotal            time.Duration
+	mu              sync.Mutex
+	admitted        int64
+	completed       int64
+	shed            int64
+	drainRejected   int64
+	breakerRejected int64
+	rerouted        int64
+	inFlight        int
+	outcomes        map[string]int64
+	queueWaitTotal  time.Duration
+	runTotal        time.Duration
 }
 
 // New builds a Server from cfg (missing fields defaulted). Fallback specs
@@ -654,14 +649,12 @@ func (s *Server) runRequest(t *task) *Response {
 	}
 
 	res := &Response{
-		Status:        "ok",
-		Outcome:       backend.OutcomeOK,
-		Engine:        routed,
-		Rerouted:      t.fbSpec != "",
-		Stats:         result.Stats,
-		PoolEvictions: result.PoolEvictions,
+		Status:   "ok",
+		Outcome:  backend.OutcomeOK,
+		Engine:   routed,
+		Rerouted: t.fbSpec != "",
+		Stats:    result.Stats,
 	}
-	s.countEnginePoolEvictions(result.PoolEvictions)
 	for _, p := range result.Phases {
 		res.Phases = append(res.Phases, PhaseJSON{
 			Name: p.Name, MS: float64(p.Duration) / float64(time.Millisecond),
@@ -766,27 +759,22 @@ type Statz struct {
 	RunMSAvg        float64                    `json:"run_ms_avg"`
 	Breakers        map[string]BreakerSnapshot `json:"breakers"`
 	Verify          VerifyStats                `json:"verify"`
-	// EnginePoolEvictions totals the engine-internal oracle.Pool/SlotPool
-	// evictions (poisoned solvers discarded after in-oracle panics) across
-	// every completed request.
-	EnginePoolEvictions int64 `json:"engine_pool_evictions"`
 }
 
 // Stats snapshots the server's robustness telemetry (the /statz body).
 func (s *Server) Stats() Statz {
 	s.st.mu.Lock()
 	out := Statz{
-		QueueDepth:          len(s.queue),
-		QueueCap:            s.cfg.QueueDepth,
-		InFlight:            s.st.inFlight,
-		Admitted:            s.st.admitted,
-		Completed:           s.st.completed,
-		Shed:                s.st.shed,
-		DrainRejected:       s.st.drainRejected,
-		BreakerRejected:     s.st.breakerRejected,
-		Rerouted:            s.st.rerouted,
-		Outcomes:            make(map[string]int64, len(s.st.outcomes)),
-		EnginePoolEvictions: s.st.enginePoolEvictions,
+		QueueDepth:      len(s.queue),
+		QueueCap:        s.cfg.QueueDepth,
+		InFlight:        s.st.inFlight,
+		Admitted:        s.st.admitted,
+		Completed:       s.st.completed,
+		Shed:            s.st.shed,
+		DrainRejected:   s.st.drainRejected,
+		BreakerRejected: s.st.breakerRejected,
+		Rerouted:        s.st.rerouted,
+		Outcomes:        make(map[string]int64, len(s.st.outcomes)),
 	}
 	for k, v := range s.st.outcomes {
 		out.Outcomes[k] = v
@@ -857,14 +845,5 @@ func (s *Server) countBreakerRejected() {
 func (s *Server) countReroute() {
 	s.st.mu.Lock()
 	s.st.rerouted++
-	s.st.mu.Unlock()
-}
-
-func (s *Server) countEnginePoolEvictions(n int) {
-	if n == 0 {
-		return
-	}
-	s.st.mu.Lock()
-	s.st.enginePoolEvictions += int64(n)
 	s.st.mu.Unlock()
 }
