@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	manthan3 [-engine manthan3|expand|expand-iter|pedant|cegar|portfolio:manthan3+expand+pedant]
+//	manthan3 [-engine manthan3|expand|pedant|cegar|portfolio:manthan3+expand+pedant]
 //	         [-timeout 60s] [-j 0] [-pp-workers 0] [-verify-workers 0]
 //	         [-seed 1] [-verify] [-verilog out.v] [-v] [-q] instance.dqdimacs
 //

@@ -152,7 +152,7 @@ func TestManthanSolvesPlantedSuiteInstances(t *testing.T) {
 // package registers itself under its stable name, and the registry is the
 // single dispatch path for the CLIs and the bench harness.
 func TestBackendRegistryHasAllEngines(t *testing.T) {
-	for _, name := range []string{"manthan3", "expand", "expand-iter", "cegar", "pedant"} {
+	for _, name := range []string{"manthan3", "expand", "cegar", "pedant"} {
 		if _, err := backend.Get(name); err != nil {
 			t.Fatalf("backend %q not registered: %v", name, err)
 		}
@@ -165,7 +165,7 @@ func TestBackendsEndToEnd(t *testing.T) {
 	inst := gen.Generate(gen.FamilyRandom, 0, 42)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	for _, name := range []string{"expand", "expand-iter", "pedant"} {
+	for _, name := range []string{"expand", "pedant"} {
 		b, err := backend.Get(name)
 		if err != nil {
 			t.Fatal(err)

@@ -6,9 +6,9 @@
 // A Backend wraps one Henkin-function synthesizer behind a uniform,
 // context-aware interface. Engines register themselves (in their package
 // init) into a process-global registry under a stable name — "manthan3",
-// "expand", "expand-iter", "cegar", "pedant" — and cmd/manthan3,
-// cmd/benchrunner, and internal/bench all dispatch through Resolve instead
-// of maintaining their own engine switches. Adding an engine is therefore
+// "expand", "cegar", "pedant" — and cmd/manthan3, cmd/benchrunner, and
+// internal/bench all dispatch through Resolve instead of maintaining their
+// own engine switches. Adding an engine is therefore
 // one Register call; every front end picks it up automatically.
 //
 // # Spec grammar

@@ -7,10 +7,10 @@ import "time"
 // per-phase CSV columns and the markdown phase-breakdown table line up
 // across engines:
 //
-//   - manthan3:            preprocess → sample → learn → verify-repair
-//   - expand, expand-iter: expand → solve → extract
-//   - cegar:               refine → extract
-//   - pedant:              define → refine
+//   - manthan3: preprocess → sample → learn → verify-repair
+//   - expand:   expand → solve → extract
+//   - cegar:    refine → extract
+//   - pedant:   define → refine
 //
 // The portfolio reports the winning member's phases unchanged.
 const (

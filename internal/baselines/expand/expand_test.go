@@ -90,55 +90,78 @@ func TestTooLargeGuards(t *testing.T) {
 	}
 }
 
-func TestAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	agree := 0
-	for trial := 0; trial < 60; trial++ {
-		in := dqbf.NewInstance()
-		nX := 1 + rng.Intn(3)
-		for i := 1; i <= nX; i++ {
-			in.AddUniv(cnf.Var(i))
-		}
-		nY := 1 + rng.Intn(2)
-		for j := 0; j < nY; j++ {
-			y := cnf.Var(nX + j + 1)
-			var deps []cnf.Var
-			for i := 1; i <= nX; i++ {
-				if rng.Intn(2) == 0 {
-					deps = append(deps, cnf.Var(i))
-				}
-			}
-			in.AddExist(y, deps)
-		}
-		for c := 0; c < 1+rng.Intn(4); c++ {
-			k := 1 + rng.Intn(3)
-			cl := make([]cnf.Lit, 0, k)
-			for j := 0; j < k; j++ {
-				v := cnf.Var(1 + rng.Intn(nX+nY))
-				cl = append(cl, cnf.MkLit(v, rng.Intn(2) == 0))
-			}
-			in.Matrix.AddClause(cl...)
-		}
-		want, err := dqbf.BruteForceTrue(in, 64)
-		if err != nil {
-			continue
-		}
-		agree++
-		res, err := Solve(context.Background(), in, Options{})
-		if want {
-			if err != nil {
-				t.Fatalf("trial %d: True instance rejected: %v", trial, err)
-			}
-			vr, verr := dqbf.VerifyVector(in, res.Vector, -1)
-			if verr != nil || !vr.Valid {
-				t.Fatalf("trial %d: invalid vector", trial)
-			}
-		} else if !errors.Is(err, ErrFalse) {
-			t.Fatalf("trial %d: False instance: got %v", trial, err)
-		}
+// randomInstance draws a small random DQBF: 1..maxX universals, 1..maxY
+// existentials with random dependency sets, and random 1–3-literal clauses.
+// The clause loop re-draws its bound on every iteration, so a seed's
+// instance sequence depends on that exact call order.
+func randomInstance(rng *rand.Rand, maxX, maxY, minClauses, clauseSpread int) *dqbf.Instance {
+	in := dqbf.NewInstance()
+	nX := 1 + rng.Intn(maxX)
+	for i := 1; i <= nX; i++ {
+		in.AddUniv(cnf.Var(i))
 	}
-	if agree < 20 {
-		t.Fatalf("too few comparable trials: %d", agree)
+	nY := 1 + rng.Intn(maxY)
+	for j := 0; j < nY; j++ {
+		y := cnf.Var(nX + j + 1)
+		var deps []cnf.Var
+		for i := 1; i <= nX; i++ {
+			if rng.Intn(2) == 0 {
+				deps = append(deps, cnf.Var(i))
+			}
+		}
+		in.AddExist(y, deps)
+	}
+	for c := 0; c < minClauses+rng.Intn(clauseSpread); c++ {
+		k := 1 + rng.Intn(3)
+		cl := make([]cnf.Lit, 0, k)
+		for j := 0; j < k; j++ {
+			v := cnf.Var(1 + rng.Intn(nX+nY))
+			cl = append(cl, cnf.MkLit(v, rng.Intn(2) == 0))
+		}
+		in.Matrix.AddClause(cl...)
+	}
+	return in
+}
+
+// TestAgainstBruteForce decides random instances with Solve and with
+// dqbf.BruteForceTrue, which shares no code with any engine, and requires
+// the same answer plus a verified vector on every True one. The second
+// generator draws wider instances (up to 4 universals and 3 existentials).
+func TestAgainstBruteForce(t *testing.T) {
+	for _, g := range []struct {
+		seed                     int64
+		trials, maxX, maxY       int
+		minClauses, clauseSpread int
+		maxCells, minDecided     int
+	}{
+		{seed: 23, trials: 60, maxX: 3, maxY: 2, minClauses: 1, clauseSpread: 4, maxCells: 64, minDecided: 20},
+		{seed: 37, trials: 40, maxX: 4, maxY: 3, minClauses: 2, clauseSpread: 5, maxCells: 24, minDecided: 30},
+	} {
+		rng := rand.New(rand.NewSource(g.seed))
+		decided := 0
+		for trial := 0; trial < g.trials; trial++ {
+			in := randomInstance(rng, g.maxX, g.maxY, g.minClauses, g.clauseSpread)
+			want, err := dqbf.BruteForceTrue(in, g.maxCells)
+			if err != nil {
+				continue
+			}
+			decided++
+			res, err := Solve(context.Background(), in, Options{})
+			if want {
+				if err != nil {
+					t.Fatalf("seed %d trial %d: True instance rejected: %v", g.seed, trial, err)
+				}
+				vr, verr := dqbf.VerifyVector(in, res.Vector, -1)
+				if verr != nil || !vr.Valid {
+					t.Fatalf("seed %d trial %d: invalid vector", g.seed, trial)
+				}
+			} else if !errors.Is(err, ErrFalse) {
+				t.Fatalf("seed %d trial %d: False instance: got %v", g.seed, trial, err)
+			}
+		}
+		if decided < g.minDecided {
+			t.Fatalf("seed %d: brute force decided %d of %d trials, want at least %d", g.seed, decided, g.trials, g.minDecided)
+		}
 	}
 }
 

@@ -8,9 +8,8 @@ import (
 	"repro/internal/dqbf"
 )
 
-// init registers both expansion engines with the shared backend registry:
-// "expand" (direct function-table expansion) and "expand-iter" (the literal
-// one-universal-at-a-time HQS elimination loop).
+// init registers the expansion engine with the shared backend registry as
+// "expand".
 func init() {
 	backend.Register(backend.NewFunc("expand",
 		func(ctx context.Context, in *dqbf.Instance, opts backend.Options) (*backend.Result, error) {
@@ -22,19 +21,6 @@ func init() {
 				Vector: res.Vector,
 				Stats: fmt.Sprintf("%d rows, %d table cells, %d instantiated clauses",
 					res.Stats.Rows, res.Stats.TableCells, res.Stats.ClausesOut),
-				Phases: res.Stats.Phases,
-			}, nil
-		}))
-	backend.Register(backend.NewFunc("expand-iter",
-		func(ctx context.Context, in *dqbf.Instance, opts backend.Options) (*backend.Result, error) {
-			res, err := SolveIterative(ctx, in, Options{SATConflictBudget: opts.SATConflictBudget})
-			if err != nil {
-				return nil, backendErr(err)
-			}
-			return &backend.Result{
-				Vector: res.Vector,
-				Stats: fmt.Sprintf("%d elimination steps, %d final existential copies",
-					res.Stats.Rows, res.Stats.TableCells),
 				Phases: res.Stats.Phases,
 			}, nil
 		}))

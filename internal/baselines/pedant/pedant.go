@@ -8,10 +8,10 @@
 // far. This reproduction keeps that architecture with a counterexample-
 // guided instantiation loop:
 //
-//  1. Detect uniquely-defined existentials with Padoa's theorem (statistics
-//     and early convergence; the arbiter loop handles their cells too). The
-//     per-existential checks run on a worker pool over an oracle.Pool of
-//     incremental doubled-ϕ solvers; see define.go.
+//  1. Detect uniquely-defined existentials with Padoa's theorem. Only
+//     Stats.DefinedVars reads the result; the arbiter loop handles their
+//     cells like any other. The per-existential checks run on a worker pool
+//     over an oracle.Pool of incremental doubled-ϕ solvers; see define.go.
 //  2. Maintain an incremental SAT instance over arbiter variables. Each
 //     verification counterexample β (an assignment of X where the current
 //     tables fail) instantiates every matrix clause under β, with
@@ -65,12 +65,14 @@ var (
 	ErrInternal = errors.New("pedant: internal panic")
 )
 
+// maxCellsPerVar caps arbiter-cell growth: Solve gives up with ErrTooLarge
+// once the allocated cells exceed maxCellsPerVar per existential.
+const maxCellsPerVar = 1 << 16
+
 // Options configures the synthesizer.
 type Options struct {
 	// MaxIterations caps counterexample rounds (default 4096).
 	MaxIterations int
-	// MaxCellsPerVar caps 2^|Hi| growth per existential (default 1<<16).
-	MaxCellsPerVar int
 	// SATConflictBudget bounds each SAT call (default 500000).
 	SATConflictBudget int64
 	// SkipDefinitionCheck disables the Padoa pass.
@@ -139,16 +141,13 @@ func Solve(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, error
 	if opts.MaxIterations == 0 {
 		opts.MaxIterations = 4096
 	}
-	if opts.MaxCellsPerVar == 0 {
-		opts.MaxCellsPerVar = 1 << 16
-	}
 	if opts.SATConflictBudget == 0 {
 		opts.SATConflictBudget = 500000
 	}
 	for _, y := range in.Exist {
 		// Arbiter cells are allocated lazily per counterexample, so large
 		// dependency sets are fine as long as few cells are touched; only
-		// row-index overflow is rejected up front. MaxCellsPerVar is
+		// row-index overflow is rejected up front. maxCellsPerVar is
 		// enforced on actually-allocated cells during instantiation.
 		if len(in.DepSet(y)) > 30 {
 			return nil, fmt.Errorf("%w: |H(%d)| = %d", ErrTooLarge, y, len(in.DepSet(y)))
@@ -209,7 +208,7 @@ func Solve(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, error
 		if err := e.instantiate(cex); err != nil {
 			return nil, err
 		}
-		if len(e.cells) > opts.MaxCellsPerVar*len(in.Exist) {
+		if len(e.cells) > maxCellsPerVar*len(in.Exist) {
 			return nil, fmt.Errorf("%w: %d arbiter cells", ErrTooLarge, len(e.cells))
 		}
 	}

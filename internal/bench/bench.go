@@ -121,10 +121,6 @@ type Options struct {
 	// pool. Default 1, for the same like-for-like reason as PreprocWorkers;
 	// results are bit-identical at every setting.
 	VerifyWorkers int
-	// Verify re-checks every synthesized vector with an independent SAT
-	// call (default true via VerifyBudget>0 semantics; disable by setting
-	// SkipVerify).
-	SkipVerify bool
 	// WrapBackend, when set, wraps every resolved backend before it runs —
 	// the seam the fault-injection harness (internal/faultinject,
 	// benchrunner's -faults flag) uses to inject dispatch-level faults. The
@@ -193,13 +189,11 @@ func RunEngine(ctx context.Context, engine string, in *dqbf.Instance, opts Optio
 	}
 	switch {
 	case err == nil:
-		if !opts.SkipVerify {
-			vr, verr := dqbf.VerifyVector(in, res.Vector, 2_000_000)
-			if verr != nil || !vr.Valid {
-				out.Outcome = Failed
-				out.Detail = fmt.Sprintf("vector failed verification: %v", verr)
-				return out
-			}
+		vr, verr := dqbf.VerifyVector(in, res.Vector, 2_000_000)
+		if verr != nil || !vr.Valid {
+			out.Outcome = Failed
+			out.Detail = fmt.Sprintf("vector failed verification: %v", verr)
+			return out
 		}
 		out.Outcome = Synthesized
 	case errors.Is(err, backend.ErrFalse):

@@ -45,8 +45,6 @@ type Options struct {
 	// NumSamples is the number of satisfying assignments to learn from
 	// (default 400).
 	NumSamples int
-	// TreeMaxDepth bounds candidate decision trees (default unbounded).
-	TreeMaxDepth int
 	// MaxRepairIterations caps verify-repair rounds (default 2000).
 	MaxRepairIterations int
 	// SATConflictBudget bounds each SAT oracle call (default 500000).
@@ -90,6 +88,11 @@ type Options struct {
 	// Logf, when non-nil, receives progress trace lines (used by the CLI's
 	// verbose mode; nil disables tracing).
 	Logf func(format string, args ...any)
+
+	// treeMaxDepth bounds candidate decision trees; 0, the only value
+	// outside tests, leaves them unbounded. Tests bound it to keep learning
+	// cheap so verify-repair dominates.
+	treeMaxDepth int
 }
 
 // tracef forwards to Options.Logf when configured.

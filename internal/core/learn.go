@@ -180,7 +180,7 @@ func (e *Engine) learnTree(samples []cnf.Assignment, yi cnf.Var) (learnedTree, e
 		ds.Rows[si] = row
 		ds.Labels[si] = s.Get(yi) == cnf.True
 	}
-	tree, err := dtree.Learn(ds, dtree.Options{MaxDepth: e.opts.TreeMaxDepth})
+	tree, err := dtree.Learn(ds, dtree.Options{MaxDepth: e.opts.treeMaxDepth})
 	if err != nil {
 		return learnedTree{}, err
 	}

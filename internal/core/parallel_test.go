@@ -14,7 +14,6 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
 	"repro/internal/oracle"
-	"repro/internal/sat"
 )
 
 // plantedChainInstance builds a True instance with nY existentials over nX
@@ -201,7 +200,7 @@ func TestParallelPreprocessDeterministic(t *testing.T) {
 // goroutines that oracle.ForEach started.
 func TestWorkerPanicIsInternal(t *testing.T) {
 	e := newEngine(context.Background(), preprocHeavyInstance(), Options{Seed: 7, PreprocWorkers: 2}.withDefaults())
-	e.testSolveHook = func(int64) (sat.StopCause, bool) { panic("injected solve panic") }
+	e.testSolveHook = func(int64) { panic("injected solve panic") }
 	_, err := e.synthesize()
 	if !errors.Is(err, ErrInternal) || !errors.Is(err, oracle.ErrPanic) {
 		t.Fatalf("want ErrInternal wrapping oracle.ErrPanic, got %v", err)

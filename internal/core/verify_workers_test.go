@@ -55,7 +55,7 @@ func twoBlockParityInstance() *dqbf.Instance {
 // batched path, so the determinism claim is not vacuous.
 func TestBatchedVerifyDeterministic(t *testing.T) {
 	res, err := Synthesize(context.Background(), twoBlockParityInstance(),
-		Options{Seed: 7, NumSamples: 8, TreeMaxDepth: 1, VerifyWorkers: 2})
+		Options{Seed: 7, NumSamples: 8, treeMaxDepth: 1, VerifyWorkers: 2})
 	if err != nil {
 		t.Fatalf("twoBlockParityInstance does not synthesize: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestBatchedVerifyDeterministic(t *testing.T) {
 	workerCounts := []int{1, 2, 3, runtime.NumCPU()}
 	for name, in := range instances {
 		opts := func(w int) Options {
-			return Options{Seed: 7, NumSamples: 8, TreeMaxDepth: 1, VerifyWorkers: w}
+			return Options{Seed: 7, NumSamples: 8, treeMaxDepth: 1, VerifyWorkers: w}
 		}
 		want := outcomeFingerprint(t, in, opts(workerCounts[0]))
 		for _, w := range workerCounts[1:] {

@@ -1,8 +1,7 @@
 // Package faultinject is a deterministic fault-injection harness for the
-// dispatch resilience layer: it wraps a backend.Backend (dispatch-level
-// faults) or a sat.Solver-constructing oracle source (solver-level faults)
-// so that a chosen invocation fails in a chosen way — a panic, a budget
-// exhaustion, a forced Unknown, a cancellation, or a latency stall.
+// dispatch resilience layer: it wraps a backend.Backend so that a chosen
+// invocation fails in a chosen way — a panic, a budget exhaustion, a forced
+// give-up, a cancellation, or a latency stall.
 //
 // A Plan is built from a seed and a list of Rules; each rule fires exactly
 // once, at the rule's 1-based invocation index (Rule.Nth) counted across
@@ -13,20 +12,16 @@
 // each rule exactly once, but which worker observes it depends on
 // scheduling.
 //
-// The two wrapping levels are exercised against different layers:
-//
-//   - Plan.Backend injects at the dispatch boundary, where Protect /
-//     SafeSynthesize and the portfolio/fallback/retry compositors must
-//     contain the damage (internal/backend). This package's fault matrix
-//     drives it through every dispatch shape, and cmd/benchrunner and
-//     cmd/manthand arm it through their -faults flags (see Parse for the
-//     spec grammar).
-//   - Plan.SolverSource injects inside the solvers a constructor builds,
-//     via sat.SolveHook. No engine accepts a solver source; this package's
-//     tests run it against a bare oracle.Pool, where Pool.With must evict a
-//     solver whose query panicked. Panics on an engine's own worker
-//     goroutines are covered in internal/core, through a test-only solve
-//     hook that oracle.ForEach's recover must contain.
+// Plan.Backend injects at the dispatch boundary, where Protect /
+// SafeSynthesize and the portfolio/fallback/retry compositors must contain
+// the damage (internal/backend). This package's fault matrix drives it
+// through every dispatch shape, and cmd/benchrunner and cmd/manthand arm it
+// through their -faults flags (see Parse for the spec grammar). Panics
+// below the dispatch boundary are covered where they are contained: on an
+// engine's own worker goroutines in internal/core, through a test-only
+// sat.SolveHook that oracle.ForEach's recover must contain, and under an
+// oracle.Pool checkout in internal/oracle, where Pool.With must evict the
+// panicking solver.
 //
 // The package is under the determinism contract — results must be
 // bit-identical across runs and worker counts (see internal/analysis).
@@ -44,20 +39,15 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/dqbf"
-	"repro/internal/sat"
 )
 
 // Kind names one injectable fault.
 type Kind string
 
-// The fault kinds. At the dispatch level (Plan.Backend) they surface as,
-// respectively: a recovered panic (backend.ErrInternal), backend.ErrBudget,
-// backend.ErrIncomplete, a run under an already-canceled context
-// (backend.ErrCanceled), and a delayed but otherwise untouched run. At the
-// solver level (Plan.SolverSource): a panic inside the solve call, Unknown
-// with StopConflictBudget (twice — a forced Unknown is indistinguishable
-// from budget exhaustion at this level), Unknown with StopCanceled, and a
-// sleep before the search proceeds normally.
+// The fault kinds. Plan.Backend surfaces them as, respectively: a recovered
+// panic (backend.ErrInternal), backend.ErrBudget, backend.ErrIncomplete, a
+// run under an already-canceled context (backend.ErrCanceled), and a
+// delayed but otherwise untouched run.
 const (
 	Panic   Kind = "panic"
 	Budget  Kind = "budget"
@@ -272,42 +262,4 @@ func (f *faulty) Synthesize(ctx context.Context, in *dqbf.Instance, opts backend
 		return f.base.Synthesize(ctx, in, opts)
 	}
 	return f.base.Synthesize(ctx, in, opts)
-}
-
-// SolverSource wraps a solver constructor (an oracle.Pool source, say) so
-// every solver it builds shares the plan's counter through a sat.SolveHook:
-// each Solve/SolveAssume call on any of the built solvers advances the plan
-// and the firing rule's fault is injected inside the solve. Budget and
-// Unknown rules force Unknown with StopConflictBudget, Cancel forces
-// Unknown with StopCanceled, Stall sleeps and lets the search proceed,
-// Panic panics inside the call. Its tests wrap a bare oracle.Pool, whose
-// With must evict the panicking solver; no engine takes a solver source.
-func (p *Plan) SolverSource(src func() *sat.Solver) func() *sat.Solver {
-	return func() *sat.Solver {
-		s := src()
-		s.SetSolveHook(p.hook)
-		return s
-	}
-}
-
-func (p *Plan) hook(int64) (sat.StopCause, bool) {
-	r, n := p.fire()
-	if r == nil {
-		return sat.StopNone, false
-	}
-	switch r.Kind {
-	case Panic:
-		panic(fmt.Sprintf("faultinject: injected panic at solve %d", n))
-	case Budget, Unknown:
-		return sat.StopConflictBudget, true
-	case Cancel:
-		return sat.StopCanceled, true
-	case Stall:
-		d := r.Stall
-		if d <= 0 {
-			d = DefaultStall
-		}
-		time.Sleep(d)
-	}
-	return sat.StopNone, false
 }

@@ -12,8 +12,6 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
 	"repro/internal/faultinject"
-	"repro/internal/oracle"
-	"repro/internal/sat"
 
 	_ "repro/internal/baselines/cegar"
 	_ "repro/internal/baselines/expand"
@@ -225,72 +223,6 @@ func truthTable(in *dqbf.Instance, fv *dqbf.FuncVector) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// TestSolverSourceInjection drives the solver-level harness directly: an
-// oracle pool built from a faulted source must surface a budget stop, evict
-// a panicking solver via With, and keep the process alive.
-func TestSolverSourceInjection(t *testing.T) {
-	newSolver := func() *sat.Solver {
-		s := sat.New()
-		s.AddClause(cnf.PosLit(1), cnf.PosLit(2))
-		return s
-	}
-
-	t.Run("budget", func(t *testing.T) {
-		plan := faultinject.New(1, faultinject.Rule{Kind: faultinject.Budget, Nth: 2})
-		pool := oracle.NewPool(1, plan.SolverSource(newSolver))
-		pool.With(func(s *sat.Solver) {
-			if st := s.Solve(); st != sat.Sat {
-				t.Fatalf("solve 1 should pass through, got %v", st)
-			}
-			if st := s.Solve(); st != sat.Unknown {
-				t.Fatalf("solve 2 should be injected Unknown, got %v", st)
-			}
-			if s.StopCause() != sat.StopConflictBudget {
-				t.Fatalf("want StopConflictBudget, got %v", s.StopCause())
-			}
-			if st := s.Solve(); st != sat.Sat {
-				t.Fatalf("rule must fire once; solve 3 got %v", st)
-			}
-		})
-	})
-
-	t.Run("panic-evicts", func(t *testing.T) {
-		plan := faultinject.New(1, faultinject.Rule{Kind: faultinject.Panic, Nth: 1})
-		pool := oracle.NewPool(1, plan.SolverSource(newSolver))
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("injected panic did not propagate out of With")
-				}
-			}()
-			pool.With(func(s *sat.Solver) { s.Solve() })
-		}()
-		if pool.Built() != 0 {
-			t.Fatalf("panicking solver not evicted: %d still built", pool.Built())
-		}
-		// The pool must still serve: the replacement build slot reopened.
-		pool.With(func(s *sat.Solver) {
-			if st := s.Solve(); st != sat.Sat {
-				t.Fatalf("replacement solver broken: %v", st)
-			}
-		})
-		if pool.Built() != 1 {
-			t.Fatalf("want 1 live solver after eviction+rebuild, got %d", pool.Built())
-		}
-	})
-
-	t.Run("cancel", func(t *testing.T) {
-		plan := faultinject.New(1, faultinject.Rule{Kind: faultinject.Cancel, Nth: 1})
-		s := plan.SolverSource(newSolver)()
-		if st := s.Solve(); st != sat.Unknown {
-			t.Fatalf("want injected Unknown, got %v", st)
-		}
-		if s.StopCause() != sat.StopCanceled {
-			t.Fatalf("want StopCanceled, got %v", s.StopCause())
-		}
-	})
 }
 
 func TestParse(t *testing.T) {

@@ -3,13 +3,13 @@
 // satisfied soft clauses. It stands in for the Open-WBO solver used by the
 // Manthan3 paper.
 //
-// Two strategies are provided. The default is model-improving linear search
-// (LSU): relax every soft clause with a fresh relaxation variable, then
-// repeatedly tighten an at-most-k bound over the relaxation variables
-// (sequential-counter encoding) until UNSAT. For instances with few violated
-// softs — the common case in Manthan3's FindCandi, where most candidate
-// outputs are already consistent — an assumption-driven core-guided warm-up
-// quickly lower-bounds the optimum.
+// The search is model-improving linear search (LSU): every soft clause is
+// relaxed with a fresh relaxation variable, and an at-most-k bound over the
+// relaxation variables (sequential-counter encoding) is tightened below
+// each new model's cost until UNSAT. The first SAT call assumes every soft
+// clause satisfied; when it succeeds the optimum is 0 and no bound is
+// built. Otherwise a call on the hard clauses alone gives the first model,
+// or proves the hard clauses UNSAT.
 //
 // SolveIncremental runs the same optimization against a caller-owned solver:
 // the hard formula stays loaded across queries, per-query machinery lives in

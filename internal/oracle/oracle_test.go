@@ -109,3 +109,39 @@ func TestPoolConcurrentCheckout(t *testing.T) {
 		t.Fatalf("Built()=%d exceeds size %d", p.Built(), size)
 	}
 }
+
+// TestPoolWithEvictsPanickingSolver pins With's eviction, which keeps a
+// panicking query from poisoning a pool: the panic propagates out of With,
+// the solver it hit leaves the pool, and the reopened build slot serves a
+// fresh solver.
+func TestPoolWithEvictsPanickingSolver(t *testing.T) {
+	var builds atomic.Int64
+	p := NewPool(1, newBuild(&builds))
+	var broken *sat.Solver
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("panic inside the query did not propagate out of With")
+			}
+		}()
+		p.With(func(s *sat.Solver) {
+			broken = s
+			s.SetSolveHook(func(int64) { panic("injected solve panic") })
+			s.Solve()
+		})
+	}()
+	if p.Built() != 0 {
+		t.Fatalf("panicking solver not evicted: %d still built", p.Built())
+	}
+	p.With(func(s *sat.Solver) {
+		if s == broken {
+			t.Fatal("evicted solver handed out again")
+		}
+		if st := s.SolveAssume([]cnf.Lit{cnf.PosLit(1)}); st != sat.Sat {
+			t.Fatalf("replacement solver broken: %v", st)
+		}
+	})
+	if p.Built() != 1 || builds.Load() != 2 {
+		t.Fatalf("after eviction and rebuild: Built()=%d, builds=%d, want 1 and 2", p.Built(), builds.Load())
+	}
+}

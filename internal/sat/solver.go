@@ -430,7 +430,7 @@ type Solver struct {
 	ctx            context.Context // nil = never interrupted
 	stopCause      StopCause       // why the last Solve returned Unknown
 	checkCnt       int64
-	solveHook      SolveHook // nil except under fault injection
+	solveHook      SolveHook // nil outside tests
 
 	// Restart policy state (restart.go).
 	conflictsSinceRestart int64
@@ -617,18 +617,15 @@ func (s *Solver) SetContext(ctx context.Context) { s.ctx = ctx }
 // Unknown (StopNone if it did not stop early).
 func (s *Solver) StopCause() StopCause { return s.stopCause }
 
-// A SolveHook observes — and may hijack — every Solve/SolveAssume call. It
-// runs at the top of the call with the 1-based lifetime solve index.
-// Returning inject=true forces the call to return Unknown with the given
-// StopCause without searching; inject=false lets the solve proceed
-// normally. The hook may also sleep (to simulate a latency stall) or panic
-// (to simulate a broken solver) — the deterministic fault-injection harness
-// (internal/faultinject) uses all three powers. Production code never sets a
-// hook.
-type SolveHook func(solveIndex int64) (cause StopCause, inject bool)
+// A SolveHook observes every Solve/SolveAssume call. It runs at the top of
+// the call with the 1-based lifetime solve index, before any search. Tests
+// install one that panics, to simulate a broken solver on a worker
+// goroutine (internal/core) or under an oracle.Pool checkout; production
+// code never sets a hook.
+type SolveHook func(solveIndex int64)
 
-// SetSolveHook installs h as the solver's fault-injection hook; nil (the
-// default) removes it.
+// SetSolveHook installs h as the solver's test hook; nil (the default)
+// removes it.
 func (s *Solver) SetSolveHook(h SolveHook) { s.solveHook = h }
 
 // StopCtxErr returns the context error matching the last stop cause —
@@ -1261,10 +1258,7 @@ func (s *Solver) SolveAssume(assumps []cnf.Lit) Status {
 	s.conflict = s.conflict[:0]
 	s.stopCause = StopNone
 	if s.solveHook != nil {
-		if cause, inject := s.solveHook(s.solves); inject {
-			s.stopCause = cause
-			return Unknown
-		}
+		s.solveHook(s.solves)
 	}
 	if !s.ok {
 		return Unsat

@@ -87,14 +87,6 @@ type Config struct {
 	// DefaultVerifyConflictBudget, negative disables verification (trust
 	// the engines — not recommended outside benchmarks).
 	VerifyConflictBudget int64
-	// VerifyCacheFormulas bounds how many distinct formulas keep warm
-	// verification pools (LRU beyond it); VerifyPoolSize is the solvers per
-	// formula; VerifySolverMaxUses retires a pooled solver after that many
-	// verifications (its variable tables grow with each one). Zeroes mean
-	// the Default* constants.
-	VerifyCacheFormulas int
-	VerifyPoolSize      int
-	VerifySolverMaxUses int
 
 	// WrapBackend, when non-nil, wraps every request's resolved backend
 	// before dispatch — the fault-injection seam (a fresh
@@ -118,9 +110,17 @@ const (
 	DefaultMaxDeadline          = 30 * time.Second
 	DefaultRetryAfter           = time.Second
 	DefaultVerifyConflictBudget = 200000
-	DefaultVerifyCacheFormulas  = 32
-	DefaultVerifyPoolSize       = 2
-	DefaultVerifySolverMaxUses  = 64
+)
+
+// Warm-verifier sizing, fixed for every server: DefaultVerifyCacheFormulas
+// formulas keep warm verification pools (LRU beyond it), each pool holds
+// DefaultVerifyPoolSize solvers, and a pooled solver retires after
+// DefaultVerifySolverMaxUses verifications, because its variable tables
+// grow with each one.
+const (
+	DefaultVerifyCacheFormulas = 32
+	DefaultVerifyPoolSize      = 2
+	DefaultVerifySolverMaxUses = 64
 )
 
 func (c Config) withDefaults() Config {
@@ -147,15 +147,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.VerifyConflictBudget == 0 {
 		c.VerifyConflictBudget = DefaultVerifyConflictBudget
-	}
-	if c.VerifyCacheFormulas <= 0 {
-		c.VerifyCacheFormulas = DefaultVerifyCacheFormulas
-	}
-	if c.VerifyPoolSize <= 0 {
-		c.VerifyPoolSize = DefaultVerifyPoolSize
-	}
-	if c.VerifySolverMaxUses <= 0 {
-		c.VerifySolverMaxUses = DefaultVerifySolverMaxUses
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -290,8 +281,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg: cfg,
-		verifier: newVerifier(cfg.VerifyCacheFormulas, cfg.VerifyPoolSize,
-			cfg.VerifySolverMaxUses, cfg.VerifyConflictBudget),
+		verifier: newVerifier(DefaultVerifyCacheFormulas, DefaultVerifyPoolSize,
+			DefaultVerifySolverMaxUses, cfg.VerifyConflictBudget),
 		queue:    make(chan *task, cfg.QueueDepth),
 		breakers: make(map[string]*breaker),
 	}

@@ -48,9 +48,7 @@ type verifier struct {
 
 type verifyEntry struct {
 	pool     *oracle.Pool
-	lastUsed int64      // verifier.tick at last checkout
-	mu       sync.Mutex // guards uses
-	uses     int
+	lastUsed int64 // verifier.tick at last checkout
 }
 
 func newVerifier(capacity, poolSize, maxUses int, budget int64) *verifier {
@@ -145,15 +143,11 @@ func (v *verifier) verify(ctx context.Context, fp string, in *dqbf.Instance, vec
 			v.evict(e, s, false)
 			return
 		}
-		e.mu.Lock()
-		uses := e.uses + 1
-		e.uses = uses
-		e.mu.Unlock()
-		if uses%v.maxUses == 0 {
+		if s.Stats().Solves >= int64(v.maxUses) {
 			// Retire the solver: every verification allocates fresh Tseitin
 			// and activation variables, so a long-lived solver's tables grow
-			// without bound. A periodic rebuild caps that at maxUses
-			// verifications' worth.
+			// without bound. Each verification is exactly one Solve, so the
+			// solver's own count caps that at maxUses verifications' worth.
 			v.evict(e, s, true)
 			return
 		}
