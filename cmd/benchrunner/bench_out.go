@@ -22,8 +22,9 @@ import (
 // benchmarks themselves from bit-rotting.
 
 // benchPackages are the benchmark suites the perf trajectory tracks: the
-// SAT core's micro-benchmarks and the synthesis engine's end-to-end ones.
-var benchPackages = []string{"./internal/sat", "./internal/core"}
+// SAT core's micro-benchmarks, the synthesis engine's end-to-end ones and
+// the universal expansion of the expand baseline.
+var benchPackages = []string{"./internal/sat", "./internal/core", "./internal/baselines/expand"}
 
 // benchResult is one benchmark's median metrics.
 type benchResult struct {

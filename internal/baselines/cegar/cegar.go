@@ -27,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/backend"
 	"repro/internal/boolfunc"
@@ -56,9 +55,8 @@ type Options struct {
 
 // Stats reports the work performed.
 type Stats struct {
-	Iterations  int
-	Moves       int // collected (region, witness) pairs
-	SynthesisNs int64
+	Iterations int
+	Moves      int // collected (region, witness) pairs
 	// Phases is the per-phase telemetry (refine → extract) in the shared
 	// backend vocabulary: refine covers the whole CEGAR loop (abstraction
 	// and completion oracle calls), extract the decision-list conversion.
@@ -75,7 +73,6 @@ type Result struct {
 // instances. Cancellation of ctx aborts the refinement loop and the SAT
 // calls promptly with ErrBudget (the ctx error stays in the chain).
 func Solve(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, error) {
-	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -123,7 +120,6 @@ func Solve(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, error
 		rec.Begin(backend.PhaseExtract)
 		vec := buildDecisionList(in, betas)
 		stats.Moves = len(moves)
-		stats.SynthesisNs = time.Since(start).Nanoseconds()
 		stats.Phases = rec.Phases()
 		return &Result{Vector: vec, Stats: stats}
 	}

@@ -39,7 +39,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/backend"
 	"repro/internal/boolfunc"
@@ -91,7 +90,6 @@ type Stats struct {
 	ArbiterVars int
 	InstClauses int
 	VerifyCalls int
-	SynthesisNs int64
 	// Phases is the per-phase telemetry (define → refine) in the shared
 	// backend vocabulary: define is the Padoa definition pass, refine the
 	// counterexample-guided arbiter loop (including its verification
@@ -130,8 +128,6 @@ type engine struct {
 // Cancellation of ctx aborts the counterexample loop and every SAT call
 // promptly with ErrBudget (the ctx error stays in the chain).
 func Solve(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, error) {
-	//lint:ignore determorder phase-telemetry timestamp (SynthesisNs); never feeds results
-	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -198,8 +194,6 @@ func Solve(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, error
 		}
 		if valid {
 			e.stats.ArbiterVars = len(e.cells)
-			//lint:ignore determorder phase-telemetry duration (SynthesisNs); never feeds results
-			e.stats.SynthesisNs = time.Since(start).Nanoseconds()
 			// Arbiter solves plus the one-shot verification solvers.
 			rec.AddOracle(e.arb.Stats().Solves + int64(e.stats.VerifyCalls))
 			e.stats.Phases = rec.Phases()
