@@ -1,7 +1,8 @@
 // Golden engine outcomes: the behaviour gate for changes that must not move
 // any engine's answer. Every registered engine runs on a fixed set of small
-// instances, and the outcome class plus the SHA-256 of the certificate text
-// must match testdata/engine_outcomes.golden line for line. Regenerate the
+// instances, every vector it returns must pass dqbf.VerifyVector, and the
+// outcome class plus the SHA-256 of the certificate text must match
+// testdata/engine_outcomes.golden line for line. Regenerate the
 // file (only when a change is meant to alter outcomes) with
 //
 //	go test -run TestGoldenEngineOutcomes -update .
@@ -68,7 +69,8 @@ func goldenInstances() []goldenInstance {
 }
 
 // TestGoldenEngineOutcomes runs every registered engine on the golden
-// instances with engine seed 1 and default worker counts, and compares
+// instances with engine seed 1 and default worker counts, checks every
+// returned vector with dqbf.VerifyVector, and compares
 // "<instance> <engine> <outcome> <certificate sha256 or ->" lines against
 // the committed golden file.
 func TestGoldenEngineOutcomes(t *testing.T) {
@@ -88,6 +90,10 @@ func TestGoldenEngineOutcomes(t *testing.T) {
 			}
 			cert := "-"
 			if err == nil {
+				vr, verr := dqbf.VerifyVector(inst.in, res.Vector, -1)
+				if verr != nil || !vr.Valid {
+					t.Fatalf("%s/%s: invalid vector (%v)", inst.name, name, verr)
+				}
 				var text bytes.Buffer
 				if werr := dqbf.WriteCertificate(&text, res.Vector); werr != nil {
 					t.Fatalf("%s/%s: writing certificate: %v", inst.name, name, werr)

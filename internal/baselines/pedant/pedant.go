@@ -21,7 +21,16 @@
 //     existential (default 0 on untouched cells); verification either
 //     certifies it or produces a new β. Unsatisfiability of the (partial)
 //     instantiation proves the DQBF False, since it under-approximates the
-//     full expansion.
+//     full expansion. Verification runs on one solver per run, loaded once
+//     with ¬ϕ and branching on X alone. Each cell (y, row) is encoded there
+//     once, when it is allocated: a match variable m ↔ (H(y) = row), a
+//     value variable a, and m → (y ↔ a). Untouched rows default to 0
+//     through a chain per existential, y → t₀ and tᵢ ↔ mᵢ ∨ tᵢ₊₁ for its
+//     i-th cell, whose newest link (the frontier) is assumed false. A round
+//     is one assumption solve — every frontier false, every value variable
+//     set to its cell's arbiter value — so nothing is released or
+//     re-encoded, and the function vector is built once, from the final
+//     model.
 //
 // The loop terminates: each counterexample's instantiation forces all later
 // models to satisfy ϕ on that β, and there are finitely many β. Like Pedant,
@@ -41,7 +50,6 @@ import (
 	"fmt"
 
 	"repro/internal/backend"
-	"repro/internal/boolfunc"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
 	"repro/internal/sat"
@@ -115,13 +123,21 @@ type engine struct {
 	in    *dqbf.Instance
 	opts  Options
 	stats Stats
+	xPos  map[cnf.Var]int
 
 	arb     *sat.Solver         // incremental arbiter instance
-	arbForm *cnf.Formula        // mirror of variables for allocation
 	cells   map[cellKey]cnf.Var // arbiter variable per touched cell
 	touched map[cnf.Var][]int   // y → rows with arbiter vars, in creation order
-	phi     *sat.Solver         // solver over ϕ for extension checks
-	xPos    map[cnf.Var]int
+	model   cnf.Assignment      // arbiter model of the current round
+
+	ver      *sat.Solver         // verification solver: ¬ϕ plus cell encodings
+	enc      *cnf.Formula        // ver's variable allocator; clauses not yet in ver
+	vals     []cnf.Var           // at v-1: ver's value variable of arbiter cell v
+	frontier map[cnf.Var]cnf.Var // y → newest link of y's default chain
+	assumps  []cnf.Lit
+	beta     cnf.Assignment // the last counterexample, on X
+	inst     []cnf.Lit      // scratch: one instantiated clause
+	cube     []cnf.Lit      // scratch: one row's literals over H(y)
 }
 
 // Solve synthesizes Henkin functions (or proves the instance False).
@@ -149,25 +165,7 @@ func Solve(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, error
 			return nil, fmt.Errorf("%w: |H(%d)| = %d", ErrTooLarge, y, len(in.DepSet(y)))
 		}
 	}
-	e := &engine{
-		ctx:     ctx,
-		in:      in,
-		opts:    opts,
-		arb:     sat.New(),
-		arbForm: cnf.New(0),
-		cells:   make(map[cellKey]cnf.Var),
-		touched: make(map[cnf.Var][]int),
-		phi:     sat.New(),
-		xPos:    make(map[cnf.Var]int, len(in.Univ)),
-	}
-	e.arb.SetConflictBudget(opts.SATConflictBudget)
-	e.phi.SetConflictBudget(opts.SATConflictBudget)
-	e.arb.SetContext(ctx)
-	e.phi.SetContext(ctx)
-	e.phi.AddFormula(in.Matrix)
-	for i, x := range in.Univ {
-		e.xPos[x] = i
-	}
+	e := newEngine(ctx, in, opts)
 
 	rec := backend.NewPhaseRecorder()
 	if !opts.SkipDefinitionCheck {
@@ -179,27 +177,28 @@ func Solve(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, error
 	}
 
 	rec.Begin(backend.PhaseRefine)
+	e.buildVerifier()
 	for iter := 0; iter < opts.MaxIterations; iter++ {
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("%w: interrupted: %w", ErrBudget, ctx.Err())
 		}
 		e.stats.Iterations = iter + 1
-		fv, err := e.currentVector()
-		if err != nil {
+		if err := e.solveArbiter(); err != nil {
 			return nil, err
 		}
-		cex, valid, err := e.verify(fv)
+		valid, err := e.verify()
 		if err != nil {
 			return nil, err
 		}
 		if valid {
+			fv := e.vector()
 			e.stats.ArbiterVars = len(e.cells)
-			// Arbiter solves plus the one-shot verification solvers.
+			// One arbiter solve and one verification solve per round.
 			rec.AddOracle(e.arb.Stats().Solves + int64(e.stats.VerifyCalls))
 			e.stats.Phases = rec.Phases()
 			return &Result{Vector: fv, Stats: e.stats}, nil
 		}
-		if err := e.instantiate(cex); err != nil {
+		if err := e.instantiate(); err != nil {
 			return nil, err
 		}
 		if len(e.cells) > maxCellsPerVar*len(in.Exist) {
@@ -209,35 +208,88 @@ func Solve(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, error
 	return nil, fmt.Errorf("%w: %d iterations", ErrBudget, opts.MaxIterations)
 }
 
-// cellVar returns (allocating on demand) the arbiter variable for y's row.
+// newEngine returns an engine with an empty arbiter instance; the
+// verification solver is built by buildVerifier.
+func newEngine(ctx context.Context, in *dqbf.Instance, opts Options) *engine {
+	e := &engine{
+		ctx:      ctx,
+		in:       in,
+		opts:     opts,
+		xPos:     make(map[cnf.Var]int, len(in.Univ)),
+		arb:      sat.New(),
+		cells:    make(map[cellKey]cnf.Var),
+		touched:  make(map[cnf.Var][]int),
+		frontier: make(map[cnf.Var]cnf.Var, len(in.Exist)),
+		beta:     cnf.NewAssignment(in.Matrix.NumVars),
+	}
+	e.arb.SetConflictBudget(opts.SATConflictBudget)
+	e.arb.SetContext(ctx)
+	for i, x := range in.Univ {
+		e.xPos[x] = i
+	}
+	return e
+}
+
+// buildVerifier loads ¬ϕ and the head of every existential's default chain,
+// y → t₀, into the run's one verification solver.
+func (e *engine) buildVerifier() {
+	enc := cnf.New(e.in.Matrix.NumVars)
+	e.in.Matrix.NegationInto(enc)
+	for _, y := range e.in.Exist {
+		t := enc.NewVar()
+		enc.AddClause(cnf.NegLit(y), cnf.PosLit(t))
+		e.frontier[y] = t
+	}
+	e.ver = sat.New()
+	e.ver.SetConflictBudget(e.opts.SATConflictBudget)
+	e.ver.SetContext(e.ctx)
+	e.ver.AddFormula(enc)
+	// Once X and the assumptions are set, propagation assigns every other
+	// variable: Y through the matching cell or the chain, then ¬ϕ's
+	// selectors.
+	e.ver.RestrictBranching(e.in.Univ)
+	enc.Clauses = enc.Clauses[:0]
+	e.enc = enc
+}
+
+// cellVar returns (allocating on demand) the arbiter variable for y's row. A
+// new cell's encoding in the verification solver — m ↔ (H(y) = row),
+// m → (y ↔ a), and the next link of y's chain — is queued in e.enc. Every
+// arbiter variable is allocated here, so e.vals[v-1] belongs to v.
 func (e *engine) cellVar(y cnf.Var, row int) cnf.Var {
-	k := cellKey{y, row}
-	if v, ok := e.cells[k]; ok {
+	key := cellKey{y, row}
+	if v, ok := e.cells[key]; ok {
 		return v
 	}
-	v := e.arbForm.NewVar()
-	e.arb.EnsureVars(int(v))
-	e.cells[k] = v
+	v := e.arb.NewVar()
+	e.cells[key] = v
 	e.touched[y] = append(e.touched[y], row)
+
+	m, a, next := e.enc.NewVar(), e.enc.NewVar(), e.enc.NewVar()
+	cube := e.cube[:0]
+	for k, d := range e.in.DepSet(y) {
+		cube = append(cube, cnf.MkLit(d, row&(1<<uint(k)) != 0))
+	}
+	e.cube = cube
+	e.enc.AddAndN(cnf.PosLit(m), cube)
+	e.enc.AddClause(cnf.NegLit(m), cnf.NegLit(a), cnf.PosLit(y))
+	e.enc.AddClause(cnf.NegLit(m), cnf.PosLit(a), cnf.NegLit(y))
+	e.enc.AddOr(cnf.PosLit(e.frontier[y]), cnf.PosLit(m), cnf.PosLit(next))
+	e.frontier[y] = next
+	e.vals = append(e.vals, a)
 	return v
 }
 
-// instantiate adds the clause instantiations for the universal assignment in
-// cex to the arbiter instance.
-func (e *engine) instantiate(cex cnf.Assignment) error {
-	beta := 0
-	for i, x := range e.in.Univ {
-		if cex.Get(x) == cnf.True {
-			beta |= 1 << uint(i)
-		}
-	}
+// instantiate adds the clause instantiations for the counterexample e.beta
+// to the arbiter instance.
+func (e *engine) instantiate() error {
 	added := false
 	for _, c := range e.in.Matrix.Clauses {
-		inst := make([]cnf.Lit, 0, len(c))
+		inst := e.inst[:0]
 		satisfied := false
 		for _, l := range c {
-			if p, isX := e.xPos[l.Var()]; isX {
-				if (beta&(1<<uint(p)) != 0) == l.IsPos() {
+			if _, isX := e.xPos[l.Var()]; isX {
+				if e.beta.LitValue(l) == cnf.True {
 					satisfied = true
 					break
 				}
@@ -246,12 +298,13 @@ func (e *engine) instantiate(cex cnf.Assignment) error {
 			y := l.Var()
 			row := 0
 			for k, d := range e.in.DepSet(y) {
-				if beta&(1<<uint(e.xPos[d])) != 0 {
+				if e.beta.Get(d) == cnf.True {
 					row |= 1 << uint(k)
 				}
 			}
 			inst = append(inst, cnf.MkLit(e.cellVar(y, row), l.IsPos()))
 		}
+		e.inst = inst
 		if satisfied {
 			continue
 		}
@@ -272,24 +325,58 @@ func (e *engine) instantiate(cex cnf.Assignment) error {
 	return nil
 }
 
-// currentVector solves the arbiter instance and reads back decision-list
-// functions: for each existential, the disjunction of the cubes of touched
-// rows whose arbiter is true (untouched cells default to 0).
-func (e *engine) currentVector() (*dqbf.FuncVector, error) {
+// solveArbiter solves the arbiter instance and reads its model into
+// e.model.
+func (e *engine) solveArbiter() error {
 	switch st := e.arb.Solve(); st {
 	case sat.Unsat:
-		return nil, ErrFalse
+		return ErrFalse
 	case sat.Unknown:
-		return nil, e.arb.UnknownError(ErrBudget, "arbiter SAT call")
+		return e.arb.UnknownError(ErrBudget, "arbiter SAT call")
 	}
-	m := e.arb.Model()
+	e.model = e.arb.ModelInto(e.model)
+	return nil
+}
+
+// verify checks the tables of e.model against ϕ; on failure the failing
+// universal assignment is left in e.beta.
+func (e *engine) verify() (bool, error) {
+	e.stats.VerifyCalls++
+	e.ver.EnsureVars(e.enc.NumVars)
+	e.ver.AddClauses(e.enc.Clauses)
+	e.enc.Clauses = e.enc.Clauses[:0]
+	as := e.assumps[:0]
+	for _, y := range e.in.Exist {
+		as = append(as, cnf.NegLit(e.frontier[y]))
+	}
+	for i, a := range e.vals {
+		as = append(as, cnf.MkLit(a, e.model.Get(cnf.Var(i+1)) == cnf.True))
+	}
+	e.assumps = as
+	switch st := e.ver.SolveAssume(as); st {
+	case sat.Unsat:
+		return true, nil
+	case sat.Sat:
+		for _, x := range e.in.Univ {
+			e.beta.Set(x, e.ver.ModelValue(x))
+		}
+		return false, nil
+	default:
+		return false, e.ver.UnknownError(ErrBudget, "verification")
+	}
+}
+
+// vector reads back decision-list functions from e.model: for each
+// existential, the disjunction of the cubes of touched rows whose arbiter is
+// true (untouched cells default to 0).
+func (e *engine) vector() *dqbf.FuncVector {
 	fv := dqbf.NewFuncVector(nil)
 	b := fv.B
 	for _, y := range e.in.Exist {
 		deps := e.in.DepSet(y)
 		f := b.False()
 		for _, row := range e.touched[y] {
-			if m.Get(e.cells[cellKey{y, row}]) != cnf.True {
+			if e.model.Get(e.cells[cellKey{y, row}]) != cnf.True {
 				continue
 			}
 			cube := b.True()
@@ -300,30 +387,5 @@ func (e *engine) currentVector() (*dqbf.FuncVector, error) {
 		}
 		fv.Funcs[y] = f
 	}
-	return fv, nil
-}
-
-// verify checks the candidate vector against ϕ; on failure it returns the
-// failing universal assignment.
-func (e *engine) verify(fv *dqbf.FuncVector) (cnf.Assignment, bool, error) {
-	e.stats.VerifyCalls++
-	dst := cnf.New(e.in.Matrix.NumVars)
-	e.in.Matrix.NegationInto(dst)
-	for _, y := range e.in.Exist {
-		out := fv.B.ToCNF(fv.Funcs[y], dst, boolfunc.CNFOptions{})
-		dst.AddEquivLit(cnf.PosLit(y), out)
-	}
-	s := sat.New()
-	s.SetConflictBudget(e.opts.SATConflictBudget)
-	s.SetContext(e.ctx)
-	s.AddFormula(dst)
-	switch st := s.Solve(); st {
-	case sat.Unsat:
-		return nil, true, nil
-	case sat.Sat:
-		m := s.Model()
-		return m.Restrict(e.in.Univ), false, nil
-	default:
-		return nil, false, s.UnknownError(ErrBudget, "verification")
-	}
+	return fv
 }
