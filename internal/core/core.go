@@ -16,10 +16,12 @@
 //	              (ϕ ∧ ¬ϕ with primed existentials) for the unate checks, so
 //	              per-existential queries are assumption calls instead of
 //	              fresh formula constructions;
-//	sample        constrained sampling of ϕ for the training set Σ;
+//	sample        constrained sampling of ϕ for the training set Σ,
+//	              packed once into one bitset column per variable of X ∪ Y;
 //	learn         per-existential decision trees respecting the Henkin
 //	              dependencies (Algorithm 2), speculatively parallel
-//	              (Options.LearnWorkers);
+//	              (Options.LearnWorkers), each learned by dtree straight
+//	              from the packed columns of its features and its label;
 //	verify-repair the counterexample-guided loop (Algorithms 1 and 3):
 //	              verify the candidate vector, localize faults with MaxSAT,
 //	              repair with UNSAT-core-guided strengthening/weakening.

@@ -236,7 +236,7 @@ type Engine struct {
 	candi       *maxsat.Incremental
 	candiSolver *sat.Solver // candi's base solver, for oracle accounting
 
-	samples []cnf.Assignment // training set Σ, produced by the sample phase
+	sigma sampleMatrix // training set Σ, packed by the sample phase
 
 	// extraOracle counts solver calls outside the persistent solvers: the
 	// tautology check's fresh solver, pooled preprocessing queries (merged

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/boolfunc"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
@@ -528,5 +529,42 @@ func TestProblemLineDoesNotSizeTables(t *testing.T) {
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
 		t.Fatalf("synthesis allocated %d bytes, want < 1 MB", n)
+	}
+}
+
+// TestSamplerBudgetIsBudget: a satisfiable ϕ whose sampling draws all run
+// out of the sampler's per-draw conflict budget ends the run as ErrBudget,
+// which the backend classifies as budget (and retry(k): retries), not as an
+// unclassified error.
+func TestSamplerBudgetIsBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sampling runs about 5 s and 10x that under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("multi-second sampling run is not short")
+	}
+	// ∀x1 ∃y2…y221, every y depending on x1, over 924 random 3-clauses on
+	// the y's plus (x1 ∨ y2 ∨ ¬y2).
+	in := dqbf.NewInstance()
+	in.AddUniv(1)
+	for v := cnf.Var(2); v <= 221; v++ {
+		in.AddExist(v, []cnf.Var{1})
+	}
+	rng := rand.New(rand.NewSource(5))
+	for c := 0; c < 924; c++ {
+		var lits [3]cnf.Lit
+		for k := range lits {
+			v := cnf.Var(2 + rng.Intn(220))
+			lits[k] = cnf.MkLit(v, rng.Intn(2) != 0)
+		}
+		in.Matrix.AddClause(lits[:]...)
+	}
+	in.Matrix.AddClause(1, 2, -2)
+	_, err := Synthesize(context.Background(), in, Options{Seed: 1, LearnWorkers: 1, PreprocWorkers: 1, VerifyWorkers: 1})
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("got %v, want ErrBudget", err)
+	}
+	if got := backend.Classify(backendErr(err)); got != backend.OutcomeBudget {
+		t.Fatalf("backend classifies %v as %q, want %q", err, got, backend.OutcomeBudget)
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cnf"
 	"repro/internal/dtree"
@@ -11,24 +13,28 @@ import (
 
 // samplePhase is the data-generation phase (Algorithm 1 lines 1-2): it
 // draws the training set Σ via constrained sampling of ϕ and parks it on
-// the engine for the learn phase.
+// the engine, packed column-major, for the learn phase.
 func (e *Engine) samplePhase() error {
-	samples, err := e.drawSamples()
+	vars := make([]cnf.Var, 0, len(e.in.Univ)+len(e.in.Exist))
+	vars = append(vars, e.in.Univ...)
+	vars = append(vars, e.in.Exist...)
+	samples, err := e.drawSamples(vars)
 	if err != nil {
 		return err
 	}
-	e.samples = samples
+	e.sigma = packSamples(vars, samples)
 	e.stats.Samples = len(samples)
 	return nil
 }
 
 // learnPhase is the candidate-learning phase (Algorithm 1 lines 3-7 and
-// Algorithm 2) over the sample phase's Σ.
+// Algorithm 2) over the sample phase's packed Σ.
 //
 // Decision-tree learning is the expensive part and, given the samples and a
 // snapshot of the dependency matrix, each existential's tree is independent
 // of the others, so the trees are learned speculatively through
-// oracle.ForEach (Options.LearnWorkers). The deps/recordUse bookkeeping is
+// oracle.ForEach (Options.LearnWorkers). Every learner reads the same packed
+// Σ and owns only its tree's scratch. The deps/recordUse bookkeeping is
 // NOT independent — in the serial algorithm, the tree learned for y1 bans y1
 // as a feature for later trees that would close a reference cycle — so the
 // learned trees are merged back sequentially in declaration order: a tree
@@ -38,8 +44,6 @@ func (e *Engine) samplePhase() error {
 // only on declaration order, the resulting candidates are bit-identical for
 // every worker count.
 func (e *Engine) learnPhase() error {
-	samples := e.samples
-
 	// Lines 3-5: dependency constraints from strict subset relations — if
 	// Hj ⊂ Hi then yi may depend on yj, so preemptively record yi ∈ d_j,
 	// which bans yj from ever using yi as a feature.
@@ -55,7 +59,7 @@ func (e *Engine) learnPhase() error {
 	}
 
 	// Line 7: learn a candidate per existential. The worker pool reads the
-	// engine (samples, instance, dependency matrix) strictly read-only; all
+	// engine (Σ, instance, dependency matrix) strictly read-only; all
 	// mutation happens in the sequential merge below.
 	todo := make([]cnf.Var, 0, len(e.in.Exist))
 	for _, yi := range e.in.Exist {
@@ -64,28 +68,26 @@ func (e *Engine) learnPhase() error {
 		}
 		todo = append(todo, yi)
 	}
-	learned, err := e.learnTrees(samples, todo)
+	learned, err := e.learnTrees(todo)
 	if err != nil {
 		return err
 	}
 	// Deterministic merge in declaration order.
 	for i, yi := range todo {
-		if err := e.mergeCandidate(samples, yi, learned[i]); err != nil {
+		if err := e.mergeCandidate(yi, learned[i]); err != nil {
 			return err
 		}
 	}
-	e.samples = nil // Σ is dead after learning; free it before verify-repair
+	e.sigma = sampleMatrix{} // Σ is dead after learning; free it before verify-repair
 	e.findOrder()
 	e.tracef("learned %d candidates from %d samples; order %v",
 		len(e.funcs), e.stats.Samples, e.order)
 	return nil
 }
 
-// drawSamples produces the training data Σ via constrained sampling of ϕ.
-func (e *Engine) drawSamples() ([]cnf.Assignment, error) {
-	vars := make([]cnf.Var, 0, len(e.in.Univ)+len(e.in.Exist))
-	vars = append(vars, e.in.Univ...)
-	vars = append(vars, e.in.Exist...)
+// drawSamples produces the training data Σ via constrained sampling of ϕ,
+// projected onto vars (X ∪ Y).
+func (e *Engine) drawSamples(vars []cnf.Var) ([]cnf.Assignment, error) {
 	adaptive := e.in.Exist
 	if e.opts.DisableAdaptiveSampling {
 		adaptive = nil
@@ -102,9 +104,54 @@ func (e *Engine) drawSamples() ([]cnf.Assignment, error) {
 		if cerr := e.interrupted(); cerr != nil {
 			return nil, cerr
 		}
+		if errors.Is(err, sampler.ErrBudget) {
+			return nil, fmt.Errorf("%w: sampling: %w", ErrBudget, err)
+		}
 		return nil, fmt.Errorf("core: sampling: %w", err)
 	}
 	return samples, nil
+}
+
+// sampleMatrix is the training set Σ packed column-major: one bitset of
+// stride words per sampled variable, bit i holding sample i's value.
+type sampleMatrix struct {
+	n      int      // |Σ|
+	stride int      // words per column, ⌈n/64⌉
+	bits   []uint64 // column k at bits[k*stride : (k+1)*stride]
+	slot   []int    // slot[v]: v's column index; -1 for an unsampled variable
+}
+
+// packSamples packs the samples' values of vars into a sampleMatrix.
+func packSamples(vars []cnf.Var, samples []cnf.Assignment) sampleMatrix {
+	maxV := cnf.Var(0)
+	for _, v := range vars {
+		maxV = max(maxV, v)
+	}
+	m := sampleMatrix{
+		n:      len(samples),
+		stride: dtree.Words(len(samples)),
+		slot:   make([]int, maxV+1),
+	}
+	for v := range m.slot {
+		m.slot[v] = -1
+	}
+	m.bits = make([]uint64, len(vars)*m.stride)
+	for k, v := range vars {
+		m.slot[v] = k
+		col := m.col(v)
+		for i, s := range samples {
+			if s.Get(v) == cnf.True {
+				col[i/64] |= 1 << (i % 64)
+			}
+		}
+	}
+	return m
+}
+
+// col returns v's column. v must be a sampled variable.
+func (m *sampleMatrix) col(v cnf.Var) []uint64 {
+	k := m.slot[v]
+	return m.bits[k*m.stride : (k+1)*m.stride : (k+1)*m.stride]
 }
 
 // learnedTree is the output of the speculative learning phase for one
@@ -120,11 +167,11 @@ type learnedTree struct {
 // oracle.ForEach with Options.LearnWorkers workers. Workers only read shared
 // state; results land at their own index, so the output is independent of
 // scheduling.
-func (e *Engine) learnTrees(samples []cnf.Assignment, todo []cnf.Var) ([]learnedTree, error) {
+func (e *Engine) learnTrees(todo []cnf.Var) ([]learnedTree, error) {
 	out := make([]learnedTree, len(todo))
 	err := oracle.ForEach(e.ctx, e.opts.LearnWorkers, len(todo), func(i int) (err error) {
-		if out[i], err = e.learnTree(samples, todo[i]); err != nil {
-			return fmt.Errorf("core: learning candidate for %d: %w", todo[i], err)
+		if out[i], err = e.learnTree(todo[i]); err != nil {
+			return fmt.Errorf("%w: learning candidate for %d: %w", ErrInternal, todo[i], err)
 		}
 		return nil
 	})
@@ -153,32 +200,29 @@ func (e *Engine) featuresFor(yi cnf.Var) []cnf.Var {
 	return featset
 }
 
-// learnTree learns one candidate tree for yi over featuresFor(yi).
-func (e *Engine) learnTree(samples []cnf.Assignment, yi cnf.Var) (learnedTree, error) {
+// learnTree learns one candidate tree for yi over featuresFor(yi), on the
+// columns of packed Σ: the features' columns and yi's as the labels. A shape
+// error from dtree means core packed Σ wrong, so callers classify it as
+// ErrInternal.
+func (e *Engine) learnTree(yi cnf.Var) (learnedTree, error) {
 	featset := e.featuresFor(yi)
+	labels := e.sigma.col(yi)
 	if len(featset) == 0 {
 		// No features: learn the majority label as a constant.
 		pos := 0
-		for _, s := range samples {
-			if s.Get(yi) == cnf.True {
-				pos++
-			}
+		for _, w := range labels {
+			pos += bits.OnesCount64(w)
 		}
-		return learnedTree{constVal: pos*2 >= len(samples)}, nil
+		return learnedTree{constVal: pos*2 >= e.sigma.n}, nil
 	}
 	ds := &dtree.Dataset{
 		Features: featset,
-		Rows:     make([][]bool, len(samples)),
-		Labels:   make([]bool, len(samples)),
+		N:        e.sigma.n,
+		Cols:     make([][]uint64, len(featset)),
+		Labels:   labels,
 	}
-	flat := make([]bool, len(samples)*len(featset))
-	for si, s := range samples {
-		row := flat[si*len(featset) : (si+1)*len(featset) : (si+1)*len(featset)]
-		for k, v := range featset {
-			row[k] = s.Get(v) == cnf.True
-		}
-		ds.Rows[si] = row
-		ds.Labels[si] = s.Get(yi) == cnf.True
+	for k, v := range featset {
+		ds.Cols[k] = e.sigma.col(v)
 	}
 	tree, err := dtree.Learn(ds, dtree.Options{MaxDepth: e.opts.treeMaxDepth})
 	if err != nil {
@@ -194,14 +238,14 @@ func (e *Engine) learnTree(samples []cnf.Assignment, yi cnf.Var) (learnedTree, e
 // cycle), the tree is relearned serially against the current dependency
 // matrix first — the one spot where speculative parallelism and the serial
 // semantics can disagree.
-func (e *Engine) mergeCandidate(samples []cnf.Assignment, yi cnf.Var, lt learnedTree) error {
+func (e *Engine) mergeCandidate(yi cnf.Var, lt learnedTree) error {
 	if lt.tree != nil {
 		for _, yk := range lt.tree.UsedFeatures() {
 			if e.in.IsExist(yk) && e.deps[yi][yk] {
 				e.stats.LearnConflicts++
-				relearned, err := e.learnTree(samples, yi)
+				relearned, err := e.learnTree(yi)
 				if err != nil {
-					return fmt.Errorf("core: relearning candidate for %d: %w", yi, err)
+					return fmt.Errorf("%w: relearning candidate for %d: %w", ErrInternal, yi, err)
 				}
 				lt = relearned
 				break

@@ -4,6 +4,14 @@
 // uses (via Scikit-Learn's DecisionTreeClassifier) to learn candidate Henkin
 // functions.
 //
+// The training set is column-major: one bitset per feature and one for the
+// labels, bit i holding row i's value. A node is a bitset mask over the rows
+// that reach it, so scoring a candidate split takes popcounts of the mask
+// ANDed with the feature and label columns, and a split is one AND and one
+// AND-NOT per word. The counts, the Gini expression and the first-wins tie
+// rule are those of the row-scanning ID3 builder the tests keep as a
+// reference, so the learned trees are structurally identical to it.
+//
 // A learned tree converts to a Boolean function as the disjunction of the
 // root-to-leaf paths that end in a leaf labeled 1 (paper Algorithm 2,
 // lines 7-10).
@@ -11,6 +19,7 @@ package dtree
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/boolfunc"
 	"repro/internal/cnf"
@@ -25,26 +34,40 @@ type Options struct {
 	MinSamplesSplit int
 }
 
-// Dataset is a labeled Boolean training set. Row i has feature values
-// Rows[i] (parallel to Features) and label Labels[i].
+// Dataset is a labeled Boolean training set of N rows, stored column-major:
+// bit i of Cols[k] is row i's value of Features[k], and bit i of Labels is
+// row i's label. Every bitset holds Words(N) words; bits at or above N are
+// never read.
 type Dataset struct {
 	// Features names each column with the propositional variable it samples.
 	Features []cnf.Var
-	// Rows holds one feature vector per sample.
-	Rows [][]bool
-	// Labels holds the target value per sample.
-	Labels []bool
+	// N is the number of rows.
+	N int
+	// Cols holds one bitset per feature, parallel to Features.
+	Cols [][]uint64
+	// Labels holds the target value of every row.
+	Labels []uint64
 }
+
+// Words returns the number of 64-bit words a bitset over n rows occupies.
+func Words(n int) int { return (n + 63) / 64 }
 
 // Validate checks shape consistency.
 func (d *Dataset) Validate() error {
-	if len(d.Rows) != len(d.Labels) {
-		return fmt.Errorf("dtree: %d rows but %d labels", len(d.Rows), len(d.Labels))
+	if d.N < 1 {
+		return fmt.Errorf("dtree: empty dataset (%d rows)", d.N)
 	}
-	for i, r := range d.Rows {
-		if len(r) != len(d.Features) {
-			return fmt.Errorf("dtree: row %d has %d values for %d features", i, len(r), len(d.Features))
+	w := Words(d.N)
+	if len(d.Cols) != len(d.Features) {
+		return fmt.Errorf("dtree: %d columns for %d features", len(d.Cols), len(d.Features))
+	}
+	for k, c := range d.Cols {
+		if len(c) != w {
+			return fmt.Errorf("dtree: column %d has %d words for %d rows, want %d", k, len(c), d.N, w)
 		}
+	}
+	if len(d.Labels) != w {
+		return fmt.Errorf("dtree: labels have %d words for %d rows, want %d", len(d.Labels), d.N, w)
 	}
 	return nil
 }
@@ -63,9 +86,40 @@ func (n *Node) IsLeaf() bool { return n.Feature == 0 }
 
 // Tree is a learned classifier.
 type Tree struct {
-	Root     *Node
-	Features []cnf.Var
-	featIdx  map[cnf.Var]int
+	Root *Node
+}
+
+// learner holds one Learn call's read-only dataset and its scratch: one row
+// mask per tree depth, the node's mask ANDed with the labels, and the slab
+// the tree's nodes come from.
+type learner struct {
+	d        *Dataset
+	used     []bool     // features tested on the path to the current node
+	masks    [][]uint64 // masks[k]: rows reaching the current node at depth k
+	maskPos  []uint64   // the current node's mask & Labels, rebuilt per node
+	minSplit int
+	slab     []Node // unused nodes of the current chunk
+	chunk    int    // size of the last chunk allocated
+}
+
+// node returns a zero node from the slab, refilled in chunks that double
+// from 16 to 128 nodes, so a tree costs a few allocations instead of one
+// per node.
+func (l *learner) node() *Node {
+	if len(l.slab) == 0 {
+		l.chunk = min(max(2*l.chunk, 16), 128)
+		l.slab = make([]Node, l.chunk)
+	}
+	n := &l.slab[0]
+	l.slab = l.slab[1:]
+	return n
+}
+
+// leaf returns a leaf node labeled label.
+func (l *learner) leaf(label bool) *Node {
+	n := l.node()
+	n.Label = label
+	return n
 }
 
 // Learn fits a decision tree to the dataset with ID3/Gini.
@@ -73,98 +127,98 @@ func Learn(d *Dataset, opts Options) (*Tree, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	if len(d.Rows) == 0 {
-		return nil, fmt.Errorf("dtree: empty dataset")
-	}
 	minSplit := opts.MinSamplesSplit
 	if minSplit <= 0 {
 		minSplit = 2
 	}
-	idx := make([]int, len(d.Rows))
-	for i := range idx {
-		idx[i] = i
+	// Every split tests a feature not yet tested on its path, so nodes sit
+	// at depths 0…|Features|, each depth owning one mask.
+	w := Words(d.N)
+	levels := len(d.Features) + 1
+	flat := make([]uint64, (levels+1)*w)
+	l := &learner{
+		d:        d,
+		used:     make([]bool, len(d.Features)),
+		masks:    make([][]uint64, levels),
+		maskPos:  flat[levels*w:],
+		minSplit: minSplit,
 	}
-	used := make([]bool, len(d.Features))
-	scratch := make([]int, len(d.Rows))
-	root := build(d, idx, scratch, used, opts.MaxDepth, minSplit)
-	fi := make(map[cnf.Var]int, len(d.Features))
-	for i, f := range d.Features {
-		fi[f] = i
+	for k := range l.masks {
+		l.masks[k] = flat[k*w : (k+1)*w : (k+1)*w]
 	}
-	return &Tree{Root: root, Features: append([]cnf.Var(nil), d.Features...), featIdx: fi}, nil
+	root := l.masks[0]
+	for i := range root {
+		root[i] = ^uint64(0)
+	}
+	if r := d.N % 64; r != 0 {
+		root[w-1] = 1<<r - 1
+	}
+	return &Tree{Root: l.build(0, opts.MaxDepth)}, nil
 }
 
-func build(d *Dataset, idx, scratch []int, used []bool, depthLeft, minSplit int) *Node {
-	pos := 0
-	for _, i := range idx {
-		if d.Labels[i] {
-			pos++
-		}
+// build grows the subtree of the rows in l.masks[depth]; its children's
+// masks go to l.masks[depth+1], one after the other.
+func (l *learner) build(depth, depthLeft int) *Node {
+	d, mask := l.d, l.masks[depth]
+	maskPos, labels := l.maskPos[:len(mask)], d.Labels[:len(mask)]
+	n, pos := 0, 0
+	for i, m := range mask {
+		mp := m & labels[i]
+		maskPos[i] = mp
+		n += bits.OnesCount64(m)
+		pos += bits.OnesCount64(mp)
 	}
-	majority := pos*2 >= len(idx)
-	if pos == 0 || pos == len(idx) || len(idx) < minSplit || depthLeft == 1 {
-		return &Node{Label: majority}
+	majority := pos*2 >= n
+	if pos == 0 || pos == n || n < l.minSplit || depthLeft == 1 {
+		return l.leaf(majority)
 	}
 	// Pick the split with minimum weighted Gini. Like CART, a split is taken
 	// whenever the node is impure and some feature separates the rows, even
 	// if the impurity does not strictly decrease at this level (XOR-shaped
 	// targets need that to make progress). The scan only counts; the winning
-	// feature's partition is materialized once afterwards.
+	// feature's children are masked out once afterwards.
 	bestF := -1
 	bestGini := 2.0
-	for f := range d.Features {
-		if used[f] {
+	for f, col := range d.Cols {
+		if l.used[f] {
 			continue
 		}
-		loN, hiN, loPos, hiPos := 0, 0, 0, 0
-		for _, i := range idx {
-			if d.Rows[i][f] {
-				hiN++
-				if d.Labels[i] {
-					hiPos++
-				}
-			} else {
-				loN++
-				if d.Labels[i] {
-					loPos++
-				}
-			}
+		col = col[:len(mask)]
+		hiN, hiPos := 0, 0
+		for i, m := range mask {
+			hiN += bits.OnesCount64(m & col[i])
+			hiPos += bits.OnesCount64(maskPos[i] & col[i])
 		}
+		loN, loPos := n-hiN, pos-hiPos
 		if loN == 0 || hiN == 0 {
 			continue
 		}
-		g := (float64(loN)*giniOf(loPos, loN) + float64(hiN)*giniOf(hiPos, hiN)) / float64(len(idx))
+		g := (float64(loN)*giniOf(loPos, loN) + float64(hiN)*giniOf(hiPos, hiN)) / float64(n)
 		if g < bestGini-1e-12 {
 			bestGini, bestF = g, f
 		}
 	}
 	if bestF < 0 {
-		return &Node{Label: majority}
+		return l.leaf(majority)
 	}
-	// Stable in-place partition of idx into [lo | hi]: hi rows are parked in
-	// scratch while lo rows compact to the front, preserving sample order on
-	// both sides (identical subsets to the old append-built slices).
-	nLo := 0
-	nHi := 0
-	for _, i := range idx {
-		if d.Rows[i][bestF] {
-			scratch[nHi] = i
-			nHi++
-		} else {
-			idx[nLo] = i
-			nLo++
-		}
-	}
-	copy(idx[nLo:], scratch[:nHi])
-	used[bestF] = true
 	nextDepth := depthLeft
 	if nextDepth > 0 {
 		nextDepth--
 	}
-	lo := build(d, idx[:nLo], scratch, used, nextDepth, minSplit)
-	hi := build(d, idx[nLo:], scratch, used, nextDepth, minSplit)
-	used[bestF] = false
-	return &Node{Feature: d.Features[bestF], Lo: lo, Hi: hi}
+	col, child := d.Cols[bestF][:len(mask)], l.masks[depth+1][:len(mask)]
+	nd := l.node()
+	nd.Feature = d.Features[bestF]
+	l.used[bestF] = true
+	for i, m := range mask {
+		child[i] = m &^ col[i]
+	}
+	nd.Lo = l.build(depth+1, nextDepth)
+	for i, m := range mask {
+		child[i] = m & col[i]
+	}
+	nd.Hi = l.build(depth+1, nextDepth)
+	l.used[bestF] = false
+	return nd
 }
 
 // giniOf returns the Gini impurity of a node with pos positives out of n.

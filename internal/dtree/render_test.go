@@ -8,8 +8,8 @@ import (
 )
 
 func TestStringLeafOnly(t *testing.T) {
-	d := &Dataset{Features: []cnf.Var{1}, Rows: [][]bool{{true}}, Labels: []bool{true}}
-	tr, err := Learn(d, Options{})
+	r := &rowData{features: []cnf.Var{1}, rows: [][]bool{{true}}, labels: []bool{true}}
+	tr, err := learnRows(r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,8 +20,8 @@ func TestStringLeafOnly(t *testing.T) {
 
 func TestStringStructure(t *testing.T) {
 	feats := []cnf.Var{7}
-	d := tableDataset(feats, func(r []bool) bool { return r[0] })
-	tr, err := Learn(d, Options{})
+	r := tableDataset(feats, func(row []bool) bool { return row[0] })
+	tr, err := learnRows(r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +35,8 @@ func TestStringStructure(t *testing.T) {
 
 func TestStringNestedIndent(t *testing.T) {
 	feats := []cnf.Var{1, 2}
-	d := tableDataset(feats, func(r []bool) bool { return r[0] != r[1] })
-	tr, err := Learn(d, Options{})
+	r := tableDataset(feats, func(row []bool) bool { return row[0] != row[1] })
+	tr, err := learnRows(r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,19 @@ package sampler
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/cnf"
 	"repro/internal/sat"
 )
+
+// ErrBudget means a Sample call produced no sample because three draws in a
+// row ran out of their conflict budget (Options.MaxConflictsPerSample).
+// Callers map it onto their own budget outcome: more effort or another seed
+// may succeed.
+var ErrBudget = errors.New("sampler: per-sample conflict budget exhausted")
 
 // Options configures sampling.
 type Options struct {
@@ -45,7 +52,9 @@ type Stats struct {
 // Sample draws up to n satisfying assignments of f, pairwise distinct on the
 // projection to opts.Vars. It returns fewer when the formula has fewer
 // distinct projected solutions or when budgets run out, and an error when the
-// formula is unsatisfiable or ctx ends before any progress-preserving point.
+// formula is unsatisfiable, when ctx ends before any progress-preserving
+// point, or (wrapping ErrBudget) when the budgets run out before a first
+// sample.
 //
 // One solver is loaded with f and reused across all n draws: each accepted
 // sample adds a blocking clause over the projected variables (so duplicates
@@ -135,7 +144,8 @@ func Sample(ctx context.Context, f *cnf.Formula, n int, opts Options) ([]cnf.Ass
 		}
 	}
 	if len(samples) == 0 {
-		return nil, fmt.Errorf("sampler: no samples produced")
+		// Only misses end the loop before a first sample.
+		return nil, fmt.Errorf("%w: no samples produced after %d draws in a row", ErrBudget, misses)
 	}
 	return samples, nil
 }

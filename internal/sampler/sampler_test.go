@@ -2,9 +2,12 @@ package sampler
 
 import (
 	"context"
+	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cnf"
+	"repro/internal/sat"
 )
 
 func TestSampleBasic(t *testing.T) {
@@ -197,5 +200,28 @@ func TestSampleExhaustsExactSolutionCount(t *testing.T) {
 	}
 	if len(samples) != 3 {
 		t.Fatalf("got %d samples, want exactly 3", len(samples))
+	}
+}
+
+func TestSampleBudgetExhaustedIsErrBudget(t *testing.T) {
+	// A satisfiable random 3-SAT formula near the phase transition: its draws
+	// run into conflicts before they reach a model, so with one conflict per
+	// draw the first three draws miss and no sample is produced.
+	rng := rand.New(rand.NewSource(1))
+	const nv = 60
+	f := cnf.New(nv)
+	for c := 0; c < 256; c++ {
+		f.AddClause(cnf.MkLit(cnf.Var(1+rng.Intn(nv)), rng.Intn(2) == 0),
+			cnf.MkLit(cnf.Var(1+rng.Intn(nv)), rng.Intn(2) == 0),
+			cnf.MkLit(cnf.Var(1+rng.Intn(nv)), rng.Intn(2) == 0))
+	}
+	s := sat.New()
+	s.AddFormula(f)
+	if st := s.Solve(); st != sat.Sat {
+		t.Fatalf("formula is %v, want satisfiable", st)
+	}
+	_, err := Sample(context.Background(), f, 10, Options{Seed: 1, MaxConflictsPerSample: 1})
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("got %v, want an ErrBudget error", err)
 	}
 }
