@@ -40,8 +40,10 @@ type goldenInstance struct {
 }
 
 // goldenInstances returns generator instances 0 and 5 of every family (both
-// tier 1, generator seed 1) plus one Skolem instance, whose full dependency
-// sets put it inside cegar's fragment.
+// tier 1, generator seed 1), one Skolem instance, whose full dependency sets
+// put it inside cegar's fragment, and equiv instances 10 and 30 (tier 1,
+// seed 1), which manthan3 answers only with its gate definitions and row
+// repair: without them it spends its 2,000 repair rounds on both.
 func goldenInstances() []goldenInstance {
 	var out []goldenInstance
 	for _, fam := range []gen.Family{gen.FamilyEquiv, gen.FamilyController, gen.FamilySAT2DQBF, gen.FamilyRandom} {
@@ -65,7 +67,12 @@ func goldenInstances() []goldenInstance {
 	in.Matrix.AddClause(-5, -1, -3)
 	in.Matrix.AddClause(5, -1, 3)
 	in.Matrix.AddClause(5, 1, -3)
-	return append(out, goldenInstance{"skolem-xor", in})
+	out = append(out, goldenInstance{"skolem-xor", in})
+	for _, idx := range []int{10, 30} {
+		inst := gen.Generate(gen.FamilyEquiv, idx, 1)
+		out = append(out, goldenInstance{inst.Name, inst.DQBF})
+	}
+	return out
 }
 
 // TestGoldenEngineOutcomes runs every registered engine on the golden

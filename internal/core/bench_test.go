@@ -4,49 +4,43 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/boolfunc"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
 )
 
-// parityInstance builds ∀x1..xk ∃y . ϕ where ϕ forces y ↔ x1⊕…⊕xk through a
-// Tseitin chain of auxiliary existentials. Parity is adversarial for shallow
-// decision trees, so candidate learning is wrong on most points and the
-// verify–repair loop must iterate many times — exactly the steady state the
-// persistent-oracle architecture targets.
+// parityInstance builds ∀x1..xk ∃y . y ↔ x1⊕…⊕xk, the spec written directly
+// as 2^k clauses of width k+1: parityInstance(k) is blockParityInstance(1, k).
+// Parity is adversarial for shallow decision trees, so candidate learning
+// is wrong on most points and the verify–repair loop must iterate many
+// times — exactly the steady state the persistent-oracle architecture
+// targets. For k ≥ 4 every clause is wider than any gate the preprocess
+// phase's definitions step reads, so nothing defines y there.
 func parityInstance(k int) *dqbf.Instance {
+	return blockParityInstance(1, k)
+}
+
+// blockParityInstance builds blocks disjoint parity blocks of k universals
+// each: block b forces yb ↔ the parity of its k inputs, with H(yb) those
+// inputs, through the 2^k clauses that each exclude one wrong row.
+func blockParityInstance(blocks, k int) *dqbf.Instance {
 	in := dqbf.NewInstance()
-	for i := 1; i <= k; i++ {
+	for i := 1; i <= blocks*k; i++ {
 		in.AddUniv(cnf.Var(i))
 	}
-	allX := make([]cnf.Var, k)
-	for i := range allX {
-		allX[i] = cnf.Var(i + 1)
-	}
-	y := cnf.Var(k + 1)
-	in.AddExist(y, allX)
-	b := boolfunc.NewBuilder()
-	parity := b.Var(1)
-	for i := 2; i <= k; i++ {
-		parity = b.Xor(parity, b.Var(cnf.Var(i)))
-	}
-	spec := b.Not(b.Xor(b.Var(y), parity))
-	out := b.ToCNF(spec, in.Matrix, boolfunc.CNFOptions{})
-	in.Matrix.AddUnit(out)
-	// Tseitin auxiliaries become existentials with full dependencies.
-	declared := make(map[cnf.Var]bool)
-	for _, v := range in.Univ {
-		declared[v] = true
-	}
-	for _, v := range in.Exist {
-		declared[v] = true
-	}
-	for _, c := range in.Matrix.Clauses {
-		for _, l := range c {
-			if !declared[l.Var()] {
-				declared[l.Var()] = true
-				in.AddExist(l.Var(), allX)
+	lits := make([]cnf.Lit, k+1)
+	for blk := 0; blk < blocks; blk++ {
+		xs := in.Univ[blk*k : (blk+1)*k]
+		y := cnf.Var(blocks*k + blk + 1)
+		in.AddExist(y, xs)
+		for row := 0; row < 1<<k; row++ {
+			odd := false
+			for i, x := range xs {
+				bit := row>>i&1 != 0
+				lits[i] = cnf.MkLit(x, !bit) // false exactly on this row
+				odd = odd != bit
 			}
+			lits[k] = cnf.MkLit(y, odd)
+			in.Matrix.AddClause(lits...)
 		}
 	}
 	return in
@@ -59,8 +53,8 @@ func repairHeavyOptions(seed int64) Options {
 }
 
 // BenchmarkVerifyRepair measures a multi-iteration verify–repair run: a parity
-// instance whose learned candidates are wrong on most points, forcing dozens
-// of verify calls, MaxSAT localizations, and core-guided repairs.
+// instance whose learned candidates are wrong on most points, forcing 16
+// rounds of verify calls, MaxSAT localizations, and core-guided repairs.
 func BenchmarkVerifyRepair(b *testing.B) {
 	in := parityInstance(5)
 	opts := repairHeavyOptions(1)

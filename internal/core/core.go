@@ -15,7 +15,11 @@
 //	              checks, plus one selector-guarded two-copy encoding
 //	              (ϕ ∧ ¬ϕ with primed existentials) for the unate checks, so
 //	              per-existential queries are assumption calls instead of
-//	              fresh formula constructions;
+//	              fresh formula constructions; then, serially and with no
+//	              SAT call, gate definitions: an existential that ϕ's
+//	              clauses over it and at most three other variables define
+//	              gets that gate as its function, and like the constants it
+//	              is skipped by learning and repair;
 //	sample        constrained sampling of ϕ for the training set Σ,
 //	              packed once into one bitset column per variable of X ∪ Y;
 //	learn         per-existential decision trees respecting the Henkin
@@ -24,7 +28,10 @@
 //	              from the packed columns of its features and its label;
 //	verify-repair the counterexample-guided loop (Algorithms 1 and 3):
 //	              verify the candidate vector, localize faults with MaxSAT,
-//	              repair with UNSAT-core-guided strengthening/weakening.
+//	              repair with UNSAT-core-guided strengthening/weakening, or,
+//	              when Gk is satisfiable and blame leaves nothing to repair,
+//	              patch the candidate on the row σ[Hk] (a row patched both
+//	              ways stops the run as ErrIncomplete).
 //
 // Each executed phase reports a backend.PhaseStat — name, wall-clock
 // duration, SAT/MaxSAT oracle calls — in Stats.Phases, in execution order.

@@ -19,9 +19,9 @@ import (
 var (
 	// ErrFalse means the DQBF instance is False: no Henkin vector exists.
 	ErrFalse = errors.New("core: instance is False, no Henkin function vector exists")
-	// ErrIncomplete means the repair loop can make no further progress — the
-	// incompleteness case the paper documents in §5 (49 of its 88 unsolved
-	// instances).
+	// ErrIncomplete means the repair loop can make no further progress, or
+	// its row repair patched one row both ways — the incompleteness case
+	// the paper documents in §5 (49 of its 88 unsolved instances).
 	ErrIncomplete = errors.New("core: repair stuck, Manthan3 is incomplete on this instance")
 	// ErrBudget means a deadline or iteration budget expired.
 	ErrBudget = errors.New("core: budget exhausted")
@@ -79,7 +79,8 @@ type Options struct {
 	// DisableYHat drops the Ŷ ↔ σ[Ŷ] constraint from the repair formula Gk
 	// (ablation abl2; see the paper's discussion after Formula 1).
 	DisableYHat bool
-	// DisablePreprocess skips constant/unate detection (ablation abl3).
+	// DisablePreprocess skips constant/unate detection and gate
+	// definitions (ablation abl3).
 	DisablePreprocess bool
 	// DisableAdaptiveSampling turns off the Manthan-lineage adaptive phase
 	// bias during data generation (ablation abl4).
@@ -126,6 +127,15 @@ type Stats struct {
 	MaxSATCalls        int
 	CoreCalls          int
 	LearnedNodes       int
+	// DefinedVars counts the existentials the preprocess phase defined by a
+	// gate over at most three other variables (see defineGates).
+	DefinedVars int
+	// RowRepairs counts the repairs, among CandidatesRepaired, that patched
+	// a candidate on the row σ[Hk] because its Gk was satisfiable and blame
+	// found no other candidate to change; RowOscillations counts the runs
+	// stopped because a row was patched both ways (0 or 1).
+	RowRepairs      int
+	RowOscillations int
 	// LearnConflicts counts candidates whose speculatively (in parallel)
 	// learned tree referenced a feature a concurrently-learned candidate
 	// banned, forcing a serial relearn during the deterministic merge.
@@ -230,6 +240,11 @@ type Engine struct {
 	scrSofts   []maxsat.Soft
 	scrSoftVar []cnf.Var
 	scrSoftLit []cnf.Lit // flat backing for the unit soft clauses
+	scrRowKey  []byte    // patchRow's (yk, σ[Hk]) key
+
+	// rowPatched records, per row-repaired (yk, σ[Hk]) pair, whether the
+	// patch set fk to 1 on the row; see patchRow.
+	rowPatched map[string]bool
 
 	// Persistent FindCandi oracle: ϕ stays loaded; per-counterexample MaxSAT
 	// machinery lives in clause groups released after each query.

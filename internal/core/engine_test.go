@@ -93,16 +93,22 @@ func TestFalseInstance(t *testing.T) {
 
 func TestFalseBeyondManthanDetection(t *testing.T) {
 	// ∀x1 ∃^{∅}y1 . (y1 ↔ x1) is False, but every X assignment has a
-	// completion, so Manthan3's False check never fires; the faithful
-	// behaviour (paper §5) is an unrepairable loop → ErrIncomplete.
+	// completion, so Manthan3's False check never fires (paper §5). Gk is
+	// satisfiable and blame finds no other candidate, so only the row
+	// repair changes y1: it patches y1's single row one way, then the
+	// other, and that oscillation stops the run as ErrIncomplete.
 	in := dqbf.NewInstance()
 	in.AddUniv(1)
 	in.AddExist(2, nil)
 	in.Matrix.AddClause(-2, 1)
 	in.Matrix.AddClause(2, -1)
-	_, err := Synthesize(context.Background(), in, Options{Seed: 1})
+	e := newEngine(context.Background(), in, Options{Seed: 1}.withDefaults())
+	_, err := e.synthesize()
 	if !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("want ErrIncomplete, got %v", err)
+	}
+	if e.stats.RowRepairs != 1 || e.stats.RowOscillations != 1 {
+		t.Fatalf("row repairs %d, oscillations %d; want 1 and 1", e.stats.RowRepairs, e.stats.RowOscillations)
 	}
 }
 
@@ -477,14 +483,16 @@ func TestStatsPopulated(t *testing.T) {
 // counterexample δ the verification oracle returns: each δ[Y′y] must equal
 // the candidate fy evaluated at δ, and ϕ must be false at δ. The oracle's
 // search branches on X alone, so this pins that its models stay genuine.
+// The instances are controller ones of tiers 4 and 5 whose many observed
+// state bits keep the row repair short of an answer in 200 rounds; the
+// equiv instances this test used to run now end well inside the budget.
 func TestVerifyCounterexamplesGenuine(t *testing.T) {
 	cexs := 0
 	for _, c := range []struct {
 		fam gen.Family
 		idx []int
 	}{
-		{gen.FamilyEquiv, []int{1, 2, 3, 4}},
-		{gen.FamilyController, []int{2, 3, 4}},
+		{gen.FamilyController, []int{3, 4, 8, 13}},
 	} {
 		for _, idx := range c.idx {
 			inst := gen.Generate(c.fam, idx, 1)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/boolfunc"
 	"repro/internal/cnf"
 	"repro/internal/dtree"
 	"repro/internal/oracle"
@@ -189,8 +190,9 @@ func (e *Engine) featuresFor(yi cnf.Var) []cnf.Var {
 		if yj == yi {
 			continue
 		}
-		if e.fixed[yj] {
-			// Fixed functions are constants; useless as features.
+		if e.fixed[yj] && e.b.Op(e.funcs[yj]) == boolfunc.OpConst {
+			// Constants are useless as features. A defined variable stays
+			// one: its gate may be exactly what yi needs.
 			continue
 		}
 		if e.in.SubsetDeps(yj, yi) && !e.deps[yi][yj] {
@@ -239,8 +241,10 @@ func (e *Engine) learnTree(yi cnf.Var) (learnedTree, error) {
 // matrix first — the one spot where speculative parallelism and the serial
 // semantics can disagree.
 func (e *Engine) mergeCandidate(yi cnf.Var, lt learnedTree) error {
+	var used []cnf.Var
 	if lt.tree != nil {
-		for _, yk := range lt.tree.UsedFeatures() {
+		used = lt.tree.AppendUsedFeatures(e.scrSupport[:0])
+		for _, yk := range used {
 			if e.in.IsExist(yk) && e.deps[yi][yk] {
 				e.stats.LearnConflicts++
 				relearned, err := e.learnTree(yi)
@@ -248,9 +252,13 @@ func (e *Engine) mergeCandidate(yi cnf.Var, lt learnedTree) error {
 					return fmt.Errorf("%w: relearning candidate for %d: %w", ErrInternal, yi, err)
 				}
 				lt = relearned
+				if lt.tree != nil {
+					used = lt.tree.AppendUsedFeatures(used[:0])
+				}
 				break
 			}
 		}
+		e.scrSupport = used
 	}
 	if lt.tree == nil {
 		e.setFunc(yi, e.b.Const(lt.constVal))
@@ -263,7 +271,7 @@ func (e *Engine) mergeCandidate(yi cnf.Var, lt learnedTree) error {
 	// Lines 11-12: every yk used by the tree gains yi (and everything
 	// that depends on yi) as dependents; recordUse keeps the closure
 	// transitive so later merges cannot close a reference cycle.
-	for _, yk := range lt.tree.UsedFeatures() {
+	for _, yk := range used {
 		if !e.in.IsExist(yk) {
 			continue
 		}

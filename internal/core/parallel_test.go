@@ -13,6 +13,7 @@ import (
 	"repro/internal/boolfunc"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
+	"repro/internal/gen"
 	"repro/internal/oracle"
 )
 
@@ -89,10 +90,10 @@ func outcomeFingerprint(t *testing.T, in *dqbf.Instance, opts Options) string {
 	if err := dqbf.WriteCertificate(&sb, res.Vector); err != nil {
 		t.Fatalf("opts=%+v: certificate: %v", opts, err)
 	}
-	fmt.Fprintf(&sb, "stats: samples=%d verify=%d repairs=%d learnConflicts=%d constants=%d unates=%d oracle=%d\n",
-		res.Stats.Samples, res.Stats.VerifyCalls, res.Stats.CandidatesRepaired,
+	fmt.Fprintf(&sb, "stats: samples=%d verify=%d repairs=%d rowRepairs=%d learnConflicts=%d constants=%d unates=%d defined=%d oracle=%d\n",
+		res.Stats.Samples, res.Stats.VerifyCalls, res.Stats.CandidatesRepaired, res.Stats.RowRepairs,
 		res.Stats.LearnConflicts, res.Stats.ConstantsDetected, res.Stats.UnatesDetected,
-		res.Stats.OracleCalls)
+		res.Stats.DefinedVars, res.Stats.OracleCalls)
 	for _, p := range res.Stats.Phases {
 		fmt.Fprintf(&sb, "phase %s: %d oracle calls\n", p.Name, p.OracleCalls)
 	}
@@ -157,10 +158,28 @@ func preprocHeavyInstance() *dqbf.Instance {
 	return in
 }
 
+// fixedFunctions runs the preprocess phase alone and renders every fixed
+// existential's function in declaration order.
+func fixedFunctions(t *testing.T, in *dqbf.Instance, opts Options) string {
+	t.Helper()
+	e := newEngine(context.Background(), in, opts.withDefaults())
+	if err := e.preprocess(); err != nil {
+		t.Fatalf("opts=%+v: preprocess: %v", opts, err)
+	}
+	var sb strings.Builder
+	for _, y := range in.Exist {
+		if e.fixed[y] {
+			fmt.Fprintf(&sb, "y%d := %s\n", y, e.b.String(e.funcs[y]))
+		}
+	}
+	return sb.String()
+}
+
 // TestParallelPreprocessDeterministic asserts the headline property of the
 // parallel preprocessing phase: for a fixed seed, the fixed set, the
-// synthesized constants, the preprocessing statistics, and the final
-// functions are bit-identical for every PreprocWorkers count.
+// synthesized constants and gate definitions, the preprocessing
+// statistics, and the final functions are bit-identical for every
+// PreprocWorkers count.
 func TestParallelPreprocessDeterministic(t *testing.T) {
 	// Sanity-check the crafted instance actually exercises the semantic
 	// preprocessing paths (otherwise the determinism claim is vacuous).
@@ -175,16 +194,29 @@ func TestParallelPreprocessDeterministic(t *testing.T) {
 		t.Fatalf("PreprocWorkers=1 built %d pooled solvers, want 1", res.Stats.PreprocSolversBuilt)
 	}
 
+	// The planted chain's Tseitin auxiliaries and equiv-030-h1's are gates
+	// the definitions step takes.
+	equiv := gen.Generate(gen.FamilyEquiv, 30, 1).DQBF
+	if res, err := Synthesize(context.Background(), equiv, Options{Seed: 7, PreprocWorkers: 1}); err != nil || res.Stats.DefinedVars == 0 {
+		t.Fatalf("equiv-030-h1 defines no gate: %v", err)
+	}
+
 	instances := map[string]*dqbf.Instance{
 		"preproc-heavy": preprocHeavyInstance(),
 		"paper":         paperExample(),
 		"chain":         plantedChainInstance(3, 4, 5),
+		"chain-b":       plantedChainInstance(11, 3, 8),
+		"equiv-030-h1":  equiv,
 	}
 	workerCounts := []int{1, 2, 3, runtime.NumCPU()}
 	for name, in := range instances {
-		want := outcomeFingerprint(t, in, Options{Seed: 7, PreprocWorkers: workerCounts[0]})
+		fingerprint := func(w int) string {
+			opts := Options{Seed: 7, PreprocWorkers: w}
+			return fixedFunctions(t, in, opts) + outcomeFingerprint(t, in, opts)
+		}
+		want := fingerprint(workerCounts[0])
 		for _, w := range workerCounts[1:] {
-			if got := outcomeFingerprint(t, in, Options{Seed: 7, PreprocWorkers: w}); got != want {
+			if got := fingerprint(w); got != want {
 				t.Fatalf("%s: pp-workers=%d diverges from pp-workers=%d:\n--- want ---\n%s\n--- got ---\n%s",
 					name, w, workerCounts[0], want, got)
 			}

@@ -25,10 +25,11 @@ func init() {
 			if err != nil {
 				return nil, backendErr(err)
 			}
-			stats := fmt.Sprintf("%d samples, %d verify calls, %d repair iterations, %d repairs, %d constants, %d unates, %d oracle calls",
+			stats := fmt.Sprintf("%d samples, %d verify calls, %d repair iterations, %d repairs (%d row repairs, %d row oscillations), %d constants, %d unates, %d defined, %d oracle calls",
 				res.Stats.Samples, res.Stats.VerifyCalls, res.Stats.RepairIterations,
-				res.Stats.CandidatesRepaired, res.Stats.ConstantsDetected,
-				res.Stats.UnatesDetected, res.Stats.OracleCalls)
+				res.Stats.CandidatesRepaired, res.Stats.RowRepairs, res.Stats.RowOscillations,
+				res.Stats.ConstantsDetected, res.Stats.UnatesDetected, res.Stats.DefinedVars,
+				res.Stats.OracleCalls)
 			if opts.Logf != nil {
 				// Verbose runs also report the solvers the pools built and the
 				// aggregated SAT-solver counters: conflicts, restarts, learnt

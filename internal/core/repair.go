@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/boolfunc"
@@ -227,7 +228,8 @@ func (e *Engine) runBatch(n int) error {
 // mergeProbes replays probes [0, n) strictly in queue order, applying the
 // serial algorithm's per-candidate step to each answer: core-guided
 // strengthening/weakening on Unsat (lines 11-13), blame on Sat (lines
-// 15-17), and the line-18 realignment of σ[yk] with the (possibly just
+// 15-17) followed by the row repair when blame leaves nothing to repair
+// (patchRow), and the line-18 realignment of σ[yk] with the (possibly just
 // repaired) candidate's output. All engine mutation of the repair loop
 // happens here, on the calling goroutine.
 func (e *Engine) mergeProbes(sigma *counterexample, ind *[]cnf.Var, n int, repairedAny *bool) error {
@@ -268,6 +270,7 @@ func (e *Engine) mergeProbes(sigma *counterexample, ind *[]cnf.Var, n int, repai
 			for _, yj := range p.yHat {
 				e.scrMark[yj] = true
 			}
+			blamed := false // a candidate repair may change joined the queue
 			for ti, yt := range e.in.Exist {
 				if yt == yk || e.scrMark[yt] || e.scrInQueue[yt] {
 					continue
@@ -275,10 +278,17 @@ func (e *Engine) mergeProbes(sigma *counterexample, ind *[]cnf.Var, n int, repai
 				if (p.rho[ti] == cnf.True) != (sigma.yPrime.Get(yt) == cnf.True) {
 					*ind = append(*ind, yt)
 					e.scrInQueue[yt] = true
+					blamed = blamed || !e.fixed[yt]
 				}
 			}
 			for _, yj := range p.yHat {
 				e.scrMark[yj] = false
+			}
+			if !blamed && sigma.y.Get(yk) != sigma.yPrime.Get(yk) {
+				if err := e.patchRow(p, sigma); err != nil {
+					return err
+				}
+				*repairedAny = true
 			}
 		default:
 			if cerr := e.interrupted(); cerr != nil {
@@ -296,6 +306,49 @@ func (e *Engine) mergeProbes(sigma *counterexample, ind *[]cnf.Var, n int, repai
 		// queued candidates read σ[yk] through their Ŷ assumptions.
 		sigma.y.Set(yk, cnf.BoolValue(e.evalAtSigma(e.funcs[yk], sigma)))
 	}
+	return nil
+}
+
+// patchRow is the row repair, for a Gk that is satisfiable while blame
+// queued no candidate that repair may change: yk's wrong output at σ is
+// consistent with ϕ somewhere on the row σ[Hk], so neither Algorithm 3
+// branch repairs anything. It patches fk on that row to σ[yk], the genuine
+// completion's value: fk ∨ cube or fk ∧ ¬cube, where the cube fixes Hk to
+// σ[Hk], so fk stays within its dependencies. Each (yk, row) pair keeps the
+// direction it was patched in for the whole run; a patch the other way is
+// an oscillation and ends the run as ErrIncomplete.
+func (e *Engine) patchRow(p *repairProbe, sigma *counterexample) error {
+	yk := p.yk
+	row := p.assumps[1 : 1+len(e.in.DepSet(yk))] // Hk ↔ σ[Hk]; see buildProbes
+	up := sigma.y.Get(yk) == cnf.True
+	key := binary.LittleEndian.AppendUint32(e.scrRowKey[:0], uint32(yk))
+	for i := 0; i < len(row); i += 8 {
+		var bits byte
+		for j, l := range row[i:min(i+8, len(row))] {
+			if l.IsPos() {
+				bits |= 1 << j
+			}
+		}
+		key = append(key, bits)
+	}
+	e.scrRowKey = key
+	if prev, seen := e.rowPatched[string(key)]; !seen {
+		if e.rowPatched == nil {
+			e.rowPatched = make(map[string]bool)
+		}
+		e.rowPatched[string(key)] = up
+	} else if prev != up {
+		e.stats.RowOscillations++
+		return fmt.Errorf("%w: row repair of y%d oscillates", ErrIncomplete, yk)
+	}
+	cube := e.b.Cube(row)
+	if up {
+		e.setFunc(yk, e.b.Or(e.funcs[yk], cube))
+	} else {
+		e.setFunc(yk, e.b.And(e.funcs[yk], e.b.Not(cube)))
+	}
+	e.stats.RowRepairs++
+	e.stats.CandidatesRepaired++
 	return nil
 }
 

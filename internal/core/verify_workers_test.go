@@ -5,72 +5,37 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/boolfunc"
-	"repro/internal/cnf"
 	"repro/internal/dqbf"
 )
-
-// twoBlockParityInstance builds ∀x1..x4 ∃y1(x1,x2) ∃y2(x3,x4) . ϕ forcing
-// y1 ↔ x1⊕x2 and y2 ↔ x3⊕x4. The two existentials have disjoint dependency
-// sets, so neither can ever appear in the other's Ŷ — when both land in one
-// repair round's queue they form an independent batch, exercising the
-// pooled candidate-verification path. Parity keeps shallow learned trees
-// wrong on most points, so repair rounds genuinely occur.
-func twoBlockParityInstance() *dqbf.Instance {
-	in := dqbf.NewInstance()
-	for i := 1; i <= 4; i++ {
-		in.AddUniv(cnf.Var(i))
-	}
-	b := boolfunc.NewBuilder()
-	y1, y2 := cnf.Var(5), cnf.Var(6)
-	blocks := []struct {
-		y    cnf.Var
-		deps []cnf.Var
-	}{
-		{y1, []cnf.Var{1, 2}},
-		{y2, []cnf.Var{3, 4}},
-	}
-	for _, blk := range blocks {
-		in.AddExist(blk.y, blk.deps)
-	}
-	for _, blk := range blocks {
-		spec := b.Not(b.Xor(b.Var(blk.y), b.Xor(b.Var(blk.deps[0]), b.Var(blk.deps[1]))))
-		before := in.Matrix.NumVars
-		out := b.ToCNF(spec, in.Matrix, boolfunc.CNFOptions{})
-		in.Matrix.AddUnit(out)
-		// Tseitin auxiliaries stay inside their block's dependency set.
-		for v := before + 1; v <= in.Matrix.NumVars; v++ {
-			in.AddExist(cnf.Var(v), blk.deps)
-		}
-	}
-	return in
-}
 
 // TestBatchedVerifyDeterministic asserts the headline property of the
 // batched repair-verification phase: for a fixed seed, the synthesized
 // functions, certificate, and every stat are bit-identical for every
 // VerifyWorkers count — the fixed-slot solver pool guarantees each probe
 // sees the same solver history regardless of how many goroutines drain the
-// slots. It also pins that the two-block instance actually exercises the
-// batched path, so the determinism claim is not vacuous.
+// slots. It also pins that the four-block instance actually exercises the
+// batched path, so the determinism claim is not vacuous: its four parity
+// blocks have disjoint dependency sets, so no block's existential is in
+// another's Ŷ, and when several land in one repair round's queue they form
+// an independent batch.
 func TestBatchedVerifyDeterministic(t *testing.T) {
-	res, err := Synthesize(context.Background(), twoBlockParityInstance(),
+	res, err := Synthesize(context.Background(), blockParityInstance(4, 4),
 		Options{Seed: 7, NumSamples: 8, treeMaxDepth: 1, VerifyWorkers: 2})
 	if err != nil {
-		t.Fatalf("twoBlockParityInstance does not synthesize: %v", err)
+		t.Fatalf("four-block parity instance does not synthesize: %v", err)
 	}
 	if res.Stats.VerifyBatches == 0 {
-		t.Fatalf("two-block instance never batched independent candidates: %+v", res.Stats)
+		t.Fatalf("four-block instance never batched independent candidates: %+v", res.Stats)
 	}
 	if res.Stats.BatchedProbes < 2*res.Stats.VerifyBatches {
 		t.Fatalf("batches should hold ≥2 probes each: %+v", res.Stats)
 	}
 
 	instances := map[string]*dqbf.Instance{
-		"two-block": twoBlockParityInstance(),
-		"parity":    parityInstance(5),
-		"paper":     paperExample(),
-		"chain":     plantedChainInstance(3, 4, 5),
+		"four-block": blockParityInstance(4, 4),
+		"parity":     parityInstance(5),
+		"paper":      paperExample(),
+		"chain":      plantedChainInstance(3, 4, 5),
 	}
 	workerCounts := []int{1, 2, 3, runtime.NumCPU()}
 	for name, in := range instances {

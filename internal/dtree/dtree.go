@@ -20,6 +20,7 @@ package dtree
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/boolfunc"
 	"repro/internal/cnf"
@@ -287,23 +288,24 @@ func (t *Tree) ToFunc(b *boolfunc.Builder) boolfunc.Node {
 	return walk(t.Root, b.True())
 }
 
-// UsedFeatures returns the set of feature variables actually tested by the
-// tree, in no particular order.
-func (t *Tree) UsedFeatures() []cnf.Var {
-	seen := make(map[cnf.Var]bool)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.IsLeaf() {
-			return
-		}
-		seen[n.Feature] = true
-		walk(n.Lo)
-		walk(n.Hi)
+// AppendUsedFeatures appends the feature variables the tree tests to dst,
+// each once, in the order a depth-first walk (node, then Lo, then Hi) first
+// reaches them, and returns the extended slice. It allocates only when dst
+// must grow.
+func (t *Tree) AppendUsedFeatures(dst []cnf.Var) []cnf.Var {
+	return appendUsed(dst, len(dst), t.Root)
+}
+
+// appendUsed is AppendUsedFeatures' walk; dst[start:] holds the features
+// found so far. A tree tests few distinct features, so the duplicate check
+// scans them instead of keeping a set.
+func appendUsed(dst []cnf.Var, start int, n *Node) []cnf.Var {
+	if n.IsLeaf() {
+		return dst
 	}
-	walk(t.Root)
-	out := make([]cnf.Var, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
+	if !slices.Contains(dst[start:], n.Feature) {
+		dst = append(dst, n.Feature)
 	}
-	return out
+	dst = appendUsed(dst, start, n.Lo)
+	return appendUsed(dst, start, n.Hi)
 }

@@ -221,9 +221,32 @@ func TestLearnSingleVariable(t *testing.T) {
 		}
 	}
 	// Gini should pick exactly the one relevant feature.
-	uf := tr.UsedFeatures()
+	uf := tr.AppendUsedFeatures(nil)
 	if len(uf) != 1 || uf[0] != 2 {
 		t.Fatalf("used features: %v, want [2]", uf)
+	}
+}
+
+// TestAppendUsedFeaturesOrder pins AppendUsedFeatures' contract: each tested
+// feature once, in first-visit order of a node-Lo-Hi walk, after whatever
+// dst already holds, and no allocation when dst has room.
+func TestAppendUsedFeaturesOrder(t *testing.T) {
+	leaf := func(label bool) *Node { return &Node{Label: label} }
+	split := func(f cnf.Var, lo, hi *Node) *Node { return &Node{Feature: f, Lo: lo, Hi: hi} }
+	tr := &Tree{Root: split(5,
+		split(2, leaf(false), split(9, leaf(true), leaf(false))),
+		split(9, split(2, leaf(true), leaf(false)), split(7, leaf(false), leaf(true))))}
+	got := tr.AppendUsedFeatures([]cnf.Var{100, 2})
+	want := []cnf.Var{100, 2, 5, 2, 9, 7}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("AppendUsedFeatures = %v, want %v", got, want)
+	}
+	if got := (&Tree{Root: leaf(true)}).AppendUsedFeatures(nil); len(got) != 0 {
+		t.Fatalf("leaf tree uses features %v", got)
+	}
+	buf := make([]cnf.Var, 0, 8)
+	if n := testing.AllocsPerRun(10, func() { buf = tr.AppendUsedFeatures(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendUsedFeatures allocates %.0f times into a roomy buffer", n)
 	}
 }
 
