@@ -1,17 +1,21 @@
 // Package repro's top-level benchmarks regenerate every figure and table of
-// the paper's evaluation (§6) plus the ablations called out in DESIGN.md.
-// Each benchmark runs a (size-reduced) version of the corresponding
-// experiment and reports paper-shape metrics through b.ReportMetric:
+// the paper's evaluation (§6) plus ablations of core.Options. The suite
+// they run on is internal/gen's synthetic replica of the paper's
+// instances; its package comment describes the families. Each benchmark
+// runs a (size-reduced) version of the corresponding experiment and
+// reports paper-shape metrics through b.ReportMetric:
 //
-//	BenchmarkFig6Cactus           — VBS vs VBS+Manthan3 solved counts
-//	BenchmarkFig7ScatterVBS       — Manthan3 vs VBS(HQS+Pedant)
-//	BenchmarkFig8ScatterPedant    — Manthan3 vs Pedant-arbiter
-//	BenchmarkFig9ScatterHQS       — Manthan3 vs HQS-expand
-//	BenchmarkFig10ScatterBaselines— Pedant-arbiter vs HQS-expand
-//	BenchmarkTable1SolvedCounts   — the in-text counts table
-//	BenchmarkAblationFindCandi    — MaxSAT fault localization on/off
-//	BenchmarkAblationYHat         — Ŷ constraint in Gk on/off
-//	BenchmarkAblationPreprocess   — unate/constant preprocessing on/off
+//	BenchmarkFig6Cactus               — VBS vs VBS+Manthan3 solved counts
+//	BenchmarkFig7ScatterVBS           — manthan3 vs VBS(expand+pedant)
+//	BenchmarkFig8ScatterPedant        — manthan3 vs pedant
+//	BenchmarkFig9ScatterHQS           — manthan3 vs expand (the HQS stand-in)
+//	BenchmarkFig10ScatterBaselines    — pedant vs expand
+//	BenchmarkTable1SolvedCounts       — the in-text counts table
+//	BenchmarkAblationFindCandi        — MaxSAT fault localization on/off
+//	BenchmarkAblationYHat             — Ŷ constraint in Gk on/off
+//	BenchmarkAblationAdaptiveSampling — adaptive sampling bias on/off
+//	BenchmarkAblationPreprocess       — unate detection and gate definitions on/off
+//	BenchmarkAblationSampleCount      — 50, 400 and 1000 training samples
 //
 // The full 563×3 sweep is cmd/benchrunner; these benches use stratified
 // subsets so `go test -bench=.` stays laptop-scale.

@@ -18,22 +18,22 @@
 //	benchrunner -bench-out BENCH_5.json [-bench-count 3] [-bench-time 2s]
 //
 // -j sets the number of parallel engine-run workers (0 = NumCPU); the worker
-// count is reported in the run header. -pp-workers raises each engine's
+// count is reported in the run header. -pp-workers raises manthan3's
 // internal preprocessing worker pool (default 1, keeping per-engine
-// durations like-for-like under the parallel suite runner; it also feeds
-// the pedant Padoa pass). -engines overrides the competitor set with
-// comma-separated backend specs — plain registry names, seed-pinned
-// variants ("manthan3@7"), or portfolios ("portfolio:expand+cegar+manthan3")
-// — each reported like any other engine; the resilient dispatch forms
-// ("fallback:a>b" and "retry(k):spec") are valid specs too. -faults arms a
-// deterministic fault plan (internal/faultinject) freshly per engine run,
-// injecting panics, budget errors, forced unknowns, cancellations, or
-// stalls at chosen invocation indices — the resilience layer must degrade
-// every run to a classified outcome instead of crashing the suite. CSV data
-// land in -out (results_raw.csv carries one per-phase column per observed
-// phase plus a dispatch-telemetry "attempts" column, both preserved by
-// -replay); ASCII renderings go to stdout. A file that cannot be created,
-// written, or closed makes the run exit 1.
+// durations like-for-like under the parallel suite runner). -engines
+// overrides the competitor set with comma-separated backend specs — plain
+// registry names, seed-pinned variants ("manthan3@7"), or portfolios
+// ("portfolio:expand+cegar+manthan3") — each reported like any other engine;
+// the resilient dispatch forms ("fallback:a>b" and "retry(k):spec") are
+// valid specs too. -faults arms a deterministic fault plan
+// (internal/faultinject) freshly per engine run, injecting panics, budget
+// errors, forced unknowns, cancellations, or stalls at chosen invocation
+// indices — the resilience layer must degrade every run to a classified
+// outcome instead of crashing the suite. CSV data land in -out
+// (results_raw.csv carries one per-phase column per observed phase plus a
+// dispatch-telemetry "attempts" column, both preserved by -replay); ASCII
+// renderings go to stdout. A file that cannot be created, written, or closed
+// makes the run exit 1.
 //
 // -bench-out switches to perf-trajectory mode: run the internal/sat,
 // internal/core, internal/dtree, internal/baselines/expand and

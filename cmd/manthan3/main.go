@@ -23,7 +23,7 @@
 // context: the first definitive answer (functions or a False proof) wins
 // and the losers are canceled. -j bounds engine-internal parallelism (the
 // manthan3 learn phase; 0 = NumCPU) and -pp-workers its preprocessing worker
-// pool (0 = NumCPU; the same flag drives the pedant Padoa pass); -verify-workers
+// pool (0 = NumCPU); -verify-workers
 // bounds the manthan3 repair-phase verification pool the same way. Every
 // engine-internal SAT solver runs the one search configuration of
 // internal/sat. On success the engine's per-phase telemetry is printed as
@@ -68,7 +68,7 @@ func run() int {
 	timeout := flag.Duration("timeout", 60*time.Second, "synthesis timeout (enforced via context cancellation)")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("j", 0, "engine-internal worker count (0 = NumCPU)")
-	ppWorkers := flag.Int("pp-workers", 0, "preprocessing worker count (manthan3 preprocess / pedant Padoa pass; 0 = NumCPU)")
+	ppWorkers := flag.Int("pp-workers", 0, "manthan3 preprocessing worker count (0 = NumCPU)")
 	verifyWorkers := flag.Int("verify-workers", 0, "repair-phase candidate-verification worker count (manthan3; results are bit-identical at every setting; 0 = NumCPU)")
 	verify := flag.Bool("verify", true, "independently verify the synthesized vector")
 	quiet := flag.Bool("q", false, "suppress function printing; report status only")

@@ -146,8 +146,8 @@ type Options struct {
 	// (currently the manthan3 learn phase); 0 means NumCPU.
 	Workers int
 	// PreprocWorkers bounds the manthan3 preprocessing worker pool (the
-	// per-existential constant and unate oracle queries); 0 means NumCPU.
-	// Results are bit-identical for every worker count.
+	// per-existential semantic unate checks); 0 means NumCPU. Results are
+	// bit-identical for every worker count.
 	PreprocWorkers int
 	// VerifyWorkers bounds the manthan3 repair-phase candidate-verification
 	// pool (independent candidates of one repair round probed concurrently

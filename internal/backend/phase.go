@@ -10,7 +10,7 @@ import "time"
 //   - manthan3: preprocess → sample → learn → verify-repair
 //   - expand:   expand → solve → extract
 //   - cegar:    refine → extract
-//   - pedant:   define → refine
+//   - pedant:   refine
 //
 // The portfolio reports the winning member's phases unchanged.
 const (
@@ -21,7 +21,6 @@ const (
 	PhaseExpand       = "expand"
 	PhaseSolve        = "solve"
 	PhaseExtract      = "extract"
-	PhaseDefine       = "define"
 	PhaseRefine       = "refine"
 )
 

@@ -21,6 +21,11 @@
 // list, which converts directly to Skolem functions:
 // f_y = ⋁_i sel_i ∧ β_i[y], with sel_i = R_i ∧ ¬(R_1 ∨ … ∨ R_{i-1}) and
 // R_i(X) = "β_i satisfies ϕ(X, β_i)".
+//
+// The package is under the determinism contract — results must be
+// bit-identical across runs and worker counts (see internal/analysis).
+//
+//lint:deterministic
 package cegar
 
 import (

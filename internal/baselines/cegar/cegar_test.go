@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cnf"
@@ -46,6 +47,20 @@ func TestRejectsHenkinInstance(t *testing.T) {
 	in.AddUniv(2)
 	in.AddExist(3, []cnf.Var{1}) // partial dependency set
 	in.Matrix.AddClause(3, 1)
+	if _, err := Solve(context.Background(), in, Options{}); !errors.Is(err, ErrNotSkolem) {
+		t.Fatalf("want ErrNotSkolem, got %v", err)
+	}
+}
+
+// TestRejectsRepeatedDependency gives Solve ∀x1 x2 ∃^{x1} y3 . (y3 ↔ x2)
+// with y3's dependency written twice. It is a Henkin instance, and no
+// function of x1 alone satisfies it, so a Skolem vector reading x2 would
+// break H(y3).
+func TestRejectsRepeatedDependency(t *testing.T) {
+	in, err := dqbf.ParseDQDIMACS(strings.NewReader("p cnf 3 2\na 1 2 0\nd 3 1 1 0\n-3 2 0\n3 -2 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Solve(context.Background(), in, Options{}); !errors.Is(err, ErrNotSkolem) {
 		t.Fatalf("want ErrNotSkolem, got %v", err)
 	}

@@ -27,6 +27,11 @@
 // excels when the universal block (and the dependency sets) are small, while
 // blowing up exponentially as |X| grows. The Expand/Manthan3 comparison in
 // the benchmark harness reproduces exactly this complementarity.
+//
+// The package is under the determinism contract — results must be
+// bit-identical across runs and worker counts (see internal/analysis).
+//
+//lint:deterministic
 package expand
 
 import (

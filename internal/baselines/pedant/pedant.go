@@ -1,23 +1,20 @@
-// Package pedant implements a definition/arbiter-based Henkin synthesizer in
-// the spirit of Pedant (Reichl, Slivovsky, Szeider, SAT 2021).
+// Package pedant implements an arbiter-based Henkin synthesizer in the
+// spirit of Pedant (Reichl, Slivovsky, Szeider, SAT 2021).
 //
 // Pedant detects existential variables uniquely defined by their dependency
 // sets, and covers the remaining freedom with *arbiter variables*: one
 // propositional variable per (existential, dependency-set assignment) cell
 // whose value a SAT solver chooses consistently with all constraints seen so
-// far. This reproduction keeps that architecture with a counterexample-
-// guided instantiation loop:
+// far. This reproduction keeps the arbiter half of that architecture, as a
+// counterexample-guided instantiation loop. It extracts no definitions, so
+// a defined existential gets arbiter cells like any other:
 //
-//  1. Detect uniquely-defined existentials with Padoa's theorem. Only
-//     Stats.DefinedVars reads the result; the arbiter loop handles their
-//     cells like any other. The per-existential checks run on a worker pool
-//     over an oracle.Pool of incremental doubled-ϕ solvers; see define.go.
-//  2. Maintain an incremental SAT instance over arbiter variables. Each
+//  1. Maintain an incremental SAT instance over arbiter variables. Each
 //     verification counterexample β (an assignment of X where the current
 //     tables fail) instantiates every matrix clause under β, with
 //     existential literals mapped to the arbiter cell for β↾Hi, and adds the
 //     instantiated clauses.
-//  3. A model of the arbiter instance is a partial truth-table per
+//  2. A model of the arbiter instance is a partial truth-table per
 //     existential (default 0 on untouched cells); verification either
 //     certifies it or produces a new β. Unsatisfiability of the (partial)
 //     instantiation proves the DQBF False, since it under-approximates the
@@ -35,8 +32,8 @@
 // The loop terminates: each counterexample's instantiation forces all later
 // models to satisfy ϕ on that β, and there are finitely many β. Like Pedant,
 // the method is complete, certifying (functions verified by construction),
-// and strongest on instances with many defined variables / small dependency
-// sets, complementing both expansion and Manthan3.
+// and strongest on instances whose counterexamples touch few cells,
+// complementing both expansion and Manthan3.
 //
 // The package is under the determinism contract — results must be
 // bit-identical across runs and worker counts (see internal/analysis).
@@ -63,13 +60,11 @@ var (
 	ErrBudget = errors.New("pedant: budget exhausted")
 	// ErrTooLarge means a dependency set exceeds the cell limit.
 	ErrTooLarge = errors.New("pedant: dependency sets too large")
-	// ErrInternal means a Padoa worker panicked, or the engine caught itself
-	// in an inconsistent state. A worker panic is recovered by
-	// oracle.ForEach on the goroutine that raised it (a caller-side recover
-	// cannot cross goroutines), and its oracle.ErrPanic error, carrying the
-	// panic value and stack, stays in the chain. The backend adapter maps
-	// ErrInternal to backend.ErrInternal.
-	ErrInternal = errors.New("pedant: internal panic")
+	// ErrInternal means the engine caught itself in an inconsistent state:
+	// a verification counterexample added no constraints to the arbiter
+	// instance. The backend adapter maps ErrInternal to
+	// backend.ErrInternal.
+	ErrInternal = errors.New("pedant: internal error")
 )
 
 // maxCellsPerVar caps arbiter-cell growth: Solve gives up with ErrTooLarge
@@ -82,26 +77,20 @@ type Options struct {
 	MaxIterations int
 	// SATConflictBudget bounds each SAT call (default 500000).
 	SATConflictBudget int64
-	// SkipDefinitionCheck disables the Padoa pass.
-	SkipDefinitionCheck bool
-	// DefineWorkers bounds the Padoa pass's worker pool (0 = NumCPU): the
-	// per-existential definedness queries run concurrently over an
-	// oracle.Pool of doubled-ϕ-loaded solvers and merge in declaration
-	// order, so Stats.DefinedVars is bit-identical for every worker count.
+	// Deprecated: ignored; Solve runs on the calling goroutine alone. The
+	// field stays until the benchmark module stops setting it.
 	DefineWorkers int
 }
 
 // Stats reports work performed.
 type Stats struct {
-	DefinedVars int
 	Iterations  int
 	ArbiterVars int
 	InstClauses int
 	VerifyCalls int
-	// Phases is the per-phase telemetry (define → refine) in the shared
-	// backend vocabulary: define is the Padoa definition pass, refine the
-	// counterexample-guided arbiter loop (including its verification
-	// calls and the final table read-back).
+	// Phases is the per-phase telemetry in the shared backend vocabulary:
+	// one refine phase, the counterexample-guided arbiter loop (including
+	// its verification calls and the final table read-back).
 	Phases []backend.PhaseStat
 }
 
@@ -168,14 +157,6 @@ func Solve(ctx context.Context, in *dqbf.Instance, opts Options) (*Result, error
 	e := newEngine(ctx, in, opts)
 
 	rec := backend.NewPhaseRecorder()
-	if !opts.SkipDefinitionCheck {
-		rec.Begin(backend.PhaseDefine)
-		if err := e.countDefined(); err != nil {
-			return nil, err
-		}
-		rec.AddOracle(int64(len(in.Exist))) // one Padoa query per existential
-	}
-
 	rec.Begin(backend.PhaseRefine)
 	e.buildVerifier()
 	for iter := 0; iter < opts.MaxIterations; iter++ {

@@ -13,17 +13,14 @@ import (
 func init() {
 	backend.Register(backend.NewFunc("pedant",
 		func(ctx context.Context, in *dqbf.Instance, opts backend.Options) (*backend.Result, error) {
-			res, err := Solve(ctx, in, Options{
-				DefineWorkers:     opts.PreprocWorkers,
-				SATConflictBudget: opts.SATConflictBudget,
-			})
+			res, err := Solve(ctx, in, Options{SATConflictBudget: opts.SATConflictBudget})
 			if err != nil {
 				return nil, backendErr(err)
 			}
 			return &backend.Result{
 				Vector: res.Vector,
-				Stats: fmt.Sprintf("%d iterations, %d arbiter vars, %d defined vars",
-					res.Stats.Iterations, res.Stats.ArbiterVars, res.Stats.DefinedVars),
+				Stats: fmt.Sprintf("%d iterations, %d arbiter vars",
+					res.Stats.Iterations, res.Stats.ArbiterVars),
 				Phases: res.Stats.Phases,
 			}, nil
 		}))

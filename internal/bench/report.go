@@ -39,10 +39,11 @@ func WriteExperimentsMD(w io.Writer, tab *Table, results []RunResult, timeout ti
 
 Generated by cmd/benchrunner: %d instances × %d engines (%s), per-instance timeout
 %v (laptop-scale stand-in for the paper's 7200 s on E5-2690v3 nodes). The
-benchmark suite is the synthetic 563-instance replica described in DESIGN.md;
-absolute counts are not expected to match the paper, but the qualitative
-shape — who wins where, pairwise incomparability, and the VBS lift from
-adding Manthan3 — is the reproduction target.
+benchmark suite is the synthetic 563-instance replica that internal/gen
+generates (its package comment describes the families); absolute counts are
+not expected to match the paper, but the qualitative shape — who wins where,
+pairwise incomparability, and the VBS lift from adding Manthan3 — is the
+reproduction target.
 
 ## Table 1 — solved / unique / fastest counts (paper §6 in-text)
 

@@ -16,6 +16,11 @@
 // allocation-free against a warm arena. Walkers (Eval, Support, NodeCount,
 // ToCNF) are Builder methods memoized through epoch-stamped side tables
 // instead of per-call maps for the same reason.
+//
+// The package is under the determinism contract — results must be
+// bit-identical across runs and worker counts (see internal/analysis).
+//
+//lint:deterministic
 package boolfunc
 
 import (
@@ -151,15 +156,6 @@ func (b *Builder) rec(n Node) *node {
 
 // Op returns the kind of n.
 func (b *Builder) Op(n Node) Op { return b.rec(n).op }
-
-// ConstValue returns the constant payload of an OpConst node.
-func (b *Builder) ConstValue(n Node) bool { return b.rec(n).val }
-
-// VarOf returns the input variable of an OpVar node.
-func (b *Builder) VarOf(n Node) cnf.Var { return cnf.Var(b.rec(n).v) }
-
-// Kid returns the i-th child of n (valid for i < the op's arity).
-func (b *Builder) Kid(n Node, i int) Node { return b.rec(n).kids[i] }
 
 // Size returns the number of distinct nodes interned so far.
 func (b *Builder) Size() int { return len(b.recs) - 1 }

@@ -5,6 +5,11 @@
 // The conventions follow the DIMACS standard: variables are positive integers
 // starting at 1, a literal is a signed variable (+v for the positive literal,
 // -v for the negation), and a clause is a disjunction of literals.
+//
+// The package is under the determinism contract — results must be
+// bit-identical across runs and worker counts (see internal/analysis).
+//
+//lint:deterministic
 package cnf
 
 import (
@@ -60,16 +65,6 @@ func (c Clause) Clone() Clause {
 	out := make(Clause, len(c))
 	copy(out, c)
 	return out
-}
-
-// Has reports whether the clause contains the literal l.
-func (c Clause) Has(l Lit) bool {
-	for _, x := range c {
-		if x == l {
-			return true
-		}
-	}
-	return false
 }
 
 // Normalize sorts the clause by variable, removes duplicate literals, and

@@ -8,18 +8,18 @@
 // the same decomposition the paper's evaluation (§6) uses to report where
 // time goes:
 //
-//	preprocess    constant/unate detection, one independent oracle-query
-//	              chain per existential, run through oracle.ForEach
-//	              (Options.PreprocWorkers) over shared incremental oracles:
-//	              an oracle.Pool of ϕ-loaded solvers for the constant
-//	              checks, plus one selector-guarded two-copy encoding
-//	              (ϕ ∧ ¬ϕ with primed existentials) for the unate checks, so
+//	preprocess    unate detection: a syntactic pass over the clauses,
+//	              then one semantic check per existential it left, run
+//	              through oracle.ForEach (Options.PreprocWorkers) over an
+//	              oracle.Pool of solvers loaded with one selector-guarded
+//	              two-copy encoding (ϕ ∧ ¬ϕ with primed existentials), so
 //	              per-existential queries are assumption calls instead of
-//	              fresh formula constructions; then, serially and with no
-//	              SAT call, gate definitions: an existential that ϕ's
-//	              clauses over it and at most three other variables define
-//	              gets that gate as its function, and like the constants it
-//	              is skipped by learning and repair;
+//	              fresh formula constructions; a constant of ϕ is unate, so
+//	              the checks find every one. Then, serially and with no SAT
+//	              call, gate definitions: an existential that ϕ's clauses
+//	              over it and at most three other variables define gets that
+//	              gate as its function, and like the unates it is skipped by
+//	              learning and repair;
 //	sample        constrained sampling of ϕ for the training set Σ,
 //	              packed once into one bitset column per variable of X ∪ Y;
 //	learn         per-existential decision trees respecting the Henkin
@@ -57,10 +57,10 @@
 //   - phiSolver holds ϕ and answers all assumption queries (counterexample
 //     extension, the Gk repair queries with their UNSAT cores).
 //
-//   - The preprocessing phase checks out ϕ-loaded solvers from an
-//     oracle.Pool sized to its worker count, so a thousand per-existential
-//     queries cost at most PreprocWorkers formula loads
-//     (Stats.PreprocSolversBuilt).
+//   - The preprocessing phase checks out solvers loaded with its unate
+//     check formula from an oracle.Pool sized to its worker count, so a
+//     thousand per-existential queries cost at most PreprocWorkers formula
+//     loads (Stats.PreprocSolversBuilt).
 //
 //   - verifySolver holds ¬ϕ(X,Y′) permanently, the Tseitin definitions of
 //     every candidate-DAG node encoded exactly once through a persistent

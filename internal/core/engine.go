@@ -54,8 +54,8 @@ type Options struct {
 	// count; see learnPhase.
 	LearnWorkers int
 	// PreprocWorkers bounds the preprocessing worker pool (0 = NumCPU): the
-	// per-existential constant/unate query chains run concurrently over
-	// oracle.Pools of loaded solvers and merge in declaration order, so the
+	// per-existential semantic unate checks run concurrently over an
+	// oracle.Pool of loaded solvers and merge in declaration order, so the
 	// fixed set and synthesized constants are bit-identical for every worker
 	// count; see preprocess. Caveat: each query's SAT/UNSAT answer is a
 	// fact, but which pooled solver (with which learnt-clause warmth) serves
@@ -79,8 +79,8 @@ type Options struct {
 	// DisableYHat drops the Ŷ ↔ σ[Ŷ] constraint from the repair formula Gk
 	// (ablation abl2; see the paper's discussion after Formula 1).
 	DisableYHat bool
-	// DisablePreprocess skips constant/unate detection and gate
-	// definitions (ablation abl3).
+	// DisablePreprocess skips unate detection and gate definitions
+	// (ablation abl3).
 	DisablePreprocess bool
 	// DisableAdaptiveSampling turns off the Manthan-lineage adaptive phase
 	// bias during data generation (ablation abl4).
@@ -118,8 +118,9 @@ func (o Options) withDefaults() Options {
 
 // Stats reports work performed during synthesis.
 type Stats struct {
-	Samples            int
-	ConstantsDetected  int
+	Samples int
+	// UnatesDetected counts the existentials the preprocess phase fixed to
+	// a constant as unate, syntactically or semantically (see preprocess).
 	UnatesDetected     int
 	VerifyCalls        int
 	RepairIterations   int
@@ -147,9 +148,10 @@ type Stats struct {
 	// the persistent verification solver after repairs (the initial encoding
 	// of each candidate is not counted).
 	CandidateReencodes int
-	// PreprocSolversBuilt counts ϕ-loaded solvers constructed by the
-	// preprocessing oracle pool; it never exceeds the preprocessing worker
-	// count regardless of how many queries the phase issues.
+	// PreprocSolversBuilt counts the solvers the preprocess phase built,
+	// all of them in its unate-check pool; it never exceeds the
+	// preprocessing worker count regardless of how many queries the phase
+	// issues.
 	PreprocSolversBuilt int
 	// VerifyBatches counts multi-candidate repair batches whose Gk queries
 	// ran on the fixed-slot solver pool instead of the serial ϕ-solver;

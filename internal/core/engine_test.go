@@ -182,9 +182,8 @@ func TestConstantDetection(t *testing.T) {
 	in.Matrix.AddClause(2, 1)
 	in.Matrix.AddClause(2, -1)
 	res := synthesizeAndCheck(t, in, Options{Seed: 1})
-	// y never occurs negated, so the syntactic unate fast path fixes it
-	// before the semantic constant check runs; either stat is acceptable.
-	if res.Stats.ConstantsDetected+res.Stats.UnatesDetected != 1 {
+	// y never occurs negated, so the syntactic unate fast path fixes it.
+	if res.Stats.UnatesDetected != 1 {
 		t.Fatalf("preprocessing hits: %+v, want exactly 1", res.Stats)
 	}
 	if res.Vector.Funcs[2] != res.Vector.B.True() {
@@ -203,8 +202,10 @@ func TestSemanticConstantDetection(t *testing.T) {
 	in.Matrix.AddClause(2, -1)
 	in.Matrix.AddClause(-2, 3) // ¬y occurrence; forces y3 once y2=1
 	res := synthesizeAndCheck(t, in, Options{Seed: 1})
-	if res.Stats.ConstantsDetected < 1 {
-		t.Fatalf("semantic constant path not exercised: %+v", res.Stats)
+	// y3 never occurs negated, so the syntactic pass fixes it; only the
+	// semantic unate check fixes y2.
+	if res.Stats.UnatesDetected < 2 {
+		t.Fatalf("semantic unate path not exercised: %+v", res.Stats)
 	}
 	if res.Vector.Funcs[2] != res.Vector.B.True() {
 		t.Fatalf("f2 should be constant true")
@@ -218,7 +219,7 @@ func TestUnateDetection(t *testing.T) {
 	in.AddExist(2, []cnf.Var{1})
 	in.Matrix.AddClause(2, 1)
 	res := synthesizeAndCheck(t, in, Options{Seed: 1})
-	if res.Stats.UnatesDetected+res.Stats.ConstantsDetected < 1 {
+	if res.Stats.UnatesDetected < 1 {
 		t.Fatalf("no preprocessing hit: %+v", res.Stats)
 	}
 }

@@ -90,10 +90,9 @@ func outcomeFingerprint(t *testing.T, in *dqbf.Instance, opts Options) string {
 	if err := dqbf.WriteCertificate(&sb, res.Vector); err != nil {
 		t.Fatalf("opts=%+v: certificate: %v", opts, err)
 	}
-	fmt.Fprintf(&sb, "stats: samples=%d verify=%d repairs=%d rowRepairs=%d learnConflicts=%d constants=%d unates=%d defined=%d oracle=%d\n",
+	fmt.Fprintf(&sb, "stats: samples=%d verify=%d repairs=%d rowRepairs=%d learnConflicts=%d unates=%d defined=%d oracle=%d\n",
 		res.Stats.Samples, res.Stats.VerifyCalls, res.Stats.CandidatesRepaired, res.Stats.RowRepairs,
-		res.Stats.LearnConflicts, res.Stats.ConstantsDetected, res.Stats.UnatesDetected,
-		res.Stats.DefinedVars, res.Stats.OracleCalls)
+		res.Stats.LearnConflicts, res.Stats.UnatesDetected, res.Stats.DefinedVars, res.Stats.OracleCalls)
 	for _, p := range res.Stats.Phases {
 		fmt.Fprintf(&sb, "phase %s: %d oracle calls\n", p.Name, p.OracleCalls)
 	}
@@ -123,10 +122,10 @@ func TestParallelLearnDeterministic(t *testing.T) {
 }
 
 // preprocHeavyInstance builds a True instance whose existentials exercise
-// every preprocessing verdict: a semantic constant (both polarities occur
-// but ϕ ∧ y1 is UNSAT), a syntactic unate, a semantic unate (equal
-// cofactors), and functions no check fixes, which the learn phase must
-// learn.
+// every preprocessing verdict: a constant of ϕ (both polarities occur but
+// ϕ ∧ y1 is UNSAT), which the semantic unate check fixes, a syntactic
+// unate, a semantic unate (equal cofactors), and functions no unate check
+// fixes.
 func preprocHeavyInstance() *dqbf.Instance {
 	in := dqbf.NewInstance()
 	in.AddUniv(1) // x1
@@ -136,9 +135,10 @@ func preprocHeavyInstance() *dqbf.Instance {
 	for _, y := range []cnf.Var{y1, y2, y3, y4, y5} {
 		in.AddExist(y, allX)
 	}
-	// y1: semantic constant 0 — (¬y1∨x1) ∧ (¬y1∨¬x1) force it false while
-	// (y1∨y2) gives it a positive occurrence (and makes y2 syntactically
-	// positive-unate: y2 never occurs negated).
+	// y1: constant 0 — (¬y1∨x1) ∧ (¬y1∨¬x1) force it false while (y1∨y2)
+	// gives it a positive occurrence (and makes y2 syntactically
+	// positive-unate: y2 never occurs negated), so only the semantic check
+	// finds it, as negative unate.
 	in.Matrix.AddClause(-3, 1)
 	in.Matrix.AddClause(-3, -1)
 	in.Matrix.AddClause(3, 4)
@@ -147,8 +147,8 @@ func preprocHeavyInstance() *dqbf.Instance {
 	in.Matrix.AddClause(5, -1)
 	// y4: semantic positive unate with both polarities occurring — setting
 	// y4 drops (y4∨x1) and leaves (¬y4∨y2), which the forced y2=1
-	// satisfies, so ϕ[y4:=0] ∧ ¬ϕ[y4:=1] is UNSAT while neither constant
-	// check fires.
+	// satisfies, so ϕ[y4:=0] ∧ ¬ϕ[y4:=1] is UNSAT although ϕ allows y4
+	// both values.
 	in.Matrix.AddClause(6, 1)
 	in.Matrix.AddClause(-6, 4)
 	// y5 ↔ (x1 ∨ x2): a function the learn phase must actually learn.
@@ -187,8 +187,11 @@ func TestParallelPreprocessDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("preprocHeavyInstance does not synthesize: %v", err)
 	}
-	if res.Stats.ConstantsDetected == 0 || res.Stats.UnatesDetected == 0 {
-		t.Fatalf("preprocHeavyInstance misses a preprocessing path: %+v", res.Stats)
+	// y2 is the one syntactic unate, so the semantic checks must add y1 and
+	// y4.
+	if res.Stats.UnatesDetected != 3 {
+		t.Fatalf("preprocHeavyInstance: %d unates, want 3 (y2 syntactic, y1 and y4 semantic): %+v",
+			res.Stats.UnatesDetected, res.Stats)
 	}
 	if res.Stats.PreprocSolversBuilt != 1 {
 		t.Fatalf("PreprocWorkers=1 built %d pooled solvers, want 1", res.Stats.PreprocSolversBuilt)

@@ -9,13 +9,15 @@ import (
 )
 
 // The preprocess phase performs the preprocessing inherited from the
-// Manthan lineage: constant and unate detection, then gate definitions.
+// Manthan lineage: unate detection, then gate definitions.
 //
-//   - Constant: if ϕ ∧ yi is UNSAT then fi = 0; if ϕ ∧ ¬yi is UNSAT, fi = 1.
 //   - Positive unate: if ϕ[yi:=0] ∧ ¬ϕ[yi:=1] is UNSAT then setting yi to 1
 //     never hurts, so fi = 1 (symmetrically fi = 0 for negative unate).
 //     Constants have empty support, so they trivially satisfy any Henkin
-//     dependency set.
+//     dependency set. A variable ϕ fixes is unate: ϕ is satisfiable when
+//     the phase runs, so if ϕ ∧ ¬yi is UNSAT the positive query is UNSAT
+//     and fi = 1, and if ϕ ∧ yi is UNSAT the positive query is SAT and the
+//     negative one UNSAT, so fi = 0.
 //   - Definition: if the clauses over {z} ∪ S, |S| ≤ 3, fix z on every
 //     assignment of S, then fz = g(S) for that local truth table g (see
 //     defineGates). These are the AND, OR, XOR and ITE gates a Tseitin
@@ -30,32 +32,24 @@ import (
 // interpolation-based UNIQUE tool); this reproduction finds only the local
 // gates, with no SAT call.
 //
-// The query chain of one existential is independent of every other's, so
-// the chains run through oracle.ForEach (Options.PreprocWorkers): constant
-// checks borrow ϕ-loaded solvers from an oracle.Pool sized to the worker
-// count (built once, checked out per query), and the unate checks borrow
-// from a second pool loaded with one shared assumption-driven check formula
-// — ϕ(X,Y) ∧ ¬ϕ(X,Y″) with per-existential equality selectors — built once
-// per run instead of re-encoding cofactors into a fresh solver per check.
-// Workers only compute; the results are merged — setFunc, the fixed set, the
-// stats counters — strictly in declaration order, so the outcome is
-// bit-identical for every worker count (TestParallelPreprocessDeterministic).
-
-// preprocKind classifies the outcome of one existential's check chain.
-type preprocKind int
-
-const (
-	preprocNone       preprocKind = iota
-	preprocConstFalse             // ϕ ∧ y UNSAT → f = 0
-	preprocConstTrue              // ϕ ∧ ¬y UNSAT → f = 1
-	preprocUnateTrue              // positive unate → f = 1
-	preprocUnateFalse             // negative unate → f = 0
-)
+// The phase runs in three steps: a syntactic unate pass over the clause
+// list, one semantic unate check per existential it left, and the gate
+// definitions. The unate checks of one existential are independent of
+// every other's, so they run through oracle.ForEach
+// (Options.PreprocWorkers), borrowing solvers from an oracle.Pool sized to
+// the worker count and loaded with one shared assumption-driven check
+// formula — ϕ(X,Y) ∧ ¬ϕ(X,Y″) with per-existential equality selectors —
+// built once per run instead of re-encoding cofactors into a fresh solver
+// per check. Workers only compute; the results are merged — setFunc, the
+// fixed set, the stats counters — strictly in declaration order, so the
+// outcome is bit-identical for every worker count
+// (TestParallelPreprocessDeterministic).
 
 // preprocResult is one worker's verdict for one existential.
 type preprocResult struct {
-	kind   preprocKind
-	oracle int64 // solver calls issued for this chain
+	unate  bool  // a unate check fixed it
+	value  bool  // its constant: 1 when positive unate, 0 when negative
+	oracle int64 // solver calls issued for this existential
 	err    error
 }
 
@@ -78,13 +72,9 @@ func (e *Engine) preprocess() error {
 	for _, y := range e.in.Exist {
 		switch {
 		case !negOcc[y]:
-			e.setFunc(y, e.b.True())
-			e.fixed[y] = true
-			e.stats.UnatesDetected++
+			e.fixUnate(y, true)
 		case !posOcc[y]:
-			e.setFunc(y, e.b.False())
-			e.fixed[y] = true
-			e.stats.UnatesDetected++
+			e.fixUnate(y, false)
 		}
 	}
 
@@ -99,16 +89,13 @@ func (e *Engine) preprocess() error {
 	}
 
 	workers := oracle.Workers(e.opts.PreprocWorkers, len(todo))
-	pool := &preprocOracles{
-		consts: oracle.NewPool(workers, e.newPhiSolver),
-		unate:  e.buildUnateOracle(workers),
-	}
+	u := e.buildUnateOracle(workers)
 	results := make([]preprocResult, len(todo))
 	err := oracle.ForEach(e.ctx, workers, len(todo), func(i int) error {
-		results[i] = e.preprocessOne(todo[i], pool)
+		results[i] = e.preprocessOne(todo[i], u)
 		return results[i].err
 	})
-	e.stats.PreprocSolversBuilt = pool.consts.Built()
+	e.stats.PreprocSolversBuilt = u.pool.Built()
 	if err != nil {
 		return e.workerErr("preprocess", err)
 	}
@@ -118,31 +105,23 @@ func (e *Engine) preprocess() error {
 	for i, y := range todo {
 		r := results[i]
 		e.extraOracle += r.oracle
-		switch r.kind {
-		case preprocConstFalse:
-			e.setFunc(y, e.b.False())
-			e.fixed[y] = true
-			e.stats.ConstantsDetected++
-		case preprocConstTrue:
-			e.setFunc(y, e.b.True())
-			e.fixed[y] = true
-			e.stats.ConstantsDetected++
-		case preprocUnateTrue:
-			e.setFunc(y, e.b.True())
-			e.fixed[y] = true
-			e.stats.UnatesDetected++
-		case preprocUnateFalse:
-			e.setFunc(y, e.b.False())
-			e.fixed[y] = true
-			e.stats.UnatesDetected++
+		if r.unate {
+			e.fixUnate(y, r.value)
 		}
 	}
 	if err := e.defineGates(); err != nil {
 		return err
 	}
-	e.tracef("preprocess: %d constants, %d unates, %d defined (%d workers, %d pooled solvers)",
-		e.stats.ConstantsDetected, e.stats.UnatesDetected, e.stats.DefinedVars, workers, e.stats.PreprocSolversBuilt)
+	e.tracef("preprocess: %d unates, %d defined (%d workers, %d pooled solvers)",
+		e.stats.UnatesDetected, e.stats.DefinedVars, workers, e.stats.PreprocSolversBuilt)
 	return nil
+}
+
+// fixUnate installs the constant v as unate y's function and fixes y.
+func (e *Engine) fixUnate(y cnf.Var, v bool) {
+	e.setFunc(y, e.b.Const(v))
+	e.fixed[y] = true
+	e.stats.UnatesDetected++
 }
 
 // Gate definitions. For an existential z, a candidate input set S is the
@@ -383,69 +362,23 @@ func (e *Engine) defineAs(z cnf.Var, s gateInputs, table uint8) error {
 	return nil
 }
 
-// preprocOracles bundles the two preprocessing solver pools handed to the
-// workers: ϕ-loaded solvers for the constant checks plus the shared unate
-// check oracle. Both pools are sized to the worker count, so concurrent
-// checkouts never block on each other.
-type preprocOracles struct {
-	consts *oracle.Pool
-	unate  *unateOracle
-}
-
-// preprocessOne runs one existential's check chain — constant, then unate —
+// preprocessOne runs one existential's unate checks, positive first,
 // reading the engine strictly read-only (safe from worker goroutines); all
 // mutation is deferred to the merge. Each pooled solver is held only for
-// its own queries, and other workers' checkouts interleave freely.
-func (e *Engine) preprocessOne(y cnf.Var, pool *preprocOracles) preprocResult {
+// its own query, and other workers' checkouts interleave freely.
+func (e *Engine) preprocessOne(y cnf.Var, u *unateOracle) preprocResult {
 	r := preprocResult{}
-	done := false
-	pool.consts.With(func(s *sat.Solver) {
-		st := s.SolveAssume([]cnf.Lit{cnf.PosLit(y)})
+	for _, positive := range []bool{true, false} {
+		unate, err := e.isUnate(u, y, positive)
 		r.oracle++
-		if st == sat.Unknown {
-			r.err = e.oracleUnknown(s, "preprocessing")
-			done = true
-			return
+		if err != nil {
+			r.err = err
+			return r
 		}
-		if st == sat.Unsat {
-			r.kind = preprocConstFalse
-			done = true
-			return
+		if unate {
+			r.unate, r.value = true, positive
+			return r
 		}
-		st = s.SolveAssume([]cnf.Lit{cnf.NegLit(y)})
-		r.oracle++
-		if st == sat.Unknown {
-			r.err = e.oracleUnknown(s, "preprocessing")
-			done = true
-			return
-		}
-		if st == sat.Unsat {
-			r.kind = preprocConstTrue
-			done = true
-		}
-	})
-	if done {
-		return r
-	}
-	// Unate checks (assumption queries on the shared check formula).
-	pos, err := e.isUnate(pool.unate, y, true)
-	r.oracle++
-	if err != nil {
-		r.err = err
-		return r
-	}
-	if pos {
-		r.kind = preprocUnateTrue
-		return r
-	}
-	neg, err := e.isUnate(pool.unate, y, false)
-	r.oracle++
-	if err != nil {
-		r.err = err
-		return r
-	}
-	if neg {
-		r.kind = preprocUnateFalse
 	}
 	return r
 }

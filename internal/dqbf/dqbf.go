@@ -6,10 +6,16 @@
 // (dependency checks, brute-force truth on small instances), and SAT-based
 // verification of candidate Henkin function vectors — the specification-side
 // substrate every synthesis engine in this repository shares.
+//
+// The package is under the determinism contract — results must be
+// bit-identical across runs and worker counts (see internal/analysis).
+//
+//lint:deterministic
 package dqbf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/boolfunc"
@@ -28,7 +34,7 @@ type Instance struct {
 	// Exist is the existential block Y, in declaration order.
 	Exist []cnf.Var
 	// Deps maps each existential variable to its Henkin dependency set Hi,
-	// sorted ascending.
+	// sorted ascending, each universal once.
 	Deps map[cnf.Var][]cnf.Var
 }
 
@@ -45,14 +51,15 @@ func (in *Instance) AddUniv(v cnf.Var) {
 	}
 }
 
-// AddExist declares an existential variable with dependency set deps (copied
-// and sorted).
+// AddExist declares an existential variable with dependency set deps
+// (copied, sorted and deduplicated, so a repeated entry names its universal
+// once).
 func (in *Instance) AddExist(v cnf.Var, deps []cnf.Var) {
 	in.Exist = append(in.Exist, v)
 	d := make([]cnf.Var, len(deps))
 	copy(d, deps)
-	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-	in.Deps[v] = d
+	slices.Sort(d)
+	in.Deps[v] = slices.Compact(d)
 	if int(v) > in.Matrix.NumVars {
 		in.Matrix.NumVars = int(v)
 	}

@@ -104,6 +104,31 @@ func TestDLineRejectsExistentialDependency(t *testing.T) {
 	}
 }
 
+// TestDLineRepeatedDependency parses ∀x1 x2 ∃^{x1} y3 . (y3 ↔ x2) with its
+// one dependency written twice, "d 3 1 1 0". The repeat names x1 once:
+// H(y3) = {x1}, so the instance is no 2-QBF, and the subset helpers compare
+// H(y3) with {x1} as equal sets. Kept as {x1, x1}, IsSkolem compared its
+// length with |X| = 2 and passed it as a 2-QBF.
+func TestDLineRepeatedDependency(t *testing.T) {
+	in, err := ParseDQDIMACS(strings.NewReader("p cnf 3 2\na 1 2 0\nd 3 1 1 0\n-3 2 0\n3 -2 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := in.DepSet(3); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("H(y3) = %v, want [1]", got)
+	}
+	if in.IsSkolem() {
+		t.Fatal("H(y3) = {x1} of X = {x1, x2} reported Skolem")
+	}
+	in.AddExist(4, []cnf.Var{1})
+	if !in.SubsetDeps(3, 4) || !in.SubsetDeps(4, 3) {
+		t.Fatal("H(y3) and H(y4) = {x1} not reported subsets of each other")
+	}
+	if in.ProperSubsetDeps(3, 4) || in.ProperSubsetDeps(4, 3) {
+		t.Fatal("H(y3) and H(y4) = {x1} reported proper subsets")
+	}
+}
+
 // TestClauseRejectsVariableBeyondHeader: clauses may only use variables
 // 1..<vars> of the problem line.
 func TestClauseRejectsVariableBeyondHeader(t *testing.T) {

@@ -15,6 +15,11 @@
 // A learned tree converts to a Boolean function as the disjunction of the
 // root-to-leaf paths that end in a leaf labeled 1 (paper Algorithm 2,
 // lines 7-10).
+//
+// The package is under the determinism contract — results must be
+// bit-identical across runs and worker counts (see internal/analysis).
+//
+//lint:deterministic
 package dtree
 
 import (

@@ -173,9 +173,6 @@ func (p *Plan) String() string {
 	return fmt.Sprintf("faultplan(seed=%d: %s)", p.seed, strings.Join(parts, ","))
 }
 
-// Calls reports how many wrapped invocations the plan has observed.
-func (p *Plan) Calls() int64 { return p.calls.Load() }
-
 // Fired reports how many rules have fired.
 func (p *Plan) Fired() int {
 	n := 0

@@ -15,6 +15,11 @@
 // the hard formula stays loaded across queries, per-query machinery lives in
 // releasable clause groups, and the query-specific hard unit constraints are
 // passed as assumptions.
+//
+// The package is under the determinism contract — results must be
+// bit-identical across runs and worker counts (see internal/analysis).
+//
+//lint:deterministic
 package maxsat
 
 import (

@@ -3,8 +3,8 @@
 // identically-built SAT solvers.
 //
 // ForEach runs independent per-item work — the manthan3 preprocessing,
-// learning and batched repair-probe phases, the pedant Padoa pass — on a
-// bounded number of goroutines, inline when there is one worker. It claims
+// learning and batched repair-probe phases — on a bounded number of
+// goroutines, inline when there is one worker. It claims
 // items in index order, recovers a worker's panic as an error wrapping
 // ErrPanic, and returns the lowest-indexed failure, so callers that write
 // results at their item's index and merge them serially get the same
@@ -14,11 +14,9 @@
 // the expensive part, and a loaded solver answers many incremental
 // assumption queries cheaply. When a phase has per-item queries that are
 // independent — the manthan3 preprocessing phase issues per-existential
-// constant/unate checks against the same ϕ, and the pedant Padoa pass
-// issues per-existential definedness queries against one doubled ϕ with
-// equality selectors — the natural shape is a fixed pool of loaded solvers,
-// each built once and then checked out by whichever worker needs an oracle
-// next.
+// unate checks against one doubled ϕ with equality selectors — the natural
+// shape is a fixed pool of loaded solvers, each built once and then checked
+// out by whichever worker needs an oracle next.
 //
 // Pool builds solvers lazily through the constructor it is given: the first
 // Size checkouts each construct one solver, later checkouts reuse returned

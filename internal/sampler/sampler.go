@@ -7,6 +7,11 @@
 // trick from the Manthan line of work: after an initial round, each
 // existential variable's phase is biased toward its empirical frequency,
 // pushing samples toward regions where learned candidates generalize.
+//
+// The package is under the determinism contract — results must be
+// bit-identical across runs and worker counts (see internal/analysis).
+//
+//lint:deterministic
 package sampler
 
 import (

@@ -1364,10 +1364,6 @@ func (s *Solver) AppendCore(dst []cnf.Lit) []cnf.Lit {
 	return dst
 }
 
-// Okay reports whether the solver is still consistent at level 0 (false once
-// an empty clause has been derived).
-func (s *Solver) Okay() bool { return s.ok }
-
 // BlockModel adds a clause forbidding the current model restricted to the
 // given variables (used for model enumeration). Must be called after Sat.
 func (s *Solver) BlockModel(vars []cnf.Var) bool {
