@@ -23,9 +23,10 @@ import (
 
 // benchPackages are the benchmark suites the perf trajectory tracks: the
 // SAT core's micro-benchmarks, the synthesis engine's end-to-end ones, the
-// decision-tree learning of one learn phase, the universal expansion of the
-// expand baseline and the refinement loop of the pedant baseline.
-var benchPackages = []string{"./internal/sat", "./internal/core", "./internal/dtree", "./internal/baselines/expand", "./internal/baselines/pedant"}
+// 400 draws of one sample phase, the decision-tree learning of one learn
+// phase, the universal expansion of the expand baseline and the refinement
+// loop of the pedant baseline.
+var benchPackages = []string{"./internal/sat", "./internal/core", "./internal/sampler", "./internal/dtree", "./internal/baselines/expand", "./internal/baselines/pedant"}
 
 // benchResult is one benchmark's median metrics.
 type benchResult struct {

@@ -36,8 +36,8 @@
 // makes the run exit 1.
 //
 // -bench-out switches to perf-trajectory mode: run the internal/sat,
-// internal/core, internal/dtree, internal/baselines/expand and
-// internal/baselines/pedant micro-benchmarks -bench-count times each and
+// internal/core, internal/sampler, internal/dtree, internal/baselines/expand
+// and internal/baselines/pedant micro-benchmarks -bench-count times each and
 // write median
 // ns/op, B/op, and allocs/op as JSON (the committed BENCH_<n>.json files),
 // then exit. The tier-1 verify runs it with -bench-count 1 -bench-time 1x
@@ -80,7 +80,7 @@ func run(args []string) int {
 	enginesFlag := fs.String("engines", "", "comma-separated engine specs to race (default: the canonical set; accepts name@seed and portfolio:a+b+c)")
 	faults := fs.String("faults", "", "deterministic fault plan injected into every engine run (e.g. \"panic@1,budget@2,stall(5ms)@3\"; see internal/faultinject); a fresh plan is armed per run")
 	replay := fs.String("replay", "", "regenerate reports from a previous results_raw.csv instead of re-running")
-	benchOut := fs.String("bench-out", "", "run the internal/sat, internal/core, internal/dtree, internal/baselines/expand and internal/baselines/pedant micro-benchmarks and write median results as JSON to this file, then exit")
+	benchOut := fs.String("bench-out", "", "run the internal/sat, internal/core, internal/sampler, internal/dtree, internal/baselines/expand and internal/baselines/pedant micro-benchmarks and write median results as JSON to this file, then exit")
 	benchCount := fs.Int("bench-count", 3, "benchmark repetitions per micro-benchmark for -bench-out (medians are reported)")
 	benchTime := fs.String("bench-time", "1s", "benchtime per micro-benchmark run for -bench-out (accepts Nx iteration counts)")
 	serveLoad := fs.String("serve-load", "", "open-loop load test against the manthand service: \"self\" (in-process server honoring -faults) or a base URL; reports p50/p99 latency, shed and outcome counts, then exits")

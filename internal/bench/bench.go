@@ -141,7 +141,9 @@ func (o Options) engines() []string {
 // backend.Resolve, so seed-pinned and portfolio specs race like plain
 // engines) on an instance under a per-run timeout derived from ctx, so a
 // caller canceling ctx (a benchrunner shard being shut down, a service
-// request going away) interrupts the run promptly.
+// request going away) interrupts the run promptly. A vector or False
+// verdict that arrives after that derived ctx has expired is TimedOut, with
+// the Duration measured: it is no solve within the run's timeout.
 func RunEngine(ctx context.Context, engine string, in *dqbf.Instance, opts Options) RunResult {
 	if ctx == nil {
 		ctx = context.Background()
@@ -181,8 +183,12 @@ func RunEngine(ctx context.Context, engine string, in *dqbf.Instance, opts Optio
 		Seed: opts.Seed, Workers: 1, PreprocWorkers: ppWorkers,
 		VerifyWorkers: vWorkers,
 	})
-	dur := time.Since(start)
-	out := RunResult{Engine: engine, Duration: dur}
+	end := time.Now()
+	// The deadline is compared directly because ctx.Err() turns non-nil only
+	// when ctx's timer fires, which can lag on a loaded host.
+	deadline, _ := ctx.Deadline()
+	late := !end.Before(deadline) || ctx.Err() != nil
+	out := RunResult{Engine: engine, Duration: end.Sub(start)}
 	if res != nil {
 		out.Phases = res.Phases
 		out.Attempts = res.Attempts
@@ -213,6 +219,9 @@ func RunEngine(ctx context.Context, engine string, in *dqbf.Instance, opts Optio
 	default:
 		out.Outcome = Failed
 		out.Detail = err.Error()
+	}
+	if late && (out.Outcome == Synthesized || out.Outcome == ProvedFalse) {
+		out.Outcome = TimedOut
 	}
 	return out
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
+	"repro/internal/dqbf"
 	"repro/internal/gen"
 )
 
@@ -30,6 +32,29 @@ func TestRunEngineAllEnginesOnEasyInstance(t *testing.T) {
 		if r.Duration <= 0 {
 			t.Fatalf("%s: no duration recorded", e)
 		}
+	}
+}
+
+// TestRunEngineLateVerdictTimesOut: an engine that finds a valid vector but
+// returns it after the run's timeout has not solved the instance within it.
+// The wrapper calls the engine, then sleeps past the 50 ms timeout before
+// returning the vector; the run classifies TimedOut with its full Duration.
+func TestRunEngineLateVerdictTimesOut(t *testing.T) {
+	inst := gen.Generate(gen.FamilyRandom, 0, 42) // h=1 planted
+	const timeout = 50 * time.Millisecond
+	wrap := func(b backend.Backend) backend.Backend {
+		return backend.NewFunc(b.Name(), func(ctx context.Context, in *dqbf.Instance, opts backend.Options) (*backend.Result, error) {
+			res, err := b.Synthesize(ctx, in, opts)
+			time.Sleep(2 * timeout)
+			return res, err
+		})
+	}
+	r := RunEngine(context.Background(), EngineManthan3, inst.DQBF, Options{Timeout: timeout, Seed: 1, WrapBackend: wrap})
+	if r.Outcome != TimedOut {
+		t.Fatalf("late vector classified %v (%s), want %v", r.Outcome, r.Detail, TimedOut)
+	}
+	if r.Duration < 2*timeout {
+		t.Fatalf("Duration %v, want at least the %v the wrapper slept", r.Duration, 2*timeout)
 	}
 }
 

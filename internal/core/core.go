@@ -79,8 +79,10 @@
 //   - FindCandi's MaxSAT localization runs through maxsat.Incremental
 //     against a solver that loads ϕ once.
 //
-//   - The sampler draws all training assignments from one solver, blocking
-//     each projected sample instead of rebuilding.
+//   - The sampler draws all training assignments from one solver without
+//     rebuilding it. Draws add no blocking clauses: a hash set of projected
+//     samples drops repeats, and only a small projected space, whose draws
+//     keep repeating, is finished with blocking clauses.
 //
 //   - Batched repair probes run on repairSlots ϕ-loaded slot solvers
 //     (Stats.RepairSolversBuilt), each built on the first batch that

@@ -493,7 +493,7 @@ func TestVerifyCounterexamplesGenuine(t *testing.T) {
 		fam gen.Family
 		idx []int
 	}{
-		{gen.FamilyController, []int{3, 4, 8, 13}},
+		{gen.FamilyController, []int{3, 4, 8, 19}},
 	} {
 		for _, idx := range c.idx {
 			inst := gen.Generate(c.fam, idx, 1)

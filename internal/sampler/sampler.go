@@ -8,6 +8,14 @@
 // existential variable's phase is biased toward its empirical frequency,
 // pushing samples toward regions where learned candidates generalize.
 //
+// Like CMSGen (Golia, Soos, Chakraborty, Meel, "Designing Samplers is Easy:
+// The Boon of Testers", FMCAD 2021), a draw adds no blocking clause while
+// draws keep finding new projections. Each model's projection is packed into
+// a flat bit row and deduplicated exactly against the rows already accepted.
+// Draws repeat early only in a small projected space; after switchDups
+// duplicate draws in a row, Sample blocks every seen projection and every
+// later sample, so it finishes such a space on UNSAT.
+//
 // The package is under the determinism contract — results must be
 // bit-identical across runs and worker counts (see internal/analysis).
 //
@@ -19,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/cnf"
 	"repro/internal/sat"
@@ -50,7 +59,8 @@ type Options struct {
 
 // Stats reports the oracle work one Sample call performed.
 type Stats struct {
-	// Solves counts SAT-solver calls, including budget-exhausted misses.
+	// Solves counts SAT-solver calls, including budget-exhausted misses and
+	// draws that repeat an accepted projection.
 	Solves int64
 }
 
@@ -61,12 +71,16 @@ type Stats struct {
 // point, or (wrapping ErrBudget) when the budgets run out before a first
 // sample.
 //
-// One solver is loaded with f and reused across all n draws: each accepted
-// sample adds a blocking clause over the projected variables (so duplicates
-// are impossible by construction, and sampling runs until the projected
-// solution space is exhausted), while the solver's single seeded RNG stream
-// keeps branching variables and phases random from draw to draw. The
-// per-draw restart costs a backtrack to level 0, not a formula reload.
+// One solver is loaded with f and reused across all draws, and its single
+// seeded RNG stream keeps branching variables and phases random from draw to
+// draw; the per-draw restart costs a backtrack to level 0, not a formula
+// reload. A draw adds no clause while draws keep finding new projections:
+// its projection onto opts.Vars is looked up in a hash set of the accepted
+// rows, and a repeat is dropped. After switchDups duplicate draws in a row,
+// Sample adds one blocking clause per accepted row and blocks each later
+// sample as it is accepted, so no draw can repeat and sampling runs until the
+// projected space is exhausted. Stats.Solves counts every draw, duplicates
+// included.
 //
 // Cancellation is prompt: ctx is installed on the solver (polled inside each
 // Solve call) and checked between draws.
@@ -101,7 +115,10 @@ func Sample(ctx context.Context, f *cnf.Formula, n int, opts Options) ([]cnf.Ass
 	// Cap the preallocation: n is a request ceiling, not a promise — callers
 	// may pass huge n to mean "enumerate until canceled".
 	samples := make([]cnf.Assignment, 0, min(n, 4096))
-	misses := 0
+	seen := newRowSet(vars, cap(samples))
+	var block cnf.Clause // reused for each sample's blocking clause
+	blocking := false
+	misses, dups := 0, 0
 	for len(samples) < n && misses < 3 {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sampler: %w", err)
@@ -135,6 +152,19 @@ func Sample(ctx context.Context, f *cnf.Formula, n int, opts Options) ([]cnf.Ass
 			continue
 		}
 		misses = 0
+		if !seen.add(s) {
+			// A repeat. A run of them means the projected space is small:
+			// block what is seen so the remaining draws must be new. A
+			// budget miss does not reset the count, so an exhausted space
+			// always reaches the switch.
+			dups++
+			if !blocking && dups >= switchDups {
+				s.AddClauses(seen.blockingClauses())
+				blocking = true
+			}
+			continue
+		}
+		dups = 0
 		m := s.Model()
 		samples = append(samples, m)
 		for _, v := range opts.AdaptiveVars {
@@ -142,10 +172,13 @@ func Sample(ctx context.Context, f *cnf.Formula, n int, opts Options) ([]cnf.Ass
 				freq[v]++
 			}
 		}
-		// Forbid this projection; an inconsistent solver (empty projection
-		// set) means no further distinct samples exist.
-		if !s.BlockModel(vars) {
-			break
+		// Once blocking, forbid this projection too; an inconsistent solver
+		// (empty projection set) means no further distinct samples exist.
+		if blocking {
+			block = seen.blockingClause(block[:0], seen.n-1)
+			if !s.AddClause(block...) {
+				break
+			}
 		}
 	}
 	if len(samples) == 0 {
@@ -153,6 +186,135 @@ func Sample(ctx context.Context, f *cnf.Formula, n int, opts Options) ([]cnf.Ass
 		return nil, fmt.Errorf("%w: no samples produced after %d draws in a row", ErrBudget, misses)
 	}
 	return samples, nil
+}
+
+// switchDups is the number of duplicate draws in a row after which Sample
+// blocks every seen projection. Unblocked draws repeat early only in small
+// projected spaces (a few to a few hundred points), where a run of 32
+// repeats says the rest of the space is cheaper to reach by blocking.
+const switchDups = 32
+
+// hashMul is the odd multiplier of the row hash (2^64 divided by the golden
+// ratio): each word is xored in and the state multiplied, so the top bits,
+// which pick a row's home slot, depend on every word.
+const hashMul = 0x9e3779b97f4a7c15
+
+// rowSet holds the accepted projections back to back in one flat bit buffer,
+// stride words per row with bit k holding vars[k], and keeps a row only if
+// no equal row is already held: an open-addressing table of hashes finds the
+// candidates, and a hash hit is confirmed on the full row.
+type rowSet struct {
+	vars   []cnf.Var
+	stride int      // words per row, ⌈|vars|/64⌉
+	rows   []uint64 // every kept row, then the one being read
+	n      int      // kept rows
+	// slots is probed linearly from slot hash>>shift. Its length is a power
+	// of two, and it is at most half full.
+	slots []rowSlot
+	shift uint
+}
+
+// rowSlot is one entry of rowSet.slots.
+type rowSlot struct {
+	hash uint64
+	id   int // kept row index + 1; 0 marks a free slot
+}
+
+// newRowSet returns a set over vars that holds the given number of rows
+// before any of its slices grows.
+func newRowSet(vars []cnf.Var, rows int) *rowSet {
+	logSlots := 4
+	for 1<<logSlots < 2*rows {
+		logSlots++
+	}
+	stride := (len(vars) + 63) / 64
+	return &rowSet{
+		vars:   vars,
+		stride: stride,
+		rows:   make([]uint64, 0, (rows+1)*stride),
+		slots:  make([]rowSlot, 1<<logSlots),
+		shift:  uint(64 - logSlots),
+	}
+}
+
+// add reads the projection of s's model onto vars and keeps it unless an
+// equal row is already kept; it reports whether the row was new.
+func (r *rowSet) add(s *sat.Solver) bool {
+	start := r.n * r.stride
+	r.rows = slices.Grow(r.rows, r.stride)[:start+r.stride]
+	row := r.rows[start:]
+	clear(row)
+	for k, v := range r.vars {
+		if s.ModelValue(v) == cnf.True {
+			row[k>>6] |= 1 << uint(k&63)
+		}
+	}
+	h := uint64(0)
+	for _, w := range row {
+		h = (h ^ w) * hashMul
+	}
+	mask := uint64(len(r.slots) - 1)
+	i := h >> r.shift
+	for ; r.slots[i].id != 0; i = (i + 1) & mask {
+		sl := r.slots[i]
+		if sl.hash == h && slices.Equal(r.row(sl.id-1), row) {
+			r.rows = r.rows[:start]
+			return false
+		}
+	}
+	r.n++
+	r.slots[i] = rowSlot{hash: h, id: r.n}
+	if 2*r.n > len(r.slots) {
+		r.grow()
+	}
+	return true
+}
+
+// grow doubles the slot table and re-inserts every kept row by its stored
+// hash.
+func (r *rowSet) grow() {
+	old := r.slots
+	r.slots = make([]rowSlot, 2*len(old))
+	r.shift--
+	mask := uint64(len(r.slots) - 1)
+	for _, sl := range old {
+		if sl.id == 0 {
+			continue
+		}
+		i := sl.hash >> r.shift
+		for r.slots[i].id != 0 {
+			i = (i + 1) & mask
+		}
+		r.slots[i] = sl
+	}
+}
+
+// row returns kept row k.
+func (r *rowSet) row(k int) []uint64 {
+	return r.rows[k*r.stride : (k+1)*r.stride]
+}
+
+// blockingClause appends to dst the clause that forbids kept row k: the
+// literal of each projected variable that the row falsifies.
+func (r *rowSet) blockingClause(dst cnf.Clause, k int) cnf.Clause {
+	row := r.row(k)
+	for i, v := range r.vars {
+		dst = append(dst, cnf.MkLit(v, row[i>>6]>>uint(i&63)&1 == 0))
+	}
+	return dst
+}
+
+// blockingClauses returns one blocking clause per kept row, in one flat
+// literal buffer.
+func (r *rowSet) blockingClauses() []cnf.Clause {
+	lits := make(cnf.Clause, 0, r.n*len(r.vars))
+	out := make([]cnf.Clause, r.n)
+	for k := range out {
+		start := len(lits)
+		lits = r.blockingClause(lits, k)
+		out[k] = lits[start:len(lits):len(lits)]
+	}
+	return out
 }
 
 // primePhases sets the solver's saved phases for the adaptive variables so

@@ -1364,17 +1364,6 @@ func (s *Solver) AppendCore(dst []cnf.Lit) []cnf.Lit {
 	return dst
 }
 
-// BlockModel adds a clause forbidding the current model restricted to the
-// given variables (used for model enumeration). Must be called after Sat.
-func (s *Solver) BlockModel(vars []cnf.Var) bool {
-	m := s.Model()
-	lits := make([]cnf.Lit, 0, len(vars))
-	for _, v := range vars {
-		lits = append(lits, cnf.MkLit(v, m.Get(v) != cnf.True))
-	}
-	return s.AddClause(lits...)
-}
-
 // varHeap is a binary max-heap over variable activities.
 type varHeap struct {
 	data     []int

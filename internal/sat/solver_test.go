@@ -503,7 +503,7 @@ func TestBlockModelEnumeration(t *testing.T) {
 		if count > 4 {
 			t.Fatal("enumeration did not terminate")
 		}
-		if !s.BlockModel(vars) {
+		if !blockModel(s, vars) {
 			break
 		}
 	}
@@ -512,7 +512,17 @@ func TestBlockModelEnumeration(t *testing.T) {
 	}
 }
 
-// Enumerating with BlockModel over all variables of a random formula must
+// blockModel adds the clause that forbids the last model restricted to vars,
+// reporting whether the solver stays consistent. Call it after Sat.
+func blockModel(s *Solver, vars []cnf.Var) bool {
+	lits := make([]cnf.Lit, len(vars))
+	for i, v := range vars {
+		lits[i] = cnf.MkLit(v, s.ModelValue(v) != cnf.True)
+	}
+	return s.AddClause(lits...)
+}
+
+// Enumerating with blockModel over all variables of a random formula must
 // visit exactly the models brute force counts, each satisfying the formula.
 func TestBlockModelEnumerationRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))
@@ -532,7 +542,7 @@ func TestBlockModelEnumerationRandom(t *testing.T) {
 				t.Fatalf("trial %d: enumerated model %v does not satisfy formula:\n%s", trial, m, f)
 			}
 			count++
-			if count > want || !s.BlockModel(vars) {
+			if count > want || !blockModel(s, vars) {
 				break
 			}
 		}
