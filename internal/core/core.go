@@ -22,6 +22,8 @@
 //	              learning and repair;
 //	sample        constrained sampling of ϕ for the training set Σ,
 //	              packed once into one bitset column per variable of X ∪ Y;
+//	              skipped, with no oracle call, when preprocessing fixed
+//	              every existential, since only learning reads Σ;
 //	learn         per-existential decision trees respecting the Henkin
 //	              dependencies (Algorithm 2), speculatively parallel
 //	              (Options.LearnWorkers), each learned by dtree straight
@@ -82,7 +84,12 @@
 //   - The sampler draws all training assignments from one solver without
 //     rebuilding it. Draws add no blocking clauses: a hash set of projected
 //     samples drops repeats, and only a small projected space, whose draws
-//     keep repeating, is finished with blocking clauses.
+//     keep repeating, is finished with blocking clauses. When X ∪ Y are ϕ's
+//     variables 1..NumVars, at most 16 of them (Validate admits no other
+//     variable into a clause), ϕ is first evaluated on every assignment, 64
+//     per word; if it has at most NumSamples models, those models are Σ and
+//     no solver is built. They are the set the draws would return, and
+//     learning reads only the set, so no candidate moves.
 //
 //   - Batched repair probes run on repairSlots ϕ-loaded slot solvers
 //     (Stats.RepairSolversBuilt), each built on the first batch that

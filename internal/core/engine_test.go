@@ -77,6 +77,38 @@ func TestPaperExampleAcrossSeeds(t *testing.T) {
 	}
 }
 
+// TestNoSamplingWhenEveryExistentialFixed: Σ serves only the trees of the
+// existentials preprocessing leaves open, so when gate definitions fix all
+// of them the sample phase draws nothing and makes no oracle call, and the
+// vector of fixed functions still passes VerifyVector. The first chain has
+// 16 variables, which the sampler would enumerate, the second 31, which it
+// would draw from.
+func TestNoSamplingWhenEveryExistentialFixed(t *testing.T) {
+	for _, c := range []struct {
+		seed   int64
+		nX, nY int
+	}{{3, 6, 2}, {1, 8, 3}} {
+		in := plantedChainInstance(c.seed, c.nX, c.nY)
+		skipped := false
+		res := synthesizeAndCheck(t, in, Options{Seed: 1, Logf: func(format string, args ...any) {
+			skipped = skipped || strings.HasPrefix(format, "sample: skipped")
+		}})
+		if fixed := res.Stats.UnatesDetected + res.Stats.DefinedVars; fixed != len(in.Exist) {
+			t.Fatalf("chain %v: preprocessing fixed %d of %d existentials, want all", c, fixed, len(in.Exist))
+		}
+		var sample *backend.PhaseStat
+		for i, p := range res.Stats.Phases {
+			if p.Name == backend.PhaseSample {
+				sample = &res.Stats.Phases[i]
+			}
+		}
+		if sample == nil || sample.OracleCalls != 0 || res.Stats.Samples != 0 || !skipped {
+			t.Fatalf("chain %v: sample phase %+v, %d samples, skip traced %v; want 0 calls, 0 samples, traced",
+				c, sample, res.Stats.Samples, skipped)
+		}
+	}
+}
+
 func TestFalseInstance(t *testing.T) {
 	// ∀x1 ∃^{∅}y1 . (x1 ∨ y1) ∧ (x1 ∨ ¬y1) is False: under x1=0 there is no
 	// completion, which fires the ϕ ∧ (X ↔ δ[X]) check (Alg. 1 line 14).

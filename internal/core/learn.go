@@ -14,8 +14,14 @@ import (
 
 // samplePhase is the data-generation phase (Algorithm 1 lines 1-2): it
 // draws the training set Σ via constrained sampling of ϕ and parks it on
-// the engine, packed column-major, for the learn phase.
+// the engine, packed column-major, for the learn phase. Σ serves only the
+// trees of existentials preprocessing left open, so when it fixed every
+// existential the phase draws nothing.
 func (e *Engine) samplePhase() error {
+	if e.allFixed() {
+		e.tracef("sample: skipped, preprocessing fixed every existential")
+		return nil
+	}
 	vars := make([]cnf.Var, 0, len(e.in.Univ)+len(e.in.Exist))
 	vars = append(vars, e.in.Univ...)
 	vars = append(vars, e.in.Exist...)
@@ -110,7 +116,22 @@ func (e *Engine) drawSamples(vars []cnf.Var) ([]cnf.Assignment, error) {
 		}
 		return nil, fmt.Errorf("core: sampling: %w", err)
 	}
+	if sst.Solves == 0 {
+		e.tracef("sample: %d samples enumerated", len(samples))
+	} else {
+		e.tracef("sample: %d samples drawn in %d solves", len(samples), sst.Solves)
+	}
 	return samples, nil
+}
+
+// allFixed reports whether preprocessing fixed every existential.
+func (e *Engine) allFixed() bool {
+	for _, y := range e.in.Exist {
+		if !e.fixed[y] {
+			return false
+		}
+	}
+	return true
 }
 
 // sampleMatrix is the training set Σ packed column-major: one bitset of

@@ -243,29 +243,80 @@ func TestWorkerPanicIsInternal(t *testing.T) {
 }
 
 // TestPhaseTelemetry pins the phase-telemetry contract on the engine
-// itself: the four pipeline phases appear in order, every duration is
-// non-zero, and the oracle-heavy phases report calls.
+// itself: the pipeline phases appear in order, every duration is non-zero,
+// and each phase reports the oracle calls of the path it took. The sample
+// phase takes one of three: ϕ of paperExample has six variables, so the
+// sampler's exact path returns every model without a solver call; over
+// more than 16 variables the sampler draws; and when preprocessing fixed
+// every existential the phase stays listed but samples nothing.
 func TestPhaseTelemetry(t *testing.T) {
-	res, err := Synthesize(context.Background(), paperExample(), Options{Seed: 1})
+	phaseNames := func(res *Result) string {
+		t.Helper()
+		var names []string
+		for _, p := range res.Stats.Phases {
+			names = append(names, p.Name)
+			if p.Duration <= 0 {
+				t.Fatalf("phase %s has non-positive duration %v", p.Name, p.Duration)
+			}
+		}
+		return strings.Join(names, ",")
+	}
+	const all = "preprocess,sample,learn,verify-repair"
+
+	in := paperExample()
+	res, err := Synthesize(context.Background(), in, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	for _, p := range res.Stats.Phases {
-		names = append(names, p.Name)
-		if p.Duration <= 0 {
-			t.Fatalf("phase %s has non-positive duration %v", p.Name, p.Duration)
-		}
+	if got := phaseNames(res); got != all {
+		t.Fatalf("phases %q, want %q", got, all)
 	}
-	want := "preprocess,sample,learn,verify-repair"
-	if got := strings.Join(names, ","); got != want {
-		t.Fatalf("phases %q, want %q", got, want)
-	}
-	if res.Stats.Phases[0].OracleCalls == 0 || res.Stats.Phases[1].OracleCalls == 0 {
-		t.Fatalf("oracle-heavy phases report zero calls: %+v", res.Stats.Phases)
+	if res.Stats.Phases[0].OracleCalls == 0 {
+		t.Fatalf("preprocess phase reports zero calls: %+v", res.Stats.Phases)
 	}
 	if res.Stats.OracleCalls == 0 {
 		t.Fatal("Stats.OracleCalls is zero")
+	}
+	models := 0
+	a := cnf.NewAssignment(in.Matrix.NumVars)
+	for code := 0; code < 1<<in.Matrix.NumVars; code++ {
+		for v := 1; v <= in.Matrix.NumVars; v++ {
+			a.SetBool(cnf.Var(v), code>>(v-1)&1 == 1)
+		}
+		if in.Matrix.Eval(a) {
+			models++
+		}
+	}
+	if sample := res.Stats.Phases[1]; sample.OracleCalls != 0 || res.Stats.Samples != models {
+		t.Fatalf("enumerated sample phase: %d samples in %d calls, want ϕ's %d models in 0",
+			res.Stats.Samples, sample.OracleCalls, models)
+	}
+
+	// 16 universals and 4 parity outputs: 20 variables, so the sampler
+	// draws.
+	res, err = Synthesize(context.Background(), blockParityInstance(4, 4), Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := phaseNames(res); got != all {
+		t.Fatalf("phases %q, want %q", got, all)
+	}
+	if res.Stats.Phases[1].OracleCalls == 0 || res.Stats.Samples == 0 {
+		t.Fatalf("drawn sample phase: %d samples, %+v", res.Stats.Samples, res.Stats.Phases[1])
+	}
+
+	// Gate definitions fix all 23 existentials of this chain (see
+	// TestNoSamplingWhenEveryExistentialFixed), so the sample phase, still
+	// listed, has nothing to sample for.
+	res, err = Synthesize(context.Background(), plantedChainInstance(1, 8, 3), Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := phaseNames(res); got != all {
+		t.Fatalf("phases with every existential fixed %q, want %q", got, all)
+	}
+	if res.Stats.Phases[1].OracleCalls != 0 || res.Stats.Samples != 0 {
+		t.Fatalf("skipped sample phase: %d samples, %+v", res.Stats.Samples, res.Stats.Phases[1])
 	}
 
 	// Disabled preprocessing drops the phase instead of reporting zeros.
@@ -280,7 +331,7 @@ func TestPhaseTelemetry(t *testing.T) {
 	}
 
 	// The zero-existential tautology fast path must honor the contract too.
-	in := dqbf.NewInstance()
+	in = dqbf.NewInstance()
 	in.AddUniv(1)
 	in.Matrix.AddClause(1, -1)
 	res, err = Synthesize(context.Background(), in, Options{Seed: 1})
@@ -298,21 +349,20 @@ func TestPhaseTelemetry(t *testing.T) {
 // is slack for loaded CI machines) with a status distinguishable from budget
 // exhaustion.
 func TestSynthesizeCancellationPrompt(t *testing.T) {
-	// Many universals and a sparse matrix give an astronomically large
-	// projected solution space, so the sampling loop alone runs far longer
-	// than the test; cancellation must cut it short.
-	in := dqbf.NewInstance()
-	const nX = 20
-	for i := 1; i <= nX; i++ {
-		in.AddUniv(cnf.Var(i))
+	// Five 4-input parity blocks: 2^20 models, so the sampling loop alone
+	// runs far longer than the test and cancellation must cut it short.
+	// Each output occurs in both polarities, in clauses too wide for a gate
+	// definition, so preprocessing leaves them to sampling; an instance it
+	// fixed entirely would skip sampling and could be decided before the
+	// cancel arrives.
+	in := blockParityInstance(5, 4)
+	e := newEngine(context.Background(), in, Options{Seed: 1}.withDefaults())
+	if err := e.preprocess(); err != nil {
+		t.Fatal(err)
 	}
-	in.AddExist(cnf.Var(nX+1), []cnf.Var{1, 2})
-	in.AddExist(cnf.Var(nX+2), []cnf.Var{3, 4})
-	for i := 1; i+2 <= nX; i += 3 {
-		in.Matrix.AddClause(cnf.Lit(i), cnf.Lit(i+1), cnf.Lit(i+2))
+	if fixed := e.stats.UnatesDetected + e.stats.DefinedVars; fixed >= len(in.Exist) {
+		t.Fatalf("preprocessing fixed %d of %d existentials; the run would not sample", fixed, len(in.Exist))
 	}
-	in.Matrix.AddClause(cnf.PosLit(cnf.Var(nX+1)), cnf.PosLit(cnf.Var(1)))
-	in.Matrix.AddClause(cnf.PosLit(cnf.Var(nX+2)), cnf.PosLit(cnf.Var(3)))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	type outcome struct {

@@ -561,6 +561,38 @@ func TestLearnMatchesReference(t *testing.T) {
 	t.Logf("%d trees with %d leaves over sampled training sets", trees, leaves)
 }
 
+// TestLearnIgnoresRowOrder: Learn scores splits from popcounts of row
+// masks, so a tree depends only on the set of rows, not their order. Core
+// relies on it: its sampler may return the same training set in another
+// order (enumerated instead of drawn) without moving a certificate. The
+// random datasets hold constant and copied columns, so tied Gini scores
+// must break the same way in every order.
+func TestLearnIgnoresRowOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, n := range []int{1, 63, 64, 65, 127, 400, 1000} {
+		for trial := 0; trial < 40; trial++ {
+			r := randomRows(rng, n, 1+rng.Intn(40))
+			opts := Options{MaxDepth: rng.Intn(6), MinSamplesSplit: rng.Intn(4)}
+			perm := &rowData{features: r.features, rows: make([][]bool, n), labels: make([]bool, n)}
+			for i, j := range rng.Perm(n) {
+				perm.rows[i], perm.labels[i] = r.rows[j], r.labels[j]
+			}
+			a, err := learnRows(r, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := learnRows(perm, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameTree(a.Root, b.Root) {
+				t.Fatalf("n=%d trial %d (%d features, %+v): permuting the rows changed the tree\n--- rows in order ---\n%s--- permuted ---\n%s",
+					n, trial, len(r.features), opts, a, b)
+			}
+		}
+	}
+}
+
 // fuzzRows decodes fuzz bytes into a small dataset and options. Header:
 // data[0] sets the feature count (1–12), data[1] the row count (1–256),
 // data[2] MaxDepth (mod 6) and MinSamplesSplit (div 6, mod 4), and bit

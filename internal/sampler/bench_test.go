@@ -9,15 +9,24 @@ import (
 )
 
 // BenchmarkSample times one Sample call as core's sample phase makes it: 400
-// samples over X ∪ Y with adaptive sampling on Y, at seed 1. On
-// random-002-h3 every draw finds a new projection; controller-000-h1's
-// projected space is small enough that draws repeat and the sampler
-// finishes it by blocking.
+// samples over X ∪ Y with adaptive sampling on Y, at seed 1. Each
+// sub-benchmark is named after the path it times. random-002-h3 has 23
+// variables, so Sample draws, and every draw finds a new projection.
+// controller-000-h1 has 11 variables and fewer than 400 models, so Sample
+// enumerates them; the draw loop alone on the same formula keeps the
+// blocking switch timed, since its draws repeat until the loop switches to
+// blocking.
 func BenchmarkSample(b *testing.B) {
 	for _, c := range []struct {
-		fam gen.Family
-		idx int
-	}{{gen.FamilyRandom, 2}, {gen.FamilyController, 0}} {
+		path string
+		fam  gen.Family
+		idx  int
+		fn   func(context.Context, *cnf.Formula, int, Options) ([]cnf.Assignment, error)
+	}{
+		{"drawn", gen.FamilyRandom, 2, Sample},
+		{"enumerated", gen.FamilyController, 0, Sample},
+		{"draw-loop", gen.FamilyController, 0, draw},
+	} {
 		named := gen.Generate(c.fam, c.idx, 1)
 		in := named.DQBF
 		opts := Options{
@@ -25,10 +34,10 @@ func BenchmarkSample(b *testing.B) {
 			Vars:         append(append([]cnf.Var(nil), in.Univ...), in.Exist...),
 			AdaptiveVars: in.Exist,
 		}
-		b.Run(named.Name, func(b *testing.B) {
+		b.Run(c.path+"/"+named.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := Sample(context.Background(), in.Matrix, 400, opts); err != nil {
+				if _, err := c.fn(context.Background(), in.Matrix, 400, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
