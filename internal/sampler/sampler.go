@@ -57,7 +57,8 @@ type Options struct {
 	Vars []cnf.Var
 	// AdaptiveVars, when non-empty, selects variables whose phase bias is
 	// adapted to empirical frequencies after the first half of the samples
-	// (Manthan's adaptive weighted sampling).
+	// (Manthan's adaptive weighted sampling). It must not repeat a variable:
+	// frequencies are counted per position.
 	AdaptiveVars []cnf.Var
 	// MaxConflictsPerSample bounds solver effort per sample; 0 means 20000.
 	MaxConflictsPerSample int64
@@ -147,8 +148,9 @@ func draw(ctx context.Context, f *cnf.Formula, n int, opts Options) ([]cnf.Assig
 	vars := projectedVars(f, opts)
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	// Frequency counters for adaptive bias.
-	freq := make(map[cnf.Var]int)
+	// Frequency counters for adaptive bias: freq[i] counts the accepted
+	// samples that set AdaptiveVars[i] true.
+	freq := make([]int, len(opts.AdaptiveVars))
 
 	s := sat.New()
 	s.SetSeed(rng.Int63()) // one seed: the solver's stream stays random across draws
@@ -213,9 +215,9 @@ func draw(ctx context.Context, f *cnf.Formula, n int, opts Options) ([]cnf.Assig
 		dups = 0
 		m := s.Model()
 		samples = append(samples, m)
-		for _, v := range opts.AdaptiveVars {
+		for i, v := range opts.AdaptiveVars {
 			if m.Get(v) == cnf.True {
-				freq[v]++
+				freq[i]++
 			}
 		}
 		// Once blocking, forbid this projection too; an inconsistent solver
@@ -470,16 +472,17 @@ func (r *rowSet) blockingClauses() []cnf.Clause {
 
 // primePhases sets the solver's saved phases for the adaptive variables so
 // decisions prefer the empirically common polarity with the adaptive weight
-// from the Manthan recipe (clamped to [0.1, 0.9]).
-func primePhases(s *sat.Solver, vars []cnf.Var, freq map[cnf.Var]int, total int, rng *rand.Rand) {
+// from the Manthan recipe (clamped to [0.1, 0.9]). freq[i] counts the
+// samples, of total, that set vars[i] true.
+func primePhases(s *sat.Solver, vars []cnf.Var, freq []int, total int, rng *rand.Rand) {
 	if total == 0 {
 		return
 	}
 	// Random phases remain the default for non-adaptive vars; the adaptive
 	// ones are steered by lowering the random-phase frequency and priming.
 	s.SetRandomPhaseFreq(0.3)
-	for _, v := range vars {
-		p := float64(freq[v]) / float64(total)
+	for i, v := range vars {
+		p := float64(freq[i]) / float64(total)
 		if p < 0.1 {
 			p = 0.1
 		}

@@ -99,3 +99,119 @@ func BenchmarkAddFormula(b *testing.B) {
 		s.AddFormula(f)
 	}
 }
+
+// verifyShaped builds a database shaped like Manthan3's verification solver
+// (core's buildVerifySolver): nIn inputs x1..x_nIn define nGates AND and XOR
+// gates in Tseitin form, and a miter over nOut candidate outputs y′j says
+// that some y′j differs from its target gate. It returns the formula, the
+// inputs, the y′ variables and the gate outputs.
+func verifyShaped(rng *rand.Rand, nIn, nGates, nOut int) (f *cnf.Formula, ins, outs []cnf.Var, gates []cnf.Lit) {
+	f = cnf.New(nIn)
+	sig := make([]cnf.Lit, 0, nIn+nGates)
+	for v := 1; v <= nIn; v++ {
+		ins = append(ins, cnf.Var(v))
+		sig = append(sig, cnf.PosLit(cnf.Var(v)))
+	}
+	pick := func() cnf.Lit {
+		l := sig[rng.Intn(len(sig))]
+		if rng.Intn(2) == 0 {
+			return l.Neg()
+		}
+		return l
+	}
+	for i := 0; i < nGates; i++ {
+		z := cnf.PosLit(f.NewVar())
+		if rng.Intn(2) == 0 {
+			f.AddAnd(z, pick(), pick())
+		} else {
+			f.AddXor(z, pick(), pick())
+		}
+		sig = append(sig, z)
+		gates = append(gates, z)
+	}
+	diff := make([]cnf.Lit, nOut)
+	for j := range diff {
+		y := f.NewVar()
+		outs = append(outs, y)
+		diff[j] = cnf.PosLit(f.NewVar())
+		f.AddXor(diff[j], cnf.PosLit(y), gates[len(gates)-1-rng.Intn(len(gates)/2)])
+	}
+	f.AddClause(diff...)
+	return f, ins, outs, gates
+}
+
+// BenchmarkGroupRelease times the incremental pattern of Manthan3's
+// verify–repair loop on a database of about 7,000 problem clauses.
+//
+// release-solve is one repair round of core's verify: release the clause
+// group of one candidate output, add its two-clause replacement y′ ↔ g as a
+// new group, and solve with branching restricted to the inputs. The release
+// fixes an activation variable at level 0, so every Solve starts with a
+// top-level simplification pass. Each round allocates an activation
+// variable, so the solver is rebuilt, untimed, every 1,024 rounds.
+//
+// small-batch is one candidate's re-encoding: a three-clause AddClauses
+// batch defining a fresh AND gate, on a solver of 20,000 variables. The
+// solver is rebuilt, untimed, every 4,096 batches so that it stays that size.
+func BenchmarkGroupRelease(b *testing.B) {
+	b.Run("release-solve", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(3))
+		f, ins, outs, gates := verifyShaped(rng, 14, 2000, 8)
+		grp := []cnf.Clause{make(cnf.Clause, 2), make(cnf.Clause, 2)}
+		equiv := func(y cnf.Var, g cnf.Lit) []cnf.Clause {
+			grp[0][0], grp[0][1] = cnf.NegLit(y), g
+			grp[1][0], grp[1][1] = cnf.PosLit(y), g.Neg()
+			return grp
+		}
+		// The candidates of the timed rounds, drawn up front.
+		picks := make([]cnf.Lit, 1024)
+		for i := range picks {
+			picks[i] = gates[rng.Intn(len(gates))]
+		}
+		var s *Solver
+		groups := make([]GroupID, len(outs))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%len(picks) == 0 {
+				b.StopTimer()
+				s = New()
+				s.AddFormula(f)
+				s.RestrictBranching(ins)
+				for j, y := range outs {
+					groups[j] = s.AddClauseGroup(equiv(y, gates[j]))
+				}
+				b.StartTimer()
+			}
+			j := i % len(outs)
+			s.ReleaseGroup(groups[j])
+			groups[j] = s.AddClauseGroup(equiv(outs[j], picks[i%len(picks)]))
+			if s.Solve() == Unknown {
+				b.Fatal("unexpected Unknown")
+			}
+		}
+	})
+	b.Run("small-batch", func(b *testing.B) {
+		const nv = 20000
+		rng := rand.New(rand.NewSource(5))
+		var s *Solver
+		batch := []cnf.Clause{make(cnf.Clause, 2), make(cnf.Clause, 2), make(cnf.Clause, 3)}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%4096 == 0 {
+				b.StopTimer()
+				s = New()
+				s.EnsureVars(nv)
+				b.StartTimer()
+			}
+			z := cnf.PosLit(s.NewVar())
+			x := cnf.MkLit(cnf.Var(1+rng.Intn(nv)), rng.Intn(2) == 0)
+			y := cnf.MkLit(cnf.Var(1+rng.Intn(nv)), rng.Intn(2) == 0)
+			batch[0][0], batch[0][1] = z.Neg(), x
+			batch[1][0], batch[1][1] = z.Neg(), y
+			batch[2][0], batch[2][1], batch[2][2] = z, x.Neg(), y.Neg()
+			s.AddClauses(batch)
+		}
+	})
+}

@@ -186,6 +186,14 @@ func (s *Solver) isReason(c cref) bool { return s.lockedVar(c) >= 0 }
 // literals from the remainder — MiniSat's top-level simplification, applied
 // to the problem clauses and every learnt tier. Must be called at decision
 // level 0.
+//
+// The problem clauses are scanned only when the level-0 trail has grown
+// past simpClean by some literal other than a group activation variable.
+// No problem clause contains an activation variable, and every problem
+// clause is clean up to simpClean (it holds no literal fixed before that
+// position), so a trail grown by released groups alone leaves a scan
+// nothing to remove or strip. The learnt tiers, which carry activation
+// variables positively, are swept whenever the trail has grown.
 func (s *Solver) simplifyDB() {
 	if !s.ok || s.decisionLevel() != 0 || s.qhead < len(s.trail) {
 		return
@@ -193,7 +201,18 @@ func (s *Solver) simplifyDB() {
 	if len(s.trail) == s.simpLastTrail {
 		return // nothing new fixed since the last pass
 	}
-	s.clauses = s.simplifyList(s.clauses)
+	if s.onlySelectorsSince(s.simpClean) {
+		s.simpClean = len(s.trail)
+	} else {
+		start := len(s.trail)
+		s.clauses = s.simplifyList(s.clauses)
+		// A unit derived mid-scan can occur in clauses the scan had already
+		// passed, so only a scan that fixed nothing leaves every clause
+		// clean up to the trail's end.
+		if len(s.trail) == start {
+			s.simpClean = len(s.trail)
+		}
+	}
 	if s.ok {
 		s.learntsCore = s.simplifyList(s.learntsCore)
 	}
@@ -205,6 +224,17 @@ func (s *Solver) simplifyDB() {
 	}
 	s.simpLastTrail = len(s.trail)
 	s.maybeGC()
+}
+
+// onlySelectorsSince reports whether every literal on the trail from
+// position i on is a group activation variable.
+func (s *Solver) onlySelectorsSince(i int) bool {
+	for _, p := range s.trail[i:] {
+		if v := p.varIdx(); v >= len(s.isSel) || !s.isSel[v] {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *Solver) simplifyList(cs []cref) []cref {

@@ -96,8 +96,8 @@ func (s *Solver) search() Status {
 
 func (s *Solver) pickBranchLit() lit {
 	v := 0
-	if s.randVarFreq > 0 && s.random().Float64() < s.randVarFreq && !s.heap.empty() {
-		cand := s.heap.data[s.random().Intn(len(s.heap.data))]
+	if s.randVarFreq > 0 && s.randFloat64() < s.randVarFreq && !s.heap.empty() {
+		cand := s.heap.data[s.randIntn(len(s.heap.data))]
 		if s.varValue(cand) == lUndef {
 			v = cand
 		}
@@ -119,8 +119,8 @@ func (s *Solver) pickBranchLit() lit {
 	}
 	s.decisions++
 	ph := s.phase[v]
-	if s.randPhaseFreq > 0 && s.random().Float64() < s.randPhaseFreq {
-		ph = s.random().Intn(2) == 0
+	if s.randPhaseFreq > 0 && s.randFloat64() < s.randPhaseFreq {
+		ph = s.randIntn(2) == 0
 	}
 	return mkLit(v, !ph)
 }

@@ -63,7 +63,13 @@
 // to per-literal []watch slices this removes one heap object and slice
 // header per literal: bulk loading carves every list from one allocation
 // (reserveWatches), and the GC neither scans watcher memory nor takes
-// write barriers on watch moves.
+// write barriers on watch moves. reserveWatches reserves, per AddClauses
+// batch, room for the watchers of that batch alone, and its cost follows
+// the batch: a small batch on a large solver (a candidate's encoding, a
+// refinement round) carves its lists by re-reading its own watched
+// literals, while a batch about as large as the literal table (a whole
+// formula) walks the per-literal count table once. When the arena outgrows
+// its backing, only the new tail is cleared; the live prefix is copied.
 //
 // # Glue tiers
 //
@@ -104,6 +110,14 @@
 // state. Group clauses live outside the learnt tiers and the problem-clause
 // list, so neither reduceDB nor simplifyDB ever frees or demotes them; only
 // ReleaseGroup does. Core never reports activation literals.
+//
+// That next simplification sweeps the learnt tiers alone. An activation
+// variable occurs in no problem clause (callers allocate their own
+// variables above NumVars, never naming one the solver allocated for a
+// group), and simplifyDB keeps the trail position up to which the problem
+// clauses are clean. When every literal fixed at level 0 since then is an
+// activation variable, as after a release, it skips the problem-clause
+// list, which a scan would leave unchanged.
 //
 // # Branching restriction
 //
@@ -287,12 +301,7 @@ func (s *Solver) watchAppend(q lit, w watch) bool {
 		sp.n++
 		return true
 	}
-	if need := off + newCap; need > cap(s.watchArena) {
-		grown := make([]watch, off, max(2*cap(s.watchArena), need))
-		copy(grown, s.watchArena)
-		s.watchArena = grown
-	}
-	s.watchArena = s.watchArena[:off+newCap]
+	s.watchArena = growCap(s.watchArena, off+newCap)[:off+newCap]
 	copy(s.watchArena[off:], s.watchArena[sp.off:sp.off+sp.n])
 	s.watchArena[off+int(sp.n)] = w
 	s.watchWaste += int(sp.cap)
@@ -420,7 +429,7 @@ type Solver struct {
 	isSel       []bool   // per var: true when the var is a group activation var
 	groupsFreed int64
 
-	rng           *rand.Rand // lazily built: seeding is ~µs and most solvers never branch randomly
+	rng           rand.Source // lazily built: seeding is ~µs and most solvers never branch randomly
 	rngSeed       int64
 	randVarFreq   float64 // probability of a random branching variable
 	randPhaseFreq float64 // probability of a random phase at a decision
@@ -459,6 +468,9 @@ type Solver struct {
 	learntAdjIncr float64
 
 	simpLastTrail int // trail size at the last top-level simplification
+	// simpClean is the trail position up to which the problem clauses are
+	// clean: none holds a literal fixed at level 0 before it (simplifyDB).
+	simpClean int
 
 	// testOnLearnt, when non-nil, observes every multi-literal learnt clause
 	// right after analysis (before backtracking), with the backtrack level.
@@ -496,6 +508,23 @@ func New() *Solver {
 func (s *Solver) NewVar() cnf.Var {
 	s.EnsureVars(s.numVars + 1)
 	return cnf.Var(s.numVars)
+}
+
+// growCap returns s with capacity for at least need elements, doubling the
+// capacity when it grows: append's large-slice policy (~1.25×) would copy a
+// store that keeps growing once per quarter of new elements instead of once
+// per doubling. slices.Grow copies the live prefix into memory it does not
+// clear and clears only the new tail, where make plus copy clears the whole
+// backing and then overwrites its prefix.
+func growCap[T any](s []T, need int) []T {
+	if need <= cap(s) {
+		return s
+	}
+	// Clipped to its length, s carries no dead room into the copy. Append
+	// takes a length above twice the old capacity as the new capacity, but
+	// at exactly twice (a full s) it steps by ~1.25× up to ~2.4×; hence one
+	// element past double.
+	return slices.Grow(s[:len(s):len(s)], max(2*cap(s)+1, need)-len(s))
 }
 
 // growTo extends s to length n with zero values (no-op if already long
@@ -580,11 +609,42 @@ func (s *Solver) SetSeed(seed int64) {
 }
 
 // random returns the solver's random source, constructing it on first use.
-func (s *Solver) random() *rand.Rand {
+func (s *Solver) random() rand.Source {
 	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(s.rngSeed))
+		s.rng = rand.NewSource(s.rngSeed)
 	}
 	return s.rng
+}
+
+// randFloat64 is math/rand's (*Rand).Float64 read straight off the solver's
+// source, without the Rand layers: it draws the same Int63 values and
+// returns the same numbers, redrawing when the division rounds up to 1.
+func (s *Solver) randFloat64() float64 {
+	src := s.random()
+	for {
+		if f := float64(src.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
+
+// randIntn is math/rand's (*Rand).Intn for 0 < n < 2^31, that is its
+// Int31n, read straight off the solver's source: a mask when n is a power of
+// two, rejection of draws above the largest multiple of n otherwise. It
+// draws the same Int63 values and returns the same numbers. Lit codes are
+// int32, so no bound the solver passes reaches 2^31.
+func (s *Solver) randIntn(n int) int {
+	src := s.random()
+	m := int32(n)
+	if m&(m-1) == 0 {
+		return int(int32(src.Int63()>>32) & (m - 1))
+	}
+	limit := int32(1<<31 - 1 - (1<<31)%uint32(m))
+	v := int32(src.Int63() >> 32)
+	for v > limit {
+		v = int32(src.Int63() >> 32)
+	}
+	return int(v % m)
 }
 
 // SetRandomVarFreq sets the probability of choosing a random branching
@@ -769,15 +829,9 @@ func (s *Solver) allocClause(lits []lit, learnt bool) cref {
 		panic("sat: clause arena exceeds 2^31 words")
 	}
 	c := cref(len(s.arena))
-	// Grow by doubling, not append's large-slice policy (~1.25×): the learnt
-	// database typically outgrows the problem clauses severalfold, and the
-	// shallower growth curve would copy the whole arena once per ~quarter of
-	// new clauses instead of once per doubling.
-	if need := len(s.arena) + len(lits) + 3; need > cap(s.arena) {
-		grown := make([]uint32, len(s.arena), max(2*cap(s.arena), need))
-		copy(grown, s.arena)
-		s.arena = grown
-	}
+	// The learnt database typically outgrows the problem clauses severalfold,
+	// so the arena grows by doubling (growCap).
+	s.arena = growCap(s.arena, len(s.arena)+len(lits)+3)
 	hdr := uint32(len(lits)) << hdrSizeShift
 	if learnt {
 		hdr |= hdrLearnt
@@ -946,6 +1000,10 @@ func (s *Solver) AddClauses(clauses []cnf.Clause) {
 	}
 }
 
+// watchSlack is the room reserveWatches leaves in a carved list beyond its
+// counted watchers.
+const watchSlack = 2
+
 // reserveWatches pre-sizes the watch lists touched by a clause batch: each
 // clause of length ≥ 2 watches (almost always) its first two literals.
 // Count those per literal, then carve every still-empty list out of ONE
@@ -956,11 +1014,20 @@ func (s *Solver) AddClauses(clauses []cnf.Clause) {
 // overflowing its slot reallocates alone instead of clobbering its
 // neighbour. Lists that already hold watches are left to ordinary append
 // growth.
+//
+// The carving pass costs what the batch touched. A sparse batch, with
+// fewer watched literals than a sparseWatchRatio-th of the count table's
+// 2·(NumVars+1) slots, re-reads its own first two literals; such are the
+// incremental additions (a candidate's encoding, a refinement round's
+// cells). A dense batch, such as a whole formula, walks the count table
+// instead, one sequential visit per literal index, which costs less than a
+// second pass over the batch. The two passes carve the same lists and
+// differ only in where the spans sit in the arena, never in the order of any
+// list's watchers.
 func (s *Solver) reserveWatches(clauses []cnf.Clause) {
-	const watchSlack = 2
 	cnt := growTo(s.watchCnt, len(s.wspans))
 	s.watchCnt = cnt
-	total := 0
+	total, watched := 0, 0
 	for _, c := range clauses {
 		if len(c) < 2 {
 			continue
@@ -976,43 +1043,65 @@ func (s *Solver) reserveWatches(clauses []cnf.Clause) {
 				total++
 			}
 			cnt[q]++
+			watched++
 		}
 	}
 	if total == 0 {
 		return
 	}
 	off := len(s.watchArena)
-	if need := off + total; need > cap(s.watchArena) {
-		grown := make([]watch, off, max(2*cap(s.watchArena), need))
-		copy(grown, s.watchArena)
-		s.watchArena = grown
-	}
-	s.watchArena = s.watchArena[:off+total]
-	// Second pass carves each still-unreserved list once and resets its
-	// count, so the scratch table is all-zero again on return. It walks the
-	// count table — one visit per literal index — rather than re-deriving
-	// the watched literals clause by clause, which costs another full pass
-	// over the batch.
-	for q := range cnt {
-		if cnt[q] == 0 {
-			continue
+	s.watchArena = growCap(s.watchArena, off+total)[:off+total]
+	// The carving pass reserves each still-unreserved list once and resets
+	// its count, so the scratch table is all-zero again on return.
+	if watched*sparseWatchRatio < len(cnt) {
+		for _, c := range clauses {
+			if len(c) < 2 {
+				continue
+			}
+			for _, l := range c[:2] {
+				if q := toLit(l).neg(); int(q) < len(cnt) && cnt[q] != 0 {
+					off = s.carveWatches(q, off)
+				}
+			}
 		}
-		sp := &s.wspans[q]
-		if sp.cap == 0 {
-			sp.off = int32(off)
-			sp.cap = int32(cnt[q]) + watchSlack
-			off += int(sp.cap)
+	} else {
+		for q := range cnt {
+			if cnt[q] != 0 {
+				off = s.carveWatches(lit(q), off)
+			}
 		}
-		cnt[q] = 0
 	}
 	// Room counted for lists that already had capacity was never carved;
 	// return it to the arena tail.
 	s.watchArena = s.watchArena[:off]
 }
 
+// sparseWatchRatio is the count-table slots per watched literal above which
+// reserveWatches carves from the batch rather than walking the table. With
+// 20,000 variables on a 2-CPU host, carving from the batch made
+// reserveWatches 7.5× faster at one watched literal per 64 slots and 1.7×
+// at one per 4; at one per 2 the two were even, and at one per slot the
+// table walk was 1.3× faster.
+const sparseWatchRatio = 4
+
+// carveWatches gives literal q's list, when it has no room yet, a span of
+// its counted watchers plus watchSlack slots at arena offset off, and clears
+// q's count. It returns the first offset past what it carved.
+func (s *Solver) carveWatches(q lit, off int) int {
+	sp := &s.wspans[q]
+	if sp.cap == 0 {
+		sp.off = int32(off)
+		sp.cap = s.watchCnt[q] + watchSlack
+		off += int(sp.cap)
+	}
+	s.watchCnt[q] = 0
+	return off
+}
+
 // AddClause adds a clause to the solver. It returns false if the solver is
 // already in an unsatisfiable state at level 0 (the clause database is then
-// trivially unsatisfiable). Clauses may be added between Solve calls.
+// trivially unsatisfiable). Clauses may be added between Solve calls. A
+// clause must not name a group activation variable (see "Clause groups").
 func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 	c, ok := s.addClauseCref(lits)
 	if c != crefUndef {

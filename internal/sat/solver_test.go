@@ -674,6 +674,29 @@ func TestRandomPhaseStillCorrect(t *testing.T) {
 	}
 }
 
+// The solver reads its random source directly; every draw must equal the
+// one math/rand's Rand makes from the same seed, in the same order, so that
+// seeded searches (the sampler's) keep their models. The bounds include
+// powers of two (masked), 1<<30+1 (about half of all draws rejected) and
+// the largest Int31n bound.
+func TestRandomDrawsMatchMathRand(t *testing.T) {
+	bounds := []int{1, 2, 3, 7, 64, 1<<30 + 1, 1<<31 - 1}
+	for seed := int64(-5); seed < 200; seed++ {
+		s := New()
+		s.SetSeed(seed)
+		r := rand.New(rand.NewSource(seed))
+		for i := 0; i < 100; i++ {
+			n := bounds[i%len(bounds)]
+			if got, want := s.randIntn(n), r.Intn(n); got != want {
+				t.Fatalf("seed %d draw %d: randIntn(%d) = %d, math/rand %d", seed, i, n, got, want)
+			}
+			if got, want := s.randFloat64(), r.Float64(); got != want {
+				t.Fatalf("seed %d draw %d: randFloat64 = %v, math/rand %v", seed, i, got, want)
+			}
+		}
+	}
+}
+
 func TestXorChains(t *testing.T) {
 	// Encode x1 ⊕ x2 ⊕ … ⊕ xn = 1 via Tseitin chains; SAT, and flipping the
 	// final unit to both polarities keeps exactly one satisfiable.
