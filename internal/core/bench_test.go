@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
+	"repro/internal/gen"
 )
 
 // parityInstance builds ∀x1..xk ∃y . y ↔ x1⊕…⊕xk, the spec written directly
@@ -100,4 +101,26 @@ func BenchmarkSynthesizeEndToEnd(b *testing.B) {
 			b.Fatalf("Synthesize: %v", err)
 		}
 	}
+}
+
+// BenchmarkSamplePhase times core's sample phase on random-001-h2 (gen seed
+// 1) after its preprocessing, with the default 400 samples: what one
+// engine run pays for Σ, beside the sampler's own BenchmarkSample/drawn. ϕ
+// has 18 variables, but preprocessing leaves 13 of them open, the 12
+// universals and one existential, so the sampler scans that support and
+// makes no solver call.
+func BenchmarkSamplePhase(b *testing.B) {
+	named := gen.Generate(gen.FamilyRandom, 1, 1)
+	e := newEngine(context.Background(), named.DQBF, Options{Seed: 1}.withDefaults())
+	if err := e.preprocess(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run(named.Name, func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if err := e.samplePhase(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

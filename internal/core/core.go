@@ -22,12 +22,17 @@
 //	              learning and repair;
 //	sample        constrained sampling of ϕ for the training set Σ,
 //	              packed once into one bitset column per variable of X ∪ Y;
-//	              skipped, with no oracle call, when preprocessing fixed
-//	              every existential, since only learning reads Σ;
+//	              the sampler is handed preprocessing's unate constants and
+//	              gate definitions, so its support is X plus the
+//	              existentials left open; skipped, with no oracle call, when
+//	              preprocessing fixed every existential, since only learning
+//	              reads Σ;
 //	learn         per-existential decision trees respecting the Henkin
-//	              dependencies (Algorithm 2), speculatively parallel
-//	              (Options.LearnWorkers), each learned by dtree straight
-//	              from the packed columns of its features and its label;
+//	              dependencies (Algorithm 2), speculatively parallel with
+//	              more than one worker (Options.LearnWorkers) and learned
+//	              just before their merge with one, each learned by dtree
+//	              straight from the packed columns of its features and its
+//	              label;
 //	verify-repair the counterexample-guided loop (Algorithms 1 and 3):
 //	              verify the candidate vector, localize faults with MaxSAT,
 //	              repair with UNSAT-core-guided strengthening/weakening, or,
@@ -81,15 +86,23 @@
 //   - FindCandi's MaxSAT localization runs through maxsat.Incremental
 //     against a solver that loads ϕ once.
 //
-//   - The sampler draws all training assignments from one solver without
-//     rebuilding it. Draws add no blocking clauses: a hash set of projected
-//     samples drops repeats, and only a small projected space, whose draws
-//     keep repeating, is finished with blocking clauses. When X ∪ Y are ϕ's
-//     variables 1..NumVars, at most 16 of them (Validate admits no other
-//     variable into a clause), ϕ is first evaluated on every assignment, 64
-//     per word; if it has at most NumSamples models, those models are Σ and
-//     no solver is built. They are the set the draws would return, and
-//     learning reads only the set, so no candidate moves.
+//   - The sampler needs no solver when ϕ's independent support after
+//     preprocessing, X plus the existentials left open, has at most 16
+//     variables, and X ∪ Y are ϕ's variables 1..NumVars (Validate admits no
+//     other variable into a clause). The sample phase hands it the unates'
+//     constants and the gate definitions, ordered so that every input is
+//     computed before it is read, and the sampler evaluates ϕ on every
+//     assignment of the support, 64 per word. With at most NumSamples
+//     models, those models are Σ. With more, Σ holds NumSamples distinct
+//     assignments of X, chosen uniformly among those with a completion,
+//     each with one completion chosen uniformly. Choosing among X rather
+//     than among models keeps rows whose every completion is a model (a
+//     controller's escape rows) from crowding out the rows that constrain
+//     the candidates. A larger support is drawn from one solver without
+//     rebuilding it, exactly as before: draws add no blocking clauses, a
+//     hash set of projected samples drops repeats, and only a small
+//     projected space, whose draws keep repeating, is finished with
+//     blocking clauses.
 //
 //   - Batched repair probes run on repairSlots ϕ-loaded slot solvers
 //     (Stats.RepairSolversBuilt), each built on the first batch that

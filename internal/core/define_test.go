@@ -359,3 +359,57 @@ func TestDifferentialAgainstBruteForce(t *testing.T) {
 	}
 	t.Logf("%d ok, %d false, %d incomplete or budget", ok, falses, other)
 }
+
+// TestGatesInEvalOrder: a gate may read an existential declared after its
+// output and defined later in the same pass, so the sample phase reorders
+// the definitions before handing them to the sampler, which declines a
+// definition read before it is computed. Here y5 := y6 ⊕ x1 is found
+// before y6 := x1 ∧ x2, and y7 ↔ x1 ⊕ … ⊕ x4, in clauses too wide for a
+// gate, stays open, so the support is the four universals and y7, and the
+// sampler's exact path runs only if the reordering worked.
+func TestGatesInEvalOrder(t *testing.T) {
+	in := dqbf.NewInstance()
+	xs := []cnf.Var{1, 2, 3, 4}
+	for _, x := range xs {
+		in.AddUniv(x)
+	}
+	for y := cnf.Var(5); y <= 7; y++ {
+		in.AddExist(y, xs)
+	}
+	in.Matrix.AddClause(-5, 6, 1)
+	in.Matrix.AddClause(-5, -6, -1)
+	in.Matrix.AddClause(5, -6, 1)
+	in.Matrix.AddClause(5, 6, -1)
+	in.Matrix.AddClause(-6, 1)
+	in.Matrix.AddClause(-6, 2)
+	in.Matrix.AddClause(6, -1, -2)
+	lits := make([]cnf.Lit, 5)
+	for row := 0; row < 16; row++ {
+		odd := false
+		for i, x := range xs {
+			bit := row>>i&1 != 0
+			lits[i] = cnf.MkLit(x, !bit)
+			odd = odd != bit
+		}
+		lits[4] = cnf.MkLit(7, odd)
+		in.Matrix.AddClause(lits...)
+	}
+
+	e := newEngine(context.Background(), in, Options{Seed: 1}.withDefaults())
+	if err := e.preprocess(); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.gates) != 2 || e.gates[0].Out != 5 || e.gates[1].Out != 6 || e.fixed[7] {
+		t.Fatalf("preprocessing found gates %+v and fixed y7 %v; want y5 over y6, then y6, with y7 open", e.gates, e.fixed[7])
+	}
+	if order := e.gatesInEvalOrder(); len(order) != 2 || order[0].Out != 6 || order[1].Out != 5 {
+		t.Fatalf("evaluation order %+v, want y6 before y5", order)
+	}
+	before := e.oracleCount()
+	if err := e.samplePhase(); err != nil {
+		t.Fatal(err)
+	}
+	if calls := e.oracleCount() - before; calls != 0 || e.stats.Samples != 16 {
+		t.Fatalf("sample phase: %d samples in %d oracle calls, want the 16 rows of X in 0", e.stats.Samples, calls)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dqbf"
 	"repro/internal/maxsat"
 	"repro/internal/oracle"
+	"repro/internal/sampler"
 	"repro/internal/sat"
 )
 
@@ -139,7 +140,9 @@ type Stats struct {
 	RowOscillations int
 	// LearnConflicts counts candidates whose speculatively (in parallel)
 	// learned tree referenced a feature a concurrently-learned candidate
-	// banned, forcing a serial relearn during the deterministic merge.
+	// banned, forcing a serial relearn during the deterministic merge. It
+	// stays 0 with one learn worker, which learns every tree against the
+	// current dependency matrix (see learnPhase).
 	LearnConflicts int
 	// VerifySolversBuilt counts constructions of the verification solver; the
 	// persistent-oracle architecture keeps it at 1 per synthesis run.
@@ -252,6 +255,11 @@ type Engine struct {
 	// machinery lives in clause groups released after each query.
 	candi       *maxsat.Incremental
 	candiSolver *sat.Solver // candi's base solver, for oracle accounting
+
+	// What preprocessing found, for the sampler's exact path: the unates'
+	// constants as literals, and the gate definitions in declaration order.
+	unates []cnf.Lit
+	gates  []sampler.Def
 
 	sigma sampleMatrix // training set Σ, packed by the sample phase
 

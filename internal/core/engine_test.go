@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
 	"repro/internal/gen"
+	"repro/internal/sampler"
 )
 
 // paperExample is Example 1 from the paper (see dqbf tests for the clause
@@ -106,6 +108,62 @@ func TestNoSamplingWhenEveryExistentialFixed(t *testing.T) {
 			t.Fatalf("chain %v: sample phase %+v, %d samples, skip traced %v; want 0 calls, 0 samples, traced",
 				c, sample, res.Stats.Samples, skipped)
 		}
+	}
+}
+
+// TestSampleSupportPaths pins which path the sample phase takes on gen seed
+// 1, indices 0–9 of every family. The sampler's support is X plus the
+// existentials preprocessing left open. With at most 16 such variables the
+// phase makes no oracle call, whatever ϕ's variable count; random-001-h2
+// has 18 variables and a support of 13. With more, Σ is exactly the draw
+// loop's: what the sampler draws without the definitions and constants.
+func TestSampleSupportPaths(t *testing.T) {
+	scanned, drawn := 0, 0
+	for _, fam := range []gen.Family{gen.FamilyEquiv, gen.FamilyController, gen.FamilySAT2DQBF, gen.FamilyRandom} {
+		for idx := 0; idx < 10; idx++ {
+			named := gen.Generate(fam, idx, 1)
+			in := named.DQBF
+			e := newEngine(context.Background(), in, Options{Seed: 1}.withDefaults())
+			if err := e.preprocess(); err != nil {
+				t.Fatalf("%s: preprocess: %v", named.Name, err)
+			}
+			if e.allFixed() {
+				continue
+			}
+			support := len(in.Univ)
+			for _, y := range in.Exist {
+				if !e.fixed[y] {
+					support++
+				}
+			}
+			before := e.oracleCount()
+			if err := e.samplePhase(); err != nil {
+				t.Fatalf("%s: sample: %v", named.Name, err)
+			}
+			calls := e.oracleCount() - before
+			if support <= 16 {
+				scanned++
+				if calls != 0 {
+					t.Fatalf("%s: support of %d took %d oracle calls, want the exact path", named.Name, support, calls)
+				}
+				continue
+			}
+			drawn++
+			vars := append(append([]cnf.Var(nil), in.Univ...), in.Exist...)
+			samples, err := sampler.Sample(context.Background(), in.Matrix, e.opts.NumSamples, sampler.Options{
+				Seed: e.opts.Seed, Vars: vars, AdaptiveVars: in.Exist,
+			})
+			if err != nil {
+				t.Fatalf("%s: draw loop: %v", named.Name, err)
+			}
+			want := packSamples(vars, samples)
+			if e.sigma.n != want.n || !slices.Equal(e.sigma.bits, want.bits) || !slices.Equal(e.sigma.slot, want.slot) {
+				t.Fatalf("%s: support of %d: Σ of %d samples differs from the draw loop's %d", named.Name, support, e.sigma.n, want.n)
+			}
+		}
+	}
+	if scanned == 0 || drawn == 0 {
+		t.Fatalf("%d runs scanned and %d drew; want both paths", scanned, drawn)
 	}
 }
 

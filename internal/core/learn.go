@@ -49,7 +49,13 @@ func (e *Engine) samplePhase() error {
 // serially against the current matrix (Stats.LearnConflicts counts these).
 // Because the parallel phase depends only on the snapshot and the merge
 // only on declaration order, the resulting candidates are bit-identical for
-// every worker count.
+// every worker count. With one worker there is nothing to speculate on: each
+// tree is learned against the current matrix right before its merge. That
+// gives the same trees, because the current matrix drops only features the
+// snapshot offered, and dropping a feature a tree never splits on cannot
+// change the tree under dtree's first-wins rule; a tree that did split on
+// one is the tree the merge relearns anyway. On sat2dqbf, whose constants
+// take each other as features, most speculative trees were relearned.
 func (e *Engine) learnPhase() error {
 	// Lines 3-5: dependency constraints from strict subset relations — if
 	// Hj ⊂ Hi then yi may depend on yj, so preemptively record yi ∈ d_j,
@@ -75,14 +81,30 @@ func (e *Engine) learnPhase() error {
 		}
 		todo = append(todo, yi)
 	}
-	learned, err := e.learnTrees(todo)
-	if err != nil {
-		return err
-	}
-	// Deterministic merge in declaration order.
-	for i, yi := range todo {
-		if err := e.mergeCandidate(yi, learned[i]); err != nil {
+	if oracle.Workers(e.opts.LearnWorkers, len(todo)) == 1 {
+		// One worker learns each tree against the current matrix right before
+		// merging it, so no tree is learned twice. ForEach runs it inline, in
+		// index order.
+		err := oracle.ForEach(e.ctx, 1, len(todo), func(i int) error {
+			lt, err := e.learnTree(todo[i])
+			if err != nil {
+				return fmt.Errorf("%w: learning candidate for %d: %w", ErrInternal, todo[i], err)
+			}
+			return e.mergeCandidate(todo[i], lt)
+		})
+		if err != nil {
+			return e.workerErr("learn", err)
+		}
+	} else {
+		learned, err := e.learnTrees(todo)
+		if err != nil {
 			return err
+		}
+		// Deterministic merge in declaration order.
+		for i, yi := range todo {
+			if err := e.mergeCandidate(yi, learned[i]); err != nil {
+				return err
+			}
 		}
 	}
 	e.sigma = sampleMatrix{} // Σ is dead after learning; free it before verify-repair
@@ -93,7 +115,9 @@ func (e *Engine) learnPhase() error {
 }
 
 // drawSamples produces the training data Σ via constrained sampling of ϕ,
-// projected onto vars (X ∪ Y).
+// projected onto vars (X ∪ Y). It hands the sampler what preprocessing
+// found, the unates' constants and the gate definitions, so the sampler's
+// exact path sees ϕ's support: X plus the existentials left open.
 func (e *Engine) drawSamples(vars []cnf.Var) ([]cnf.Assignment, error) {
 	adaptive := e.in.Exist
 	if e.opts.DisableAdaptiveSampling {
@@ -104,6 +128,9 @@ func (e *Engine) drawSamples(vars []cnf.Var) ([]cnf.Assignment, error) {
 		Seed:         e.opts.Seed,
 		Vars:         vars,
 		AdaptiveVars: adaptive,
+		Fixed:        e.unates,
+		Defs:         e.gatesInEvalOrder(),
+		Exist:        e.in.Exist,
 		Stats:        &sst,
 	})
 	e.extraOracle += sst.Solves

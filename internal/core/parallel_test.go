@@ -76,7 +76,9 @@ func plantedChainInstance(seed int64, nX, nY int) *dqbf.Instance {
 // a comparable string: the full certificate on success (bit-identical
 // functions ⇒ identical certificates) plus every stat the parallel phases
 // influence — including the preprocessing verdicts, total oracle calls, and
-// the per-phase call counts — or the error text on failure.
+// the per-phase call counts — or the error text on failure. It leaves out
+// Stats.LearnConflicts, which counts discarded speculative trees and so
+// reads 0 with one learn worker whatever it reads with more.
 func outcomeFingerprint(t *testing.T, in *dqbf.Instance, opts Options) string {
 	t.Helper()
 	res, err := Synthesize(context.Background(), in, opts)
@@ -101,7 +103,10 @@ func outcomeFingerprint(t *testing.T, in *dqbf.Instance, opts Options) string {
 
 // TestParallelLearnDeterministic asserts the headline property of the
 // parallel learn phase: for a fixed seed, the synthesized Skolem/Henkin
-// functions are bit-identical regardless of the worker count.
+// functions are bit-identical regardless of the worker count. One worker
+// learns each tree against the current dependency matrix, so it discards
+// no tree (Stats.LearnConflicts is 0) and still matches the speculative
+// learning of several workers.
 func TestParallelLearnDeterministic(t *testing.T) {
 	instances := map[string]*dqbf.Instance{
 		"paper":    paperExample(),
@@ -111,6 +116,10 @@ func TestParallelLearnDeterministic(t *testing.T) {
 	}
 	workerCounts := []int{1, 2, 3, runtime.NumCPU()}
 	for name, in := range instances {
+		res, err := Synthesize(context.Background(), in, Options{Seed: 7, LearnWorkers: 1})
+		if err == nil && res.Stats.LearnConflicts != 0 {
+			t.Fatalf("%s: one learn worker discarded %d trees, want 0", name, res.Stats.LearnConflicts)
+		}
 		want := outcomeFingerprint(t, in, Options{Seed: 7, LearnWorkers: workerCounts[0]})
 		for _, w := range workerCounts[1:] {
 			if got := outcomeFingerprint(t, in, Options{Seed: 7, LearnWorkers: w}); got != want {
@@ -119,6 +128,44 @@ func TestParallelLearnDeterministic(t *testing.T) {
 			}
 		}
 	}
+
+	// Gate definitions fix every existential of the chains above, so they
+	// learn nothing. sat2dqbf-004-h5's constants take each other as features,
+	// so speculative trees there use features an earlier merge banned; its
+	// runs stop incomplete, so the learned candidates are compared directly.
+	in := gen.Generate(gen.FamilySAT2DQBF, 4, 1).DQBF
+	want, conflicts := learnedFunctions(t, in, Options{Seed: 7, LearnWorkers: workerCounts[0]})
+	if conflicts != 0 {
+		t.Fatalf("sat2dqbf-004-h5: one learn worker discarded %d trees, want 0", conflicts)
+	}
+	relearned := 0
+	for _, w := range workerCounts[1:] {
+		got, conflicts := learnedFunctions(t, in, Options{Seed: 7, LearnWorkers: w})
+		if got != want {
+			t.Fatalf("sat2dqbf-004-h5: workers=%d learns other candidates than one worker:\n--- want ---\n%s\n--- got ---\n%s", w, want, got)
+		}
+		relearned += conflicts
+	}
+	if relearned == 0 {
+		t.Fatal("sat2dqbf-004-h5: no speculative tree was relearned; the merge's relearn path went unchecked")
+	}
+}
+
+// learnedFunctions runs the phases up to learning and renders every
+// candidate in declaration order, with the run's Stats.LearnConflicts.
+func learnedFunctions(t *testing.T, in *dqbf.Instance, opts Options) (string, int) {
+	t.Helper()
+	e := newEngine(context.Background(), in, opts.withDefaults())
+	for _, phase := range []func() error{e.preprocess, e.samplePhase, e.learnPhase} {
+		if err := phase(); err != nil {
+			t.Fatalf("opts=%+v: %v", opts, err)
+		}
+	}
+	var sb strings.Builder
+	for _, y := range in.Exist {
+		fmt.Fprintf(&sb, "y%d := %s\n", y, e.b.String(e.funcs[y]))
+	}
+	return sb.String(), e.stats.LearnConflicts
 }
 
 // preprocHeavyInstance builds a True instance whose existentials exercise

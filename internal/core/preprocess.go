@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cnf"
 	"repro/internal/oracle"
+	"repro/internal/sampler"
 	"repro/internal/sat"
 )
 
@@ -121,6 +123,7 @@ func (e *Engine) preprocess() error {
 func (e *Engine) fixUnate(y cnf.Var, v bool) {
 	e.setFunc(y, e.b.Const(v))
 	e.fixed[y] = true
+	e.unates = append(e.unates, cnf.MkLit(y, v))
 	e.stats.UnatesDetected++
 }
 
@@ -358,8 +361,40 @@ func (e *Engine) defineAs(z cnf.Var, s gateInputs, table uint8) error {
 	}
 	e.setFunc(z, g)
 	e.fixed[z] = true
+	e.gates = append(e.gates, sampler.Def{Out: z, In: slices.Clone(inputs), Table: table})
 	e.stats.DefinedVars++
 	return nil
+}
+
+// gatesInEvalOrder returns the gate definitions reordered so that every
+// defined input comes before the definition that reads it, as the sampler
+// requires: an input may be defined later in declaration order. The
+// references are acyclic (see mayReference), so a depth-first walk from
+// each definition in declaration order places its inputs first.
+func (e *Engine) gatesInEvalOrder() []sampler.Def {
+	at := make(map[cnf.Var]int, len(e.gates))
+	for i, d := range e.gates {
+		at[d.Out] = i
+	}
+	placed := make([]bool, len(e.gates))
+	order := make([]sampler.Def, 0, len(e.gates))
+	var place func(i int)
+	place = func(i int) {
+		if placed[i] {
+			return
+		}
+		placed[i] = true
+		for _, v := range e.gates[i].In {
+			if j, ok := at[v]; ok {
+				place(j)
+			}
+		}
+		order = append(order, e.gates[i])
+	}
+	for i := range e.gates {
+		place(i)
+	}
+	return order
 }
 
 // preprocessOne runs one existential's unate checks, positive first,

@@ -16,13 +16,25 @@
 // duplicate draws in a row, Sample blocks every seen projection and every
 // later sample, so it finishes such a space on UNSAT.
 //
-// A formula of at most maxEnumVars (16) variables, all of them projected,
-// needs no solver at all when it has no more models than requested: Sample
-// evaluates it on every assignment, 64 to a machine word, and returns the
-// models in increasing order. The draws would have returned the same set,
-// since they end only when the projected space is exhausted, and the
-// learner reads the set, not the order. When the scan finds more models
-// than requested it stops there, and the draws run as before.
+// Sample's exact path needs no solver. It applies when the formula's
+// support has at most maxEnumVars (16) variables: the projected variables
+// a caller's preprocessing left open, since Options.Fixed holds unates at
+// their constants and Options.Defs computes gate-defined variables from
+// their inputs. Sampling on such an independent support is the standard
+// way to sample a formula of many variables (Ivrii, Malik, Meel, Vardi,
+// Constraints 2016; CMSGen's sampling set). The path evaluates the formula
+// on every assignment of the support, 64 to a machine word. With at most
+// as many models as requested it returns them all: with nothing fixed that
+// is the set the draws would have returned, since they end only when the
+// projected space is exhausted, and the learner reads the set, not the
+// order. With more, it chooses distinct assignments of the universal
+// variables, those outside Options.Exist, uniformly, and one completion of
+// each, uniformly among its own. Choosing among models instead would favour
+// universal assignments with many completions; in a controller instance
+// every completion of a row where the escape circuit holds is a model, and
+// such rows would fill the sample with labels that constrain nothing. A
+// formula whose support has more than 16 variables is drawn as before,
+// sample for sample.
 //
 // The package is under the determinism contract — results must be
 // bit-identical across runs and worker counts (see internal/analysis).
@@ -36,6 +48,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"slices"
 
 	"repro/internal/cnf"
@@ -62,9 +75,30 @@ type Options struct {
 	AdaptiveVars []cnf.Var
 	// MaxConflictsPerSample bounds solver effort per sample; 0 means 20000.
 	MaxConflictsPerSample int64
+	// Fixed, Defs and Exist describe f as a caller's preprocessing left it,
+	// for Sample's exact path; the draw loop reads none of them. Fixed holds
+	// literals the exact path keeps true: each should be a unate's constant,
+	// which never falsifies f where the other value satisfied it, or holding
+	// it loses models. Defs lists gate definitions that hold in every model
+	// of f, so that their outputs follow from the other variables; an input
+	// is fixed, defined by an earlier entry, or not defined at all. Exist
+	// names the existential variables: with more models than requested, the
+	// exact path chooses among the assignments of the other support
+	// variables, not among models (see Sample).
+	Fixed []cnf.Lit
+	Defs  []Def
+	Exist []cnf.Var
 	// Stats, when non-nil, receives sampling telemetry (callers feed it
 	// into their per-phase oracle accounting).
 	Stats *Stats
+}
+
+// Def defines Out as a gate over at most three inputs: on the assignment r
+// of In, with In[j] at bit j of r, Out takes bit r of Table.
+type Def struct {
+	Out   cnf.Var
+	In    []cnf.Var
+	Table uint8
 }
 
 // Stats reports the oracle work one Sample call performed.
@@ -82,15 +116,31 @@ type Stats struct {
 // ctx ends before any progress-preserving point, or (wrapping ErrBudget)
 // when the budgets run out before a first sample.
 //
-// When the projection covers variables 1..f.NumVars and there are at most
-// maxEnumVars of them, Sample first evaluates f on every assignment. If f
-// has at most n models it returns all of them, in increasing order of the
-// assignment read as a binary number (variable v at bit v−1), and makes no
-// solver call. That is the set the draws return: they stop short of n only
-// once blocking has exhausted the projected space, and on so few variables
-// a draw does not run out of the default conflict budget. If f has more than n
-// models the scan stops at the (n+1)-th, and Sample draws exactly as below,
-// so its output is the draws' output, sample for sample.
+// Sample first tries its exact path, which makes no solver call. The
+// support is every projected variable that opts.Fixed does not fix and
+// opts.Defs does not define. The path applies when the support has at most
+// maxEnumVars variables and every variable 1..f.NumVars is projected, fixed
+// or defined. It evaluates f on every assignment of the support, with the
+// fixed variables held and the defined ones computed, and:
+//
+//   - with at most n models, returns all of them. With opts.Fixed empty
+//     that is the set the draws return: they stop short of n only once
+//     blocking has exhausted the projected space, and on so few variables a
+//     draw does not run out of the default conflict budget;
+//   - with more, returns n samples whose universal parts, their values of
+//     the support variables outside opts.Exist, are pairwise distinct. The
+//     universal assignments are chosen uniformly by opts.Seed among those
+//     with a completion, and each one's completion uniformly among its own;
+//     when at most n universal assignments have a completion, Sample
+//     returns one sample for each. With opts.Exist empty, the samples are n
+//     distinct models chosen uniformly.
+//
+// Either way the samples come in increasing order of the support assignment
+// read as a binary number: the support's variables of opts.Exist in its low
+// bits, the others above them, each part in increasing variable order.
+//
+// Otherwise Sample draws, and its output is the draw loop's, sample for
+// sample.
 //
 // One solver is loaded with f and reused across all draws, and its single
 // seeded RNG stream keeps branching variables and phases random from draw to
@@ -112,7 +162,7 @@ func Sample(ctx context.Context, f *cnf.Formula, n int, opts Options) ([]cnf.Ass
 	if ctx != nil && ctx.Err() != nil {
 		return nil, fmt.Errorf("sampler: %w", ctx.Err())
 	}
-	if models, ok := enumerate(f, projectedVars(f, opts), n); ok {
+	if models, ok := enumerate(f, n, opts); ok {
 		if len(models) == 0 {
 			return nil, errUnsat
 		}
@@ -236,11 +286,11 @@ func draw(ctx context.Context, f *cnf.Formula, n int, opts Options) ([]cnf.Assig
 	return samples, nil
 }
 
-// maxEnumVars is the largest variable count Sample enumerates: 2^16
-// assignments fill 1,024 words. A full scan of a sparse 16-variable formula
-// of 60 clauses takes 60–110 µs on a 2-CPU host, below the 0.1–1.2 ms its
-// draws take, but each further variable doubles the scan while the draws
-// cost about the same.
+// maxEnumVars is the largest support Sample enumerates: 2^16 assignments
+// fill 1,024 words. A full scan of a sparse 16-variable formula of 60
+// clauses takes 60–110 µs on a 2-CPU host, below the 0.1–1.2 ms its draws
+// take, but each further variable doubles the scan while the draws cost
+// about the same.
 const maxEnumVars = 16
 
 // lowPatterns[p] holds, at bit j, bit p of j: the values the variable at
@@ -254,88 +304,398 @@ var lowPatterns = [6]uint64{
 	0xFFFFFFFF00000000,
 }
 
-// enumClause is a clause compiled for enumerate. Within one word the
-// variables at positions p ≥ 6 are constant, each all ones or all zeros:
-// hiPos and hiNeg hold, at bit p−6, those the clause has positively and
-// negatively. low is the word of assignments its literals at positions
-// below 6 satisfy.
+// enumClause is a clause compiled for the scan. Within one word the
+// support variables at positions p ≥ 6 are constant, each all ones or all
+// zeros: hiPos and hiNeg hold, at bit p−6, those the clause has positively
+// and negatively. low is the word of assignments its literals over the
+// support positions below 6 and over fixed variables satisfy, and
+// defLits[dlo:dhi] are its literals over defined variables.
 type enumClause struct {
 	hiPos, hiNeg uint32
 	low          uint64
+	dlo, dhi     int32
 }
 
-// enumerate is Sample's exact path. When f has at most maxEnumVars
-// variables and vars projects every one of them, it evaluates f on all
-// 2^NumVars assignments, 64 per word (assignment a is bit a%64 of word
-// a/64, variable v at position v−1), and returns every model in increasing
-// order of a. ok is false when the path does not apply, and when f has more
-// than n models; it then stops at the (n+1)-th.
-func enumerate(f *cnf.Formula, vars []cnf.Var, n int) (models []cnf.Assignment, ok bool) {
-	k := f.NumVars
-	if k > maxEnumVars {
-		return nil, false
-	}
-	var covered uint32
-	for _, v := range vars {
-		if v < 1 || int(v) > k {
+// scan is f compiled for Sample's exact path. The support variables sit at
+// positions 0..k−1, the existential ones at the kE lowest, so that
+// assignment a of the support gives the variable at position p bit p of a,
+// and the completions of one universal assignment u are the assignments
+// u<<kE through u<<kE + 2^kE − 1. Every other variable of f is fixed or
+// defined, so a determines it.
+type scan struct {
+	numVars int
+	support []cnf.Var // support[p]: the variable at position p
+	kE      int
+	fixed   []cnf.Lit
+	defs    []Def // Options.Defs: every input computed before it is read
+	cls     []enumClause
+	defLits []cnf.Lit
+}
+
+// Variable roles while a scan is compiled.
+const (
+	roleNone     = iota // not projected, fixed or defined: the exact path declines
+	roleSupport         // projected, neither fixed nor defined
+	roleTrue            // fixed true
+	roleFalse           // fixed false
+	roleDefined         // the output of a Def not yet checked
+	roleComputed        // the output of a Def already checked, so a later Def may read it
+)
+
+// newScan compiles f for the exact path. ok is false when the path does not
+// apply: a variable of f is neither projected nor fixed nor defined, a
+// clause or option names a variable past f.NumVars, a variable is fixed or
+// defined twice, a Def has more than three inputs or reads a defined
+// variable before its definition, or the support has more than maxEnumVars
+// variables.
+func newScan(f *cnf.Formula, opts Options) (sc *scan, ok bool) {
+	nv := f.NumVars
+	inRange := func(v cnf.Var) bool { return v >= 1 && int(v) <= nv }
+	role := make([]uint8, nv+1)
+	for _, v := range projectedVars(f, opts) {
+		if !inRange(v) {
 			return nil, false
 		}
-		covered |= 1 << (v - 1)
+		role[v] = roleSupport
 	}
-	if covered != 1<<k-1 {
-		return nil, false
-	}
-	cls := make([]enumClause, len(f.Clauses))
-	for i, c := range f.Clauses {
-		for _, l := range c {
-			if int(l.Var()) > k {
-				return nil, false // a clause past NumVars: leave it to the solver
-			}
-			switch p := l.Var() - 1; {
-			case p >= 6 && l.IsPos():
-				cls[i].hiPos |= 1 << (p - 6)
-			case p >= 6:
-				cls[i].hiNeg |= 1 << (p - 6)
-			case l.IsPos():
-				cls[i].low |= lowPatterns[p]
-			default:
-				cls[i].low |= ^lowPatterns[p]
-			}
+	for _, l := range opts.Fixed {
+		if !inRange(l.Var()) || role[l.Var()] > roleSupport {
+			return nil, false
+		}
+		role[l.Var()] = roleFalse
+		if l.IsPos() {
+			role[l.Var()] = roleTrue
 		}
 	}
+	for _, d := range opts.Defs {
+		if !inRange(d.Out) || role[d.Out] > roleSupport || len(d.In) > 3 {
+			return nil, false
+		}
+		role[d.Out] = roleDefined
+	}
+	support := 0
+	for _, r := range role[1:] {
+		switch r {
+		case roleNone:
+			return nil, false
+		case roleSupport:
+			support++
+		}
+	}
+	if support > maxEnumVars {
+		return nil, false
+	}
+	for _, d := range opts.Defs {
+		for _, v := range d.In {
+			if !inRange(v) || v == d.Out || role[v] == roleDefined {
+				return nil, false
+			}
+		}
+		role[d.Out] = roleComputed
+	}
+	sc = &scan{numVars: nv, fixed: opts.Fixed, defs: opts.Defs}
+	// Positions: the support's existentials first, then the rest, each part
+	// in increasing variable order.
+	exist := make([]bool, nv+1)
+	for _, v := range opts.Exist {
+		if inRange(v) {
+			exist[v] = true
+		}
+	}
+	for _, e := range []bool{true, false} {
+		for v := 1; v <= nv; v++ {
+			if role[v] == roleSupport && exist[v] == e {
+				sc.support = append(sc.support, cnf.Var(v))
+			}
+		}
+		if e {
+			sc.kE = len(sc.support)
+		}
+	}
+	pos := make([]int8, nv+1)
+	for p, v := range sc.support {
+		pos[v] = int8(p)
+	}
+	sc.cls = make([]enumClause, 0, len(f.Clauses))
+clauses:
+	for _, c := range f.Clauses {
+		ec := enumClause{dlo: int32(len(sc.defLits))}
+		for _, l := range c {
+			v := l.Var()
+			if !inRange(v) {
+				return nil, false
+			}
+			switch p := pos[v]; {
+			case role[v] == roleTrue || role[v] == roleFalse:
+				if (role[v] == roleTrue) == l.IsPos() {
+					sc.defLits = sc.defLits[:ec.dlo]
+					continue clauses // holds on every assignment
+				}
+			case role[v] == roleComputed:
+				sc.defLits = append(sc.defLits, l)
+			case p >= 6 && l.IsPos():
+				ec.hiPos |= 1 << (p - 6)
+			case p >= 6:
+				ec.hiNeg |= 1 << (p - 6)
+			case l.IsPos():
+				ec.low |= lowPatterns[p]
+			default:
+				ec.low |= ^lowPatterns[p]
+			}
+		}
+		ec.dhi = int32(len(sc.defLits))
+		sc.cls = append(sc.cls, ec)
+	}
+	return sc, true
+}
+
+// models evaluates f on every support assignment, 64 to a word, and
+// returns the bitset of models: bit a%64 of word a/64 is set when
+// assignment a, with the fixed and defined variables it implies, satisfies
+// f.
+func (sc *scan) models() []uint64 {
+	k := len(sc.support)
 	words, valid := 1, ^uint64(0)
 	if k >= 6 {
 		words = 1 << (k - 6)
 	} else {
 		valid = 1<<(1<<k) - 1 // one word, holding 2^k assignments
 	}
-	codes := make([]uint32, 0, min(n, 1<<k))
+	// val[v] is v's word: constant for fixed variables and support
+	// positions below 6, set per word for the rest.
+	val := make([]uint64, sc.numVars+1)
+	for p, v := range sc.support[:min(k, 6)] {
+		val[v] = lowPatterns[p]
+	}
+	for _, l := range sc.fixed {
+		if l.IsPos() {
+			val[l.Var()] = ^uint64(0)
+		}
+	}
+	out := make([]uint64, words)
+	var in [3]uint64
 	for w := range uint32(words) {
+		for p := 6; p < k; p++ {
+			val[sc.support[p]] = -uint64(w >> (p - 6) & 1)
+		}
+		for _, d := range sc.defs {
+			for j, v := range d.In {
+				in[j] = val[v]
+			}
+			val[d.Out] = gateWord(d.Table, in[:len(d.In)])
+		}
 		acc := valid
-		for _, c := range cls {
+		for _, c := range sc.cls {
 			if w&c.hiPos != 0 || ^w&c.hiNeg != 0 {
 				continue // a literal at a position ≥ 6 holds on the whole word
 			}
-			if acc &= c.low; acc == 0 {
+			x := c.low
+			for _, l := range sc.defLits[c.dlo:c.dhi] {
+				if l.IsPos() {
+					x |= val[l.Var()]
+				} else {
+					x |= ^val[l.Var()]
+				}
+			}
+			if acc &= x; acc == 0 {
 				break
 			}
 		}
-		for ; acc != 0; acc &= acc - 1 {
-			if len(codes) == n {
-				return nil, false
+		out[w] = acc
+	}
+	return out
+}
+
+// gateWord evaluates a gate on 64 assignments at once: bit i of the result
+// is the table's value on row r, where bit j of r is bit i of in[j].
+func gateWord(table uint8, in []uint64) uint64 {
+	out := uint64(0)
+	for r := 0; r < 1<<len(in); r++ {
+		if table>>r&1 == 0 {
+			continue
+		}
+		m := ^uint64(0)
+		for j, x := range in {
+			if r>>j&1 == 0 {
+				x = ^x
 			}
-			codes = append(codes, w<<6|uint32(bits.TrailingZeros64(acc)))
+			m &= x
+		}
+		out |= m
+	}
+	return out
+}
+
+// pick returns the support assignments of the samples, in increasing
+// order: every model when there are at most n, and otherwise one model for
+// each of n distinct universal assignments that have a completion (each of
+// them when fewer have one), the universal assignments chosen uniformly by
+// the seed and each completion uniformly among its own.
+func (sc *scan) pick(models []uint64, n int, seed int64) []uint32 {
+	total := 0
+	for _, w := range models {
+		total += bits.OnesCount64(w)
+	}
+	codes := make([]uint32, 0, min(n, total))
+	if total <= n {
+		for i, w := range models {
+			for ; w != 0; w &= w - 1 {
+				codes = append(codes, uint32(i)<<6|uint32(bits.TrailingZeros64(w)))
+			}
+		}
+		return codes
+	}
+	opens := sc.openUnivs(models)
+	open := 0
+	for _, w := range opens {
+		open += bits.OnesCount64(w)
+	}
+	// A PCG seeds in a few words, where math/rand's source fills 607.
+	rng := randv2.New(randv2.NewPCG(uint64(seed), 0))
+	chosen := opens
+	if open > n {
+		// Floyd's algorithm draws an n-subset of the open universal
+		// assignments' ranks uniformly; chosen then marks the assignments
+		// of those ranks.
+		ranks := make([]uint64, (open+63)/64)
+		for j := open - n; j < open; j++ {
+			t := rng.IntN(j + 1)
+			if ranks[t/64]>>(t%64)&1 != 0 {
+				t = j
+			}
+			ranks[t/64] |= 1 << (t % 64)
+		}
+		chosen = make([]uint64, len(opens))
+		rank := 0
+		for i, w := range opens {
+			for ; w != 0; w &= w - 1 {
+				if ranks[rank/64]>>(rank%64)&1 != 0 {
+					chosen[i] |= 1 << bits.TrailingZeros64(w)
+				}
+				rank++
+			}
 		}
 	}
+	for i, w := range chosen {
+		for ; w != 0; w &= w - 1 {
+			u := uint32(i)<<6 | uint32(bits.TrailingZeros64(w))
+			codes = append(codes, u<<sc.kE|sc.completion(models, u, rng))
+		}
+	}
+	return codes
+}
+
+// groupLows[kE] has a bit at every multiple of 2^kE: the lowest bit of
+// each universal assignment's group of completions within a word.
+var groupLows = [6]uint64{
+	0xFFFFFFFFFFFFFFFF,
+	0x5555555555555555,
+	0x1111111111111111,
+	0x0101010101010101,
+	0x0001000100010001,
+	0x0000000100000001,
+}
+
+// openUnivs returns the bitset of the universal assignments that have a
+// completion: bit u is set when some model lies in u's group.
+func (sc *scan) openUnivs(models []uint64) []uint64 {
+	kE := sc.kE
+	groups := 1 << (len(sc.support) - kE)
+	opens := make([]uint64, (groups+63)/64)
+	if kE >= 6 {
+		per := 1 << (kE - 6)
+		for u := range groups {
+			if slices.ContainsFunc(models[u*per:(u+1)*per], func(w uint64) bool { return w != 0 }) {
+				opens[u/64] |= 1 << (u % 64)
+			}
+		}
+		return opens
+	}
+	for i, x := range models {
+		// Fold each group onto its lowest bit: afterwards bit j holds the OR
+		// of bits j through j+2^kE−1.
+		for s := 1; s < 1<<kE; s <<= 1 {
+			x |= x >> s
+		}
+		for x &= groupLows[kE]; x != 0; x &= x - 1 {
+			u := i<<(6-kE) | bits.TrailingZeros64(x)>>kE
+			opens[u/64] |= 1 << (u % 64)
+		}
+	}
+	return opens
+}
+
+// completion returns the existential part of one of universal assignment
+// u's completions, chosen uniformly. The group's bits fill whole words
+// when kE ≥ 6, and otherwise lie within one.
+func (sc *scan) completion(models []uint64, u uint32, rng *randv2.Rand) uint32 {
+	var run []uint64
+	shift, mask := uint(0), ^uint64(0)
+	if sc.kE >= 6 {
+		per := uint32(1) << (sc.kE - 6)
+		run = models[u*per : (u+1)*per]
+	} else {
+		w := u >> (6 - sc.kE)
+		run, shift, mask = models[w:w+1], uint(u<<sc.kE)&63, 1<<(1<<sc.kE)-1
+	}
+	c := 0
+	for _, w := range run {
+		c += bits.OnesCount64(w >> shift & mask)
+	}
+	r := rng.IntN(c)
+	for i, w := range run {
+		x := w >> shift & mask
+		if c := bits.OnesCount64(x); r >= c {
+			r -= c
+			continue
+		}
+		for ; r > 0; r-- {
+			x &= x - 1
+		}
+		return uint32(i)<<6 | uint32(bits.TrailingZeros64(x))
+	}
+	panic("sampler: completion index out of range")
+}
+
+// boolValues[b] is the Value of bit b.
+var boolValues = [2]cnf.Value{cnf.False, cnf.True}
+
+// assignment writes into m the full assignment of support assignment a.
+func (sc *scan) assignment(a uint32, m cnf.Assignment) {
+	for p, v := range sc.support {
+		m[v] = boolValues[a>>p&1]
+	}
+	for _, l := range sc.fixed {
+		m[l.Var()] = cnf.BoolValue(l.IsPos())
+	}
+	for _, d := range sc.defs {
+		r := 0
+		for j, v := range d.In {
+			if m[v] == cnf.True {
+				r |= 1 << j
+			}
+		}
+		m[d.Out] = cnf.BoolValue(d.Table>>r&1 == 1)
+	}
+}
+
+// enumerate is Sample's exact path: when newScan applies, it scans f and
+// returns the samples pick chooses, as full assignments. ok is false when
+// the path does not apply.
+func enumerate(f *cnf.Formula, n int, opts Options) (models []cnf.Assignment, ok bool) {
+	sc, ok := newScan(f, opts)
+	if !ok {
+		return nil, false
+	}
+	codes := sc.pick(sc.models(), n, opts.Seed)
 	// One backing array for every model; each model's capacity is pinned,
 	// so appending to one cannot overwrite the next.
-	flat := make(cnf.Assignment, len(codes)*(k+1))
+	stride := f.NumVars + 1
+	flat := make(cnf.Assignment, len(codes)*stride)
 	models = make([]cnf.Assignment, len(codes))
 	for i, a := range codes {
-		m := flat[i*(k+1) : (i+1)*(k+1) : (i+1)*(k+1)]
-		for v := 1; v <= k; v++ {
-			m[v] = cnf.BoolValue(a>>(v-1)&1 == 1)
-		}
+		m := flat[i*stride : (i+1)*stride : (i+1)*stride]
+		sc.assignment(a, m)
 		models[i] = m
 	}
 	return models, true

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -280,29 +281,48 @@ func TestSampleMatchesEnumeration(t *testing.T) {
 		for i := range vars {
 			vars[i] = cnf.Var(1 + perm[i])
 		}
-		checkSampleContract(t, f, vars, int64(trial))
+		checkSampleContract(t, f, Options{Seed: int64(trial), Vars: vars})
 	}
 }
 
 // FuzzSampleContract runs TestSampleMatchesEnumeration's check on a CNF read
-// from the fuzzer's bytes: the first byte picks the variable count (1–10),
-// the second the projection size (1–8), each later byte a literal, and a
-// zero byte ends a clause. A projection onto every variable (of at most 8)
-// takes Sample's exact path whenever the request covers the models, and
-// checkSampleContract then also holds it to the draw loop.
+// from the fuzzer's bytes. In data, the first byte picks the number of
+// base variables (1–10), the second the projection size (1–8), each later
+// byte a literal over the base variables, and a zero byte ends a clause.
+// gates adds gate definitions: its first byte marks, at bit i, base
+// variable i+1 as existential, and each following group of four bytes
+// defines one more variable, numbered down from the top so that a gate
+// reads gates defined later in declaration order: three input bytes (the
+// high bit drops the input; otherwise it picks a base variable or an
+// earlier gate) and the truth table. Each gate's clauses join the CNF, so
+// it holds in every model. A projection onto every base variable (at most
+// 8) takes Sample's exact path, and checkSampleContract then also holds it
+// to the draw loop.
 func FuzzSampleContract(f *testing.F) {
-	f.Add([]byte{2, 2, 1, 2, 0}, int64(3))                                                 // x1 ∨ x2 on {1,2}: 3 points
-	f.Add([]byte{5, 5}, int64(0))                                                          // no clauses: 32 points
-	f.Add([]byte{3, 1, 1, 0, 0x81, 0}, int64(1))                                           // x1 ∧ ¬x1: UNSAT
-	f.Add([]byte{8, 6, 1, 2, 3, 0, 0x82, 4, 0, 0x85, 6, 7, 0}, int64(7))                   // a few 2–3 clauses
-	f.Add([]byte{10, 8, 1, 0x82, 0, 2, 0x83, 0, 3, 0x84, 0}, int64(9))                     // an implication chain
-	f.Add([]byte{7, 7, 1, 2, 3, 0, 0x84, 5, 0x86, 0, 7, 0x88, 0, 0x81, 0x87, 0}, int64(4)) // all 8 projected
-	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
-		if len(data) < 2 || len(data) > 64 {
+	f.Add([]byte{2, 2, 1, 2, 0}, []byte(nil), int64(3))                                                 // x1 ∨ x2 on {1,2}: 3 points
+	f.Add([]byte{5, 5}, []byte(nil), int64(0))                                                          // no clauses: 32 points
+	f.Add([]byte{3, 1, 1, 0, 0x81, 0}, []byte(nil), int64(1))                                           // x1 ∧ ¬x1: UNSAT
+	f.Add([]byte{8, 6, 1, 2, 3, 0, 0x82, 4, 0, 0x85, 6, 7, 0}, []byte(nil), int64(7))                   // a few 2–3 clauses
+	f.Add([]byte{10, 8, 1, 0x82, 0, 2, 0x83, 0, 3, 0x84, 0}, []byte(nil), int64(9))                     // an implication chain
+	f.Add([]byte{7, 7, 1, 2, 3, 0, 0x84, 5, 0x86, 0, 7, 0x88, 0, 0x81, 0x87, 0}, []byte(nil), int64(4)) // all 8 projected
+	f.Add([]byte{4, 4, 1, 2, 0}, []byte{0x0c, 0, 1, 0x80, 0x8, 4, 2, 0x80, 0x6}, int64(5))              // AND of x1, x2 read by an XOR: 2 existentials
+	f.Add([]byte{6, 6, 0x81, 3, 0}, []byte{0x30, 0, 1, 2, 0xe8, 6, 3, 0x80, 0x9}, int64(2))             // majority read by an XNOR
+	f.Fuzz(func(t *testing.T, data, gates []byte, seed int64) {
+		if len(data) < 2 || len(data) > 64 || len(gates) > 13 {
 			return
 		}
 		nv := 1 + int(data[0])%10
-		fm := cnf.New(nv)
+		var exist []cnf.Var
+		if len(gates) > 0 {
+			for v := 1; v <= min(nv, 8); v++ {
+				if gates[0]>>(v-1)&1 != 0 {
+					exist = append(exist, cnf.Var(v))
+				}
+			}
+			gates = gates[1:]
+		}
+		g := len(gates) / 4
+		fm := cnf.New(nv + g)
 		var cl []cnf.Lit
 		for _, b := range data[2:] {
 			if b&0x7f == 0 {
@@ -312,21 +332,54 @@ func FuzzSampleContract(f *testing.F) {
 			}
 			cl = append(cl, cnf.MkLit(cnf.Var(1+int(b&0x7f-1)%nv), b&0x80 == 0))
 		}
+		pool := make([]cnf.Var, 0, nv+g)
+		for v := 1; v <= nv; v++ {
+			pool = append(pool, cnf.Var(v))
+		}
+		defs := make([]Def, g)
+		for i := range defs {
+			d := Def{Out: cnf.Var(nv + g - i)}
+			for _, b := range gates[4*i : 4*i+3] {
+				if v := pool[int(b)%len(pool)]; b&0x80 == 0 && !slices.Contains(d.In, v) {
+					d.In = append(d.In, v)
+				}
+			}
+			d.Table = gates[4*i+3] & uint8(1<<(1<<len(d.In))-1)
+			addGateClauses(fm, d)
+			defs[i] = d
+			pool = append(pool, d.Out)
+		}
 		vars := make([]cnf.Var, min(nv, 1+int(data[1])%8))
 		for i := range vars {
 			vars[i] = cnf.Var(nv - i)
 		}
-		checkSampleContract(t, fm, vars, seed)
+		checkSampleContract(t, fm, Options{Seed: seed, Vars: vars, Defs: defs, Exist: exist})
 	})
 }
 
-// checkSampleContract samples f projected onto vars with n = 1, 2^|P|−1 and
-// 2^|P|+5 and checks each call against f's projected solutions counted by
-// brute force. When vars covers every variable, Sample may take its exact
-// path, so the draw loop runs too, under the same checks, and Sample's
-// output must match its output (see checkSameAsDrawLoop).
-func checkSampleContract(t *testing.T, f *cnf.Formula, vars []cnf.Var, seed int64) {
+// addGateClauses adds to f the clauses that force d.Out to its gate: one
+// per row of the truth table.
+func addGateClauses(f *cnf.Formula, d Def) {
+	for r := 0; r < 1<<len(d.In); r++ {
+		cl := make([]cnf.Lit, 0, len(d.In)+1)
+		for j, v := range d.In {
+			cl = append(cl, cnf.MkLit(v, r>>j&1 == 0)) // false exactly on row r
+		}
+		f.AddClause(append(cl, cnf.MkLit(d.Out, d.Table>>r&1 != 0))...)
+	}
+}
+
+// checkSampleContract samples f under opts with n = 1, 2^|P|−1 and 2^|P|+5
+// and checks each call against brute force. The draw loop must return
+// min(n, #projected solutions) samples, each a model, pairwise distinct on
+// the projection, and the same samples for the same seed. When Sample's
+// exact path applies, because every variable is projected or defined, its
+// output must keep checkSupportSample's contract and, when f has at most n
+// models, be the draw loop's set. Otherwise Sample is the draw loop and
+// keeps its contract.
+func checkSampleContract(t *testing.T, f *cnf.Formula, opts Options) {
 	t.Helper()
+	vars := opts.Vars
 	nv := f.NumVars
 	want := map[uint]bool{}
 	a := cnf.NewAssignment(nv)
@@ -338,19 +391,28 @@ func checkSampleContract(t *testing.T, f *cnf.Formula, vars []cnf.Var, seed int6
 			want[projection(a, vars)] = true
 		}
 	}
-	full := len(vars) == nv
+	determined := map[cnf.Var]bool{}
+	for _, v := range vars {
+		determined[v] = true
+	}
+	for _, d := range opts.Defs {
+		determined[d.Out] = true
+	}
+	exact := len(determined) == nv
+	var ref supportRef
+	if exact {
+		ref = newSupportRef(f, opts)
+	}
 	for _, n := range []int{1, 1<<len(vars) - 1, 1<<len(vars) + 5} {
 		if n == 0 {
 			continue // one projected variable: 2^1−1 is n = 1 again
 		}
-		opts := Options{Seed: seed, Vars: vars}
-		entries := samplers[:1] // with a variable left out, Sample is the draw loop
-		if full {
-			entries = samplers
-		}
-		outs := make([][]cnf.Assignment, len(entries))
-		for k, sm := range entries {
-			got, err := sm.fn(context.Background(), f, n, opts)
+		outs := make([][]cnf.Assignment, len(samplers))
+		for k, sm := range samplers {
+			var st Stats
+			withStats := opts
+			withStats.Stats = &st
+			got, err := sm.fn(context.Background(), f, n, withStats)
 			if len(want) == 0 {
 				if err == nil || errors.Is(err, ErrBudget) {
 					t.Fatalf("%s: %v on %v: UNSAT formula gave %d samples, err %v", sm.name, f.Clauses, vars, len(got), err)
@@ -360,20 +422,13 @@ func checkSampleContract(t *testing.T, f *cnf.Formula, vars []cnf.Var, seed int6
 			if err != nil {
 				t.Fatalf("%s: %v on %v, n=%d: %v", sm.name, f.Clauses, vars, n, err)
 			}
-			if len(got) != min(n, len(want)) {
-				t.Fatalf("%s: %v on %v, n=%d: %d samples, want %d of %d projected solutions",
-					sm.name, f.Clauses, vars, n, len(got), min(n, len(want)), len(want))
-			}
-			seen := map[uint]bool{}
-			for i, m := range got {
-				if !f.Eval(m) {
-					t.Fatalf("%s: %v, n=%d: sample %d is not a model", sm.name, f.Clauses, n, i)
+			if exact && sm.name == "Sample" {
+				if st.Solves != 0 {
+					t.Fatalf("%v on %v, n=%d: the exact path made %d solves", f.Clauses, vars, n, st.Solves)
 				}
-				p := projection(m, vars)
-				if seen[p] {
-					t.Fatalf("%s: %v on %v, n=%d: sample %d repeats projection %b", sm.name, f.Clauses, vars, n, i, p)
-				}
-				seen[p] = true
+				checkSupportSample(t, f, opts, n, got, ref)
+			} else {
+				checkDrawContract(t, sm.name, f, vars, n, len(want), got)
 			}
 			again, err := sm.fn(context.Background(), f, n, opts)
 			if err != nil || len(again) != len(got) {
@@ -381,43 +436,61 @@ func checkSampleContract(t *testing.T, f *cnf.Formula, vars []cnf.Var, seed int6
 			}
 			for i := range got {
 				if !slices.Equal(got[i], again[i]) {
-					t.Fatalf("%s: %v, n=%d: sample %d differs between two calls with seed %d", sm.name, f.Clauses, n, i, seed)
+					t.Fatalf("%s: %v, n=%d: sample %d differs between two calls with seed %d", sm.name, f.Clauses, n, i, opts.Seed)
 				}
 			}
 			outs[k] = got
 		}
-		if full && len(want) > 0 {
-			checkSameAsDrawLoop(t, f, n, len(want), outs[0], outs[1]) // samplers lists Sample, then draw
+		if exact && len(want) > 0 && len(want) <= n {
+			checkSameAsDrawLoop(t, f, n, outs[0], outs[1]) // samplers lists Sample, then draw
 		}
 	}
 }
 
-// checkSameAsDrawLoop holds Sample's output got on f, which has models
-// models, all projected, to the draw loop's output drawn under the same
-// options: the same set of models when f has at most n, and the same
-// slice, sample for sample, when the exact path declined.
-func checkSameAsDrawLoop(t *testing.T, f *cnf.Formula, n, models int, got, drawn []cnf.Assignment) {
+// checkDrawContract holds got, a draw loop's output for n on f projected
+// onto vars, to the draw loop's contract: min(n, solutions) samples, each a
+// model, pairwise distinct on the projection.
+func checkDrawContract(t *testing.T, name string, f *cnf.Formula, vars []cnf.Var, n, solutions int, got []cnf.Assignment) {
 	t.Helper()
-	if models <= n {
-		byCode := func(a, b cnf.Assignment) int { return cmp.Compare(code(a), code(b)) }
-		drawn = slices.Clone(drawn)
-		slices.SortFunc(drawn, byCode)
-		if !slices.IsSortedFunc(got, byCode) {
-			t.Fatalf("%v, n=%d: enumerated models out of order", f.Clauses, n)
-		}
+	if len(got) != min(n, solutions) {
+		t.Fatalf("%s: %v on %v, n=%d: %d samples, want %d of %d projected solutions",
+			name, f.Clauses, vars, n, len(got), min(n, solutions), solutions)
 	}
+	seen := map[uint]bool{}
+	for i, m := range got {
+		if !f.Eval(m) {
+			t.Fatalf("%s: %v, n=%d: sample %d is not a model", name, f.Clauses, n, i)
+		}
+		p := projection(m, vars)
+		if seen[p] {
+			t.Fatalf("%s: %v on %v, n=%d: sample %d repeats projection %b", name, f.Clauses, vars, n, i, p)
+		}
+		seen[p] = true
+	}
+}
+
+// checkSameAsDrawLoop holds Sample's output got on f, which has at most n
+// models, all of them distinct on the projection, to the draw loop's
+// output drawn under the same options: the same set of models.
+func checkSameAsDrawLoop(t *testing.T, f *cnf.Formula, n int, got, drawn []cnf.Assignment) {
+	t.Helper()
+	byCode := func(a, b cnf.Assignment) int { return cmp.Compare(code(a), code(b)) }
+	got, drawn = slices.Clone(got), slices.Clone(drawn)
+	slices.SortFunc(got, byCode)
+	slices.SortFunc(drawn, byCode)
 	if len(got) != len(drawn) {
 		t.Fatalf("%v, n=%d: Sample gave %d models, the draw loop %d", f.Clauses, n, len(got), len(drawn))
 	}
 	for i := range got {
 		if !slices.Equal(got[i], drawn[i]) {
-			t.Fatalf("%v, n=%d (%d models): Sample's model %d is %v, the draw loop's %v", f.Clauses, n, models, i, got[i], drawn[i])
+			t.Fatalf("%v, n=%d: Sample's model %d is %v, the draw loop's %v", f.Clauses, n, i, got[i], drawn[i])
 		}
 	}
 }
 
 // code reads a total assignment as a binary number, variable v at bit v−1:
-// the order Sample's exact path returns models in.
+// the order Sample's exact path returns models in when nothing is fixed,
+// defined or existential.
 func code(m cnf.Assignment) uint {
 	c := uint(0)
 	for v := 1; v < len(m); v++ {
@@ -428,16 +501,132 @@ func code(m cnf.Assignment) uint {
 	return c
 }
 
-// TestEnumerateMatchesDrawLoop pins the argument that Sample's exact path
-// moves no certificate, on random CNFs of 1–16 variables, all projected,
-// with n ∈ {1, M−1, M, M+5} for M models. For M ≤ n, Sample returns every
-// model in increasing order, and the draw loop returns the same set. For
-// M > n, Sample's scan declines, and its slice is the draw loop's, sample
-// for sample. Formulas of more than 2,048 models are skipped: drawing that
-// many models one blocking clause at a time takes seconds.
+// supportRef is the exact path's reference, found by brute force: the
+// models of f under opts, and how many universal assignments have a
+// completion. The support is every projected variable that opts neither
+// fixes nor defines; its universal part is what lies outside opts.Exist.
+type supportRef struct {
+	models map[string]bool
+	exist  map[cnf.Var]bool
+	univ   []cnf.Var // the support's universal part
+	open   int       // universal assignments with a completion
+}
+
+// newSupportRef enumerates every assignment of the support, one at a time,
+// holds the fixed variables, computes the defined ones in order, and keeps
+// the assignments that satisfy f.
+func newSupportRef(f *cnf.Formula, opts Options) supportRef {
+	r := supportRef{models: map[string]bool{}, exist: map[cnf.Var]bool{}}
+	for _, v := range opts.Exist {
+		r.exist[v] = true
+	}
+	derived := map[cnf.Var]bool{}
+	for _, l := range opts.Fixed {
+		derived[l.Var()] = true
+	}
+	for _, d := range opts.Defs {
+		derived[d.Out] = true
+	}
+	var support []cnf.Var
+	for v := cnf.Var(1); int(v) <= f.NumVars; v++ {
+		if slices.Contains(opts.Vars, v) && !derived[v] {
+			support = append(support, v)
+			if !r.exist[v] {
+				r.univ = append(r.univ, v)
+			}
+		}
+	}
+	open := map[uint]bool{}
+	a := cnf.NewAssignment(f.NumVars)
+	for bits := 0; bits < 1<<len(support); bits++ {
+		for i, v := range support {
+			a.SetBool(v, bits>>i&1 == 1)
+		}
+		for _, l := range opts.Fixed {
+			a.SetBool(l.Var(), l.IsPos())
+		}
+		for _, d := range opts.Defs {
+			a.SetBool(d.Out, gateValue(d, a))
+		}
+		if f.Eval(a) {
+			r.models[fmt.Sprint(a)] = true
+			open[projection(a, r.univ)] = true
+		}
+	}
+	r.open = len(open)
+	return r
+}
+
+// gateValue is d's output on assignment a.
+func gateValue(d Def, a cnf.Assignment) bool {
+	row := 0
+	for j, v := range d.In {
+		if a.Get(v) == cnf.True {
+			row |= 1 << j
+		}
+	}
+	return d.Table>>row&1 != 0
+}
+
+// checkSupportSample holds got, Sample's output for n under opts when its
+// exact path applies, to that path's contract, against the brute-force
+// reference ref. Every sample is a model, each defined variable equals its
+// gate and each fixed variable holds its constant, and the samples are
+// pairwise distinct. With at most n models the samples are exactly the
+// models. With more, their universal parts are pairwise distinct and
+// number min(n, universal assignments with a completion).
+func checkSupportSample(t *testing.T, f *cnf.Formula, opts Options, n int, got []cnf.Assignment, ref supportRef) {
+	t.Helper()
+	seen := map[string]bool{}
+	univ := map[uint]bool{}
+	for i, m := range got {
+		if !f.Eval(m) {
+			t.Fatalf("%v, n=%d: sample %d is not a model", f.Clauses, n, i)
+		}
+		for _, l := range opts.Fixed {
+			if m.Get(l.Var()) != cnf.BoolValue(l.IsPos()) {
+				t.Fatalf("%v, n=%d: sample %d does not hold fixed literal %d", f.Clauses, n, i, l)
+			}
+		}
+		for _, d := range opts.Defs {
+			if (m.Get(d.Out) == cnf.True) != gateValue(d, m) {
+				t.Fatalf("%v, n=%d: sample %d sets defined y%d off its gate %+v", f.Clauses, n, i, d.Out, d)
+			}
+		}
+		key := fmt.Sprint(m)
+		if !ref.models[key] {
+			t.Fatalf("%v, n=%d: sample %d, %v, is not among the %d brute-force models", f.Clauses, n, i, m, len(ref.models))
+		}
+		if seen[key] {
+			t.Fatalf("%v, n=%d: sample %d repeats an earlier one", f.Clauses, n, i)
+		}
+		seen[key] = true
+		univ[projection(m, ref.univ)] = true
+	}
+	switch {
+	case len(ref.models) <= n:
+		if len(got) != len(ref.models) {
+			t.Fatalf("%v, n=%d: %d samples of %d models, want them all", f.Clauses, n, len(got), len(ref.models))
+		}
+	case len(univ) != len(got):
+		t.Fatalf("%v, n=%d (%d models): %d samples share %d universal parts", f.Clauses, n, len(ref.models), len(got), len(univ))
+	case len(got) != min(n, ref.open):
+		t.Fatalf("%v, n=%d (%d models): %d samples, want one for each of min(n, %d) universal assignments with a completion",
+			f.Clauses, n, len(ref.models), len(got), ref.open)
+	}
+}
+
+// TestEnumerateMatchesDrawLoop pins the exact path on random CNFs of 1–16
+// variables, all projected, with nothing fixed or defined, and n ∈ {1,
+// M−1, M, M+5} for M models. For M ≤ n, Sample returns every model in
+// increasing order, and the draw loop returns the same set, so no
+// certificate moves. For M > n, Sample returns n distinct models with no
+// solver call (checkSupportSample). Formulas of more than 2,048 models are
+// skipped: drawing that many models one blocking clause at a time takes
+// seconds.
 func TestEnumerateMatchesDrawLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	checked, big, enumerated, declined := 0, 0, 0, 0
+	checked, big, enumerated, chosen := 0, 0, 0, 0
 	for trial := 0; trial < 240; trial++ {
 		nv := 1 + rng.Intn(maxEnumVars)
 		f := cnf.New(nv)
@@ -470,11 +659,12 @@ func TestEnumerateMatchesDrawLoop(t *testing.T) {
 		if nv > 12 {
 			big++
 		}
+		opts := Options{Seed: int64(trial), Vars: vars, AdaptiveVars: vars[:nv/2]}
+		var ref supportRef
 		for _, n := range []int{1, m - 1, m, m + 5} {
 			if n <= 0 {
 				continue
 			}
-			opts := Options{Seed: int64(trial), Vars: vars, AdaptiveVars: vars[:nv/2]}
 			var st Stats
 			withStats := opts
 			withStats.Stats = &st
@@ -488,34 +678,146 @@ func TestEnumerateMatchesDrawLoop(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d, n=%d: %v", trial, n, err)
 			}
-			if m <= n {
-				enumerated++
-				if st.Solves != 0 {
-					t.Fatalf("trial %d, n=%d: %d models took %d solves, want the exact path", trial, n, m, st.Solves)
+			if st.Solves != 0 {
+				t.Fatalf("trial %d, n=%d: %d models took %d solves, want the exact path", trial, n, m, st.Solves)
+			}
+			if m > n {
+				chosen++
+				if ref.models == nil {
+					ref = newSupportRef(f, opts)
 				}
-				if len(got) != m {
-					t.Fatalf("trial %d, n=%d: %d samples of %d models", trial, n, len(got), m)
+				checkSupportSample(t, f, opts, n, got, ref)
+				continue
+			}
+			enumerated++
+			if len(got) != m {
+				t.Fatalf("trial %d, n=%d: %d samples of %d models", trial, n, len(got), m)
+			}
+			for i := range want {
+				if !slices.Equal(got[i], want[i]) {
+					t.Fatalf("trial %d, n=%d: model %d is %v, brute force %v", trial, n, i, got[i], want[i])
 				}
-				for i := range want {
-					if !slices.Equal(got[i], want[i]) {
-						t.Fatalf("trial %d, n=%d: model %d is %v, brute force %v", trial, n, i, got[i], want[i])
-					}
-				}
-			} else {
-				declined++
 			}
 			drawn, err := draw(context.Background(), f, n, opts)
 			if err != nil {
 				t.Fatalf("trial %d, n=%d: draw loop: %v", trial, n, err)
 			}
-			checkSameAsDrawLoop(t, f, n, m, got, drawn)
+			checkSameAsDrawLoop(t, f, n, got, drawn)
 		}
 	}
-	if checked < 150 || big < 20 || enumerated == 0 || declined == 0 {
-		t.Fatalf("only %d formulas checked (%d of more than 12 variables), %d calls enumerated and %d declined",
-			checked, big, enumerated, declined)
+	if checked < 150 || big < 20 || enumerated == 0 || chosen == 0 {
+		t.Fatalf("only %d formulas checked (%d of more than 12 variables), %d calls returned every model and %d chose",
+			checked, big, enumerated, chosen)
 	}
-	t.Logf("%d formulas (%d of more than 12 variables): %d calls enumerated, %d declined", checked, big, enumerated, declined)
+	t.Logf("%d formulas (%d of more than 12 variables): %d calls returned every model, %d chose", checked, big, enumerated, chosen)
+}
+
+// TestSupportSampleContract holds the exact path on a support to its
+// contract (checkSupportSample) against brute force: random CNFs over up
+// to 16 support variables, of which a random subset is existential, plus
+// up to four gate definitions of up to three inputs and up to two fixed
+// variables, the roles dealt to variable numbers at random, so that a gate
+// often reads a gate defined later in declaration order. Some defined and
+// fixed variables are left out of the projection, which the path allows.
+// Every call makes no solver call, and the same seed gives the same
+// samples.
+func TestSupportSampleContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	laterInput, chosen := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		ns, ng, nf := 1+rng.Intn(maxEnumVars), rng.Intn(5), rng.Intn(3)
+		nv := ns + ng + nf
+		perm := rng.Perm(nv)
+		at := func(i int) cnf.Var { return cnf.Var(1 + perm[i]) }
+		opts := Options{Seed: int64(trial)}
+		pool := make([]cnf.Var, 0, nv)
+		for i := 0; i < ns; i++ {
+			opts.Vars = append(opts.Vars, at(i))
+			pool = append(pool, at(i))
+			if rng.Intn(3) == 0 {
+				opts.Exist = append(opts.Exist, at(i))
+			}
+		}
+		for i := ns + ng; i < nv; i++ {
+			opts.Fixed = append(opts.Fixed, cnf.MkLit(at(i), rng.Intn(2) == 0))
+			pool = append(pool, at(i))
+		}
+		for i := ns; i < ns+ng; i++ {
+			d := Def{Out: at(i), Table: uint8(rng.Intn(256))}
+			for j := rng.Intn(4); j > 0; j-- {
+				if v := pool[rng.Intn(len(pool))]; !slices.Contains(d.In, v) {
+					d.In = append(d.In, v)
+					if v > d.Out && slices.ContainsFunc(opts.Defs, func(e Def) bool { return e.Out == v }) {
+						laterInput++ // an earlier gate, declared after this one
+					}
+				}
+			}
+			d.Table &= uint8(1<<(1<<len(d.In)) - 1)
+			opts.Defs = append(opts.Defs, d)
+			pool = append(pool, d.Out)
+		}
+		for _, l := range opts.Fixed {
+			if rng.Intn(2) == 0 {
+				opts.Vars = append(opts.Vars, l.Var())
+			}
+		}
+		for _, d := range opts.Defs {
+			if rng.Intn(2) == 0 {
+				opts.Vars = append(opts.Vars, d.Out)
+			}
+			if rng.Intn(3) == 0 {
+				opts.Exist = append(opts.Exist, d.Out)
+			}
+		}
+		f := cnf.New(nv)
+		for c := rng.Intn(2*nv + 3); c > 0; c-- {
+			cl := make([]cnf.Lit, 1+rng.Intn(3))
+			for i := range cl {
+				cl[i] = cnf.MkLit(cnf.Var(1+rng.Intn(nv)), rng.Intn(2) == 0)
+			}
+			f.AddClause(cl...)
+		}
+		ref := newSupportRef(f, opts)
+		m := len(ref.models)
+		for _, n := range []int{1, m - 1, m, m + 5, ref.open - 1, ref.open} {
+			if n <= 0 {
+				continue
+			}
+			var st Stats
+			withStats := opts
+			withStats.Stats = &st
+			got, err := Sample(context.Background(), f, n, withStats)
+			if st.Solves != 0 {
+				t.Fatalf("trial %d, n=%d: the exact path made %d solves", trial, n, st.Solves)
+			}
+			if m == 0 {
+				if err == nil || errors.Is(err, ErrBudget) {
+					t.Fatalf("trial %d: a formula with no model gave %d samples, err %v", trial, len(got), err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("trial %d, n=%d: %v", trial, n, err)
+			}
+			checkSupportSample(t, f, opts, n, got, ref)
+			if m > n {
+				chosen++
+			}
+			again, err := Sample(context.Background(), f, n, opts)
+			if err != nil || len(again) != len(got) {
+				t.Fatalf("trial %d, n=%d: second call gave %d samples, err %v; first gave %d", trial, n, len(again), err, len(got))
+			}
+			for i := range got {
+				if !slices.Equal(got[i], again[i]) {
+					t.Fatalf("trial %d, n=%d: sample %d differs between two calls with seed %d", trial, n, i, opts.Seed)
+				}
+			}
+		}
+	}
+	if laterInput == 0 || chosen == 0 {
+		t.Fatalf("%d gates read a gate defined later in declaration order and %d calls chose among more models than requested; want both", laterInput, chosen)
+	}
+	t.Logf("%d gate inputs defined later in declaration order, %d calls chose among more models than requested", laterInput, chosen)
 }
 
 // projection packs m's values of vars into bits, vars[k] at bit k.
@@ -582,6 +884,48 @@ func TestSampleAllocatesOnlyModels(t *testing.T) {
 				t.Errorf("%s: %s-%d: %.0f allocations for %d samples in %d draws, want at most %d",
 					sm.name, c.fam, c.idx, allocs, n, st.Solves, n+128)
 			}
+		}
+	}
+}
+
+// TestSupportSampleUniformOverX checks that the exact path chooses among
+// universal assignments, not among models, and each completion uniformly.
+// Over x1..x6 and existentials e1, e2, the rows with x1 true allow all four
+// completions and the rows with x1 false only e1 = e2 = 0, so four in five
+// models lie on x1-true rows. Over 400 seeds of 16 samples each, a choice
+// uniform over X puts about half the samples on those rows, every row is
+// chosen, and each of the four completions takes about a quarter of them.
+func TestSupportSampleUniformOverX(t *testing.T) {
+	f := cnf.New(8)
+	f.AddClause(1, -7)
+	f.AddClause(1, -8)
+	opts := Options{Vars: []cnf.Var{1, 2, 3, 4, 5, 6, 7, 8}, Exist: []cnf.Var{7, 8}}
+	const seeds, n = 400, 16
+	rows := map[uint]int{}
+	onX1, completions := 0, [4]int{}
+	for seed := int64(0); seed < seeds; seed++ {
+		opts.Seed = seed
+		got, err := Sample(context.Background(), f, n, opts)
+		if err != nil || len(got) != n {
+			t.Fatalf("seed %d: %d samples, err %v", seed, len(got), err)
+		}
+		for _, m := range got {
+			rows[projection(m, opts.Vars[:6])]++
+			if m.Get(1) == cnf.True {
+				onX1++
+				completions[projection(m, opts.Vars[6:])]++
+			}
+		}
+	}
+	if share := float64(onX1) / (seeds * n); share < 0.45 || share > 0.55 {
+		t.Errorf("%.3f of the samples lie on x1-true rows, want about 0.5 (0.8 would be uniform over models)", share)
+	}
+	if len(rows) != 64 {
+		t.Errorf("%d of 64 universal assignments were ever chosen", len(rows))
+	}
+	for c, k := range completions {
+		if share := float64(k) / float64(onX1); share < 0.2 || share > 0.3 {
+			t.Errorf("completion %02b took %.3f of the x1-true samples, want about 0.25", c, share)
 		}
 	}
 }

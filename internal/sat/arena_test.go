@@ -356,3 +356,41 @@ func TestWatchArenaInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseLoadKeepsWatchArena: a whole-formula load fits in the watch arena
+// it reserves, even where AddClause's normalization moves a watcher to a list
+// the reservation never carved. Units fix x1..x1500 first, so each later
+// clause ¬xi ∨ y ∨ zi drops ¬xi and watches zi, whose list has no room: 1,500
+// lists relocate to the arena tail, and the tail must hold them without the
+// arena regrowing.
+func TestDenseLoadKeepsWatchArena(t *testing.T) {
+	const units, dense, denseClauses = 1500, 5000, 20000
+	rng := rand.New(rand.NewSource(3))
+	denseLit := func() cnf.Lit { return cnf.MkLit(cnf.Var(units+1+rng.Intn(dense)), rng.Intn(2) == 0) }
+	f := cnf.New(units + dense + units)
+	for i := 1; i <= units; i++ {
+		f.AddUnit(cnf.PosLit(cnf.Var(i)))
+	}
+	for i := 0; i < denseClauses; i++ {
+		f.AddClause(denseLit(), denseLit(), denseLit())
+	}
+	for i := 1; i <= units; i++ {
+		f.AddClause(cnf.NegLit(cnf.Var(i)), denseLit(), cnf.PosLit(cnf.Var(units+dense+i)))
+	}
+
+	r := New()
+	r.EnsureVars(f.NumVars)
+	r.reserveWatches(f.Clauses)
+	carved, room := len(r.watchArena), cap(r.watchArena)
+
+	s := New()
+	s.AddFormula(f)
+	if len(s.watchArena) <= carved {
+		t.Fatalf("the load put nothing past its %d carved slots; no watcher moved to an uncarved list", carved)
+	}
+	if cap(s.watchArena) != room {
+		t.Fatalf("the load regrew the watch arena from %d to %d slots (%d carved, %d in use)",
+			room, cap(s.watchArena), carved, len(s.watchArena))
+	}
+	checkWatchArenaInvariants(t, s)
+}

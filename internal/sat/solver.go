@@ -68,8 +68,11 @@
 // the batch: a small batch on a large solver (a candidate's encoding, a
 // refinement round) carves its lists by re-reading its own watched
 // literals, while a batch about as large as the literal table (a whole
-// formula) walks the per-literal count table once. When the arena outgrows
-// its backing, only the new tail is cleared; the live prefix is copied.
+// formula) walks the per-literal count table once. A reservation also asks
+// for an eighth of what it carves as room at the tail, for the lists the
+// batch's own normalization moves watchers to (watchTailReserve). When the
+// arena outgrows its backing, only the new tail is cleared; the live prefix
+// is copied.
 //
 // # Glue tiers
 //
@@ -1004,6 +1007,15 @@ func (s *Solver) AddClauses(clauses []cnf.Clause) {
 // counted watchers.
 const watchSlack = 2
 
+// watchTailReserve sets the room a reservation asks for past its carved
+// lists: a watchTailReserve-th of what it carves. The count reads each
+// clause's first two literals as given, but AddClause drops a literal fixed
+// earlier in the same batch and a repeated one, so a clause may watch a
+// list the count never carved. That list relocates to the arena tail, and
+// with no room left there the first such watcher would double the whole
+// arena (245,760 → 491,520 slots on expand's load of equiv-001-h2).
+const watchTailReserve = 8
+
 // reserveWatches pre-sizes the watch lists touched by a clause batch: each
 // clause of length ≥ 2 watches (almost always) its first two literals.
 // Count those per literal, then carve every still-empty list out of ONE
@@ -1050,7 +1062,7 @@ func (s *Solver) reserveWatches(clauses []cnf.Clause) {
 		return
 	}
 	off := len(s.watchArena)
-	s.watchArena = growCap(s.watchArena, off+total)[:off+total]
+	s.watchArena = growCap(s.watchArena, off+total+total/watchTailReserve)[:off+total]
 	// The carving pass reserves each still-unreserved list once and resets
 	// its count, so the scratch table is all-zero again on return.
 	if watched*sparseWatchRatio < len(cnt) {
