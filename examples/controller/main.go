@@ -62,8 +62,8 @@ func main() {
 	}
 
 	fmt.Println("distributed safety controller: c1 sees {s1,s2}, c2 sees {s2,s3}")
-	// PreprocWorkers: 2 runs the two controllers' constant and unate checks
-	// concurrently; the result is bit-identical to a serial run.
+	// PreprocWorkers: 2 runs the two controllers' unate checks concurrently;
+	// the result is bit-identical to a serial run.
 	res, err := core.Synthesize(context.Background(), in, core.Options{Seed: 7, PreprocWorkers: 2})
 	if err != nil {
 		log.Fatalf("synthesis: %v", err)

@@ -50,7 +50,7 @@ func blockParityInstance(blocks, k int) *dqbf.Instance {
 // repairHeavyOptions keeps sampling cheap and trees shallow so the workload is
 // dominated by verify–repair iterations rather than learning.
 func repairHeavyOptions(seed int64) Options {
-	return Options{Seed: seed, NumSamples: 24, treeMaxDepth: 2}
+	return Options{Seed: seed, numSamples: 24, treeMaxDepth: 2}
 }
 
 // BenchmarkVerifyRepair measures a multi-iteration verify–repair run: a parity

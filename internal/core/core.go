@@ -92,10 +92,10 @@
 //     other variable into a clause). The sample phase hands it the unates'
 //     constants and the gate definitions, ordered so that every input is
 //     computed before it is read, and the sampler evaluates ϕ on every
-//     assignment of the support, 64 per word. With at most NumSamples
-//     models, those models are Σ. With more, Σ holds NumSamples distinct
-//     assignments of X, chosen uniformly among those with a completion,
-//     each with one completion chosen uniformly. Choosing among X rather
+//     assignment of the support, 64 per word. With at most 400 models,
+//     those models are Σ. With more, Σ holds 400 distinct assignments of
+//     X, chosen uniformly among those with a completion, each with one
+//     completion chosen uniformly. Choosing among X rather
 //     than among models keeps rows whose every completion is a model (a
 //     controller's escape rows) from crowding out the rows that constrain
 //     the candidates. A larger support is drawn from one solver without

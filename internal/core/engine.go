@@ -43,9 +43,6 @@ var (
 type Options struct {
 	// Seed drives sampling and solver randomization.
 	Seed int64
-	// NumSamples is the number of satisfying assignments to learn from
-	// (default 400).
-	NumSamples int
 	// MaxRepairIterations caps verify-repair rounds (default 2000).
 	MaxRepairIterations int
 	// SATConflictBudget bounds each SAT oracle call (default 500000).
@@ -74,23 +71,14 @@ type Options struct {
 	// function, are bit-identical for every worker count; see repair.
 	VerifyWorkers int
 
-	// DisableMaxSATLocalization removes the FindCandi MaxSAT step and
-	// instead marks every mismatching candidate for repair (ablation abl1).
-	DisableMaxSATLocalization bool
-	// DisableYHat drops the Ŷ ↔ σ[Ŷ] constraint from the repair formula Gk
-	// (ablation abl2; see the paper's discussion after Formula 1).
-	DisableYHat bool
-	// DisablePreprocess skips unate detection and gate definitions
-	// (ablation abl3).
-	DisablePreprocess bool
-	// DisableAdaptiveSampling turns off the Manthan-lineage adaptive phase
-	// bias during data generation (ablation abl4).
-	DisableAdaptiveSampling bool
-
 	// Logf, when non-nil, receives progress trace lines (used by the CLI's
 	// verbose mode; nil disables tracing).
 	Logf func(format string, args ...any)
 
+	// numSamples is the number of satisfying assignments to learn from; 0,
+	// the only value outside tests, means 400. Tests lower it to keep
+	// sampling cheap, or raise it to keep the sampler busy.
+	numSamples int
 	// treeMaxDepth bounds candidate decision trees; 0, the only value
 	// outside tests, leaves them unbounded. Tests bound it to keep learning
 	// cheap so verify-repair dominates.
@@ -105,8 +93,8 @@ func (e *Engine) tracef(format string, args ...any) {
 }
 
 func (o Options) withDefaults() Options {
-	if o.NumSamples == 0 {
-		o.NumSamples = 400
+	if o.numSamples == 0 {
+		o.numSamples = 400
 	}
 	if o.MaxRepairIterations == 0 {
 		o.MaxRepairIterations = 2000
@@ -168,7 +156,7 @@ type Stats struct {
 	OracleCalls int64
 	// Phases reports per-phase telemetry (name, wall-clock duration, oracle
 	// calls) in execution order: preprocess → sample → learn →
-	// verify-repair, with disabled phases omitted.
+	// verify-repair, or verify-repair alone when there is no existential.
 	Phases []backend.PhaseStat
 	// SAT aggregates the lifetime counters of the run's persistent solvers
 	// (the ϕ solver, the verification solver, and FindCandi's base solver):
@@ -344,7 +332,7 @@ func newEngine(ctx context.Context, in *dqbf.Instance, opts Options) *Engine {
 
 // synthesize runs the phase pipeline and assembles the result.
 func (e *Engine) synthesize() (*Result, error) {
-	in, opts := e.in, e.opts
+	in := e.in
 	// Trivial cases: no existentials — valid iff ϕ is a tautology. The one
 	// oracle call is reported as a verify-repair phase so even this path
 	// honors the phase-telemetry contract (every success fills Phases).
@@ -387,19 +375,15 @@ func (e *Engine) synthesize() (*Result, error) {
 	// resulting PhaseStats land in Stats.Phases in execution order.
 	pipeline := []struct {
 		name string
-		skip bool
 		run  func() error
 	}{
-		{backend.PhasePreprocess, opts.DisablePreprocess, e.preprocess},
-		{backend.PhaseSample, false, e.samplePhase},
-		{backend.PhaseLearn, false, e.learnPhase},
-		{backend.PhaseVerifyRepair, false, e.verifyRepair},
+		{backend.PhasePreprocess, e.preprocess},
+		{backend.PhaseSample, e.samplePhase},
+		{backend.PhaseLearn, e.learnPhase},
+		{backend.PhaseVerifyRepair, e.verifyRepair},
 	}
 	rec := backend.NewPhaseRecorder()
 	for _, p := range pipeline {
-		if p.skip {
-			continue
-		}
 		if err := e.interrupted(); err != nil {
 			return nil, err
 		}
@@ -613,26 +597,7 @@ func (e *Engine) setFunc(y cnf.Var, f boolfunc.Node) {
 func (e *Engine) buildVerifySolver() {
 	e.stats.VerifySolversBuilt++
 	ef := cnf.New(e.in.Matrix.NumVars)
-	e.prime = make(map[cnf.Var]cnf.Var, len(e.in.Exist))
-	for _, y := range e.in.Exist {
-		e.prime[y] = ef.NewVar()
-	}
-	// ¬ϕ(X,Y′): rename Y in the matrix to Y′, then add negation selectors.
-	renamed := cnf.New(ef.NumVars)
-	var nc []cnf.Lit
-	for _, c := range e.in.Matrix.Clauses {
-		nc = nc[:0]
-		for _, l := range c {
-			if p, ok := e.prime[l.Var()]; ok {
-				nc = append(nc, cnf.MkLit(p, l.IsPos()))
-			} else {
-				nc = append(nc, l)
-			}
-		}
-		renamed.AddClause(nc...)
-	}
-	renamed.NumVars = ef.NumVars
-	renamed.NegationInto(ef)
+	e.prime = e.addNegatedCopy(ef)
 
 	e.verifySolver = e.newSolver()
 	e.verifySolver.AddFormula(ef)
@@ -659,6 +624,33 @@ func (e *Engine) buildVerifySolver() {
 		e.groupOf[y] = e.encodeCandidate(y)
 	}
 	clear(e.dirty)
+}
+
+// addNegatedCopy adds ¬ϕ(X,Y′) to f: it allocates from f a primed copy y′
+// of every existential y, in declaration order, renames Y to Y′ in the
+// matrix and adds the negation with its selectors (cnf.NegationInto). It
+// returns the renaming Y → Y′.
+func (e *Engine) addNegatedCopy(f *cnf.Formula) map[cnf.Var]cnf.Var {
+	prime := make(map[cnf.Var]cnf.Var, len(e.in.Exist))
+	for _, y := range e.in.Exist {
+		prime[y] = f.NewVar()
+	}
+	renamed := cnf.New(f.NumVars)
+	var nc []cnf.Lit
+	for _, c := range e.in.Matrix.Clauses {
+		nc = nc[:0]
+		for _, l := range c {
+			if p, ok := prime[l.Var()]; ok {
+				nc = append(nc, cnf.MkLit(p, l.IsPos()))
+			} else {
+				nc = append(nc, l)
+			}
+		}
+		renamed.AddClause(nc...)
+	}
+	renamed.NumVars = f.NumVars
+	renamed.NegationInto(f)
+	return prime
 }
 
 // encodeCandidate encodes Y′y ↔ fy (function-internal Y references mapped to

@@ -150,8 +150,8 @@ func TestSampleSupportPaths(t *testing.T) {
 			}
 			drawn++
 			vars := append(append([]cnf.Var(nil), in.Univ...), in.Exist...)
-			samples, err := sampler.Sample(context.Background(), in.Matrix, e.opts.NumSamples, sampler.Options{
-				Seed: e.opts.Seed, Vars: vars, AdaptiveVars: in.Exist,
+			samples, err := sampler.Sample(context.Background(), in.Matrix, e.opts.numSamples, sampler.Options{
+				Seed: e.opts.Seed, Vars: vars,
 			})
 			if err != nil {
 				t.Fatalf("%s: draw loop: %v", named.Name, err)
@@ -377,30 +377,6 @@ func TestChainedDependencies(t *testing.T) {
 	in.Matrix.AddClause(4, -3, 2)
 	in.Matrix.AddClause(4, 3, -2)
 	synthesizeAndCheck(t, in, Options{Seed: 3})
-}
-
-func TestAblationsStillSound(t *testing.T) {
-	variants := []Options{
-		{Seed: 1, DisableMaxSATLocalization: true},
-		{Seed: 1, DisableYHat: true},
-		{Seed: 1, DisablePreprocess: true},
-		{Seed: 1, DisableAdaptiveSampling: true},
-	}
-	for i, opt := range variants {
-		in := paperExample()
-		res, err := Synthesize(context.Background(), in, opt)
-		if err != nil {
-			// Ablated variants may become incomplete, never unsound.
-			if !errors.Is(err, ErrIncomplete) && !errors.Is(err, ErrBudget) {
-				t.Fatalf("variant %d: %v", i, err)
-			}
-			continue
-		}
-		vr, verr := dqbf.VerifyVector(in, res.Vector, -1)
-		if verr != nil || !vr.Valid {
-			t.Fatalf("variant %d: invalid vector", i)
-		}
-	}
 }
 
 func TestDeadlineAborts(t *testing.T) {

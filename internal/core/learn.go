@@ -119,19 +119,14 @@ func (e *Engine) learnPhase() error {
 // found, the unates' constants and the gate definitions, so the sampler's
 // exact path sees ϕ's support: X plus the existentials left open.
 func (e *Engine) drawSamples(vars []cnf.Var) ([]cnf.Assignment, error) {
-	adaptive := e.in.Exist
-	if e.opts.DisableAdaptiveSampling {
-		adaptive = nil
-	}
 	var sst sampler.Stats
-	samples, err := sampler.Sample(e.ctx, e.in.Matrix, e.opts.NumSamples, sampler.Options{
-		Seed:         e.opts.Seed,
-		Vars:         vars,
-		AdaptiveVars: adaptive,
-		Fixed:        e.unates,
-		Defs:         e.gatesInEvalOrder(),
-		Exist:        e.in.Exist,
-		Stats:        &sst,
+	samples, err := sampler.Sample(e.ctx, e.in.Matrix, e.opts.numSamples, sampler.Options{
+		Seed:  e.opts.Seed,
+		Vars:  vars,
+		Fixed: e.unates,
+		Defs:  e.gatesInEvalOrder(),
+		Exist: e.in.Exist,
+		Stats: &sst,
 	})
 	e.extraOracle += sst.Solves
 	if err != nil {

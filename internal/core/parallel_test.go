@@ -366,17 +366,6 @@ func TestPhaseTelemetry(t *testing.T) {
 		t.Fatalf("skipped sample phase: %d samples, %+v", res.Stats.Samples, res.Stats.Phases[1])
 	}
 
-	// Disabled preprocessing drops the phase instead of reporting zeros.
-	res, err = Synthesize(context.Background(), paperExample(), Options{Seed: 1, DisablePreprocess: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range res.Stats.Phases {
-		if p.Name == "preprocess" {
-			t.Fatal("disabled preprocess phase still reported")
-		}
-	}
-
 	// The zero-existential tautology fast path must honor the contract too.
 	in = dqbf.NewInstance()
 	in.AddUniv(1)
@@ -418,7 +407,7 @@ func TestSynthesizeCancellationPrompt(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		_, err := Synthesize(ctx, in, Options{Seed: 1, NumSamples: 1 << 30})
+		_, err := Synthesize(ctx, in, Options{Seed: 1, numSamples: 1 << 30})
 		done <- outcome{err: err, at: time.Now()}
 	}()
 	time.Sleep(50 * time.Millisecond) // let it get deep into sampling

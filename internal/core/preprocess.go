@@ -438,29 +438,11 @@ func (e *Engine) buildUnateOracle(workers int) *unateOracle {
 	for _, c := range e.in.Matrix.Clauses {
 		f.AddClause(c...)
 	}
+	// ¬ϕ(X,Y″): the existentials renamed to Y″, then negated.
 	u := &unateOracle{
-		prime: make(map[cnf.Var]cnf.Var, len(e.in.Exist)),
+		prime: e.addNegatedCopy(f),
 		sel:   make(map[cnf.Var]cnf.Var, len(e.in.Exist)),
 	}
-	for _, y := range e.in.Exist {
-		u.prime[y] = f.NewVar()
-	}
-	// ¬ϕ(X,Y″): rename existentials in the matrix to Y″, then negate.
-	renamed := cnf.New(f.NumVars)
-	nc := make([]cnf.Lit, 0, 8)
-	for _, c := range e.in.Matrix.Clauses {
-		nc = nc[:0]
-		for _, l := range c {
-			if p, ok := u.prime[l.Var()]; ok {
-				nc = append(nc, cnf.MkLit(p, l.IsPos()))
-			} else {
-				nc = append(nc, l)
-			}
-		}
-		renamed.AddClause(nc...)
-	}
-	renamed.NumVars = f.NumVars
-	renamed.NegationInto(f)
 	for _, y := range e.in.Exist {
 		t := f.NewVar()
 		u.sel[y] = t

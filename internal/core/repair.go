@@ -100,9 +100,6 @@ func (e *Engine) repair(sigma *counterexample) (bool, error) {
 // Hj ⊆ Hk appearing after yk in Order. The set depends only on the static
 // dependency sets and the fixed Order, never on repair state.
 func (e *Engine) appendYHat(dst []cnf.Var, yk cnf.Var) []cnf.Var {
-	if e.opts.DisableYHat {
-		return dst
-	}
 	for _, yj := range e.in.Exist {
 		if yj == yk {
 			continue
@@ -398,20 +395,9 @@ func (e *Engine) buildBeta(core []cnf.Lit, yk cnf.Var, sigma *counterexample) bo
 
 // findCandi is the FindCandi subroutine: a MaxSAT query with hard
 // ϕ ∧ (X ↔ σ[X]) and soft (Y ↔ σ[Y′]); candidates whose soft constraint is
-// falsified in the optimal model need repair. With MaxSAT localization
-// disabled (ablation), every candidate whose output differs from the genuine
-// completion π[Y] is selected. The returned queue aliases engine-owned
-// scratch, valid until the next findCandi call.
+// falsified in the optimal model need repair. The returned queue aliases
+// engine-owned scratch, valid until the next findCandi call.
 func (e *Engine) findCandi(sigma *counterexample) ([]cnf.Var, error) {
-	if e.opts.DisableMaxSATLocalization {
-		out := e.scrQueue[:0]
-		for _, y := range e.in.Exist {
-			if sigma.y.Get(y) != sigma.yPrime.Get(y) {
-				out = append(out, y)
-			}
-		}
-		return out, nil
-	}
 	e.stats.MaxSATCalls++
 	// Persistent hard-part solver: ϕ is loaded once per synthesis; the
 	// counterexample-specific X ↔ σ[X] units are passed as assumptions and

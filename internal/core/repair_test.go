@@ -90,6 +90,49 @@ func TestRepairAlignsSigmaWithRepairedOutput(t *testing.T) {
 	}
 }
 
+// TestFindCandiLocalizesMinimally pins FindCandi's MaxSAT localization: it
+// returns a smallest set of candidates to repair, not every candidate that
+// disagrees with the genuine completion. On ∀x1 ∃^{x1}y2 ∃^{x1}y3 .
+// (x1 ∨ y2 ∨ y3) at σ[x1] = 0 the candidates output δ[Y′] = (0, 0) and the
+// completion is π[Y] = (1, 1), so both candidates disagree with π, but
+// flipping either one alone satisfies ϕ.
+func TestFindCandiLocalizesMinimally(t *testing.T) {
+	in := dqbf.NewInstance()
+	in.AddUniv(1)
+	in.AddExist(2, []cnf.Var{1})
+	in.AddExist(3, []cnf.Var{1})
+	in.Matrix.AddClause(1, 2, 3)
+	e := newEngine(context.Background(), in, Options{Seed: 1}.withDefaults())
+	n := in.Matrix.NumVars
+	sigma := &counterexample{x: cnf.NewAssignment(n), y: cnf.NewAssignment(n), yPrime: cnf.NewAssignment(n)}
+	sigma.x.Set(1, cnf.False)
+	for _, y := range in.Exist {
+		sigma.y.Set(y, cnf.True)
+		sigma.yPrime.Set(y, cnf.False)
+	}
+
+	ind, err := e.findCandi(sigma)
+	if err != nil {
+		t.Fatalf("findCandi: %v", err)
+	}
+	if len(ind) != 1 {
+		t.Fatalf("findCandi returned %v, want one candidate", ind)
+	}
+	// σ[Y] is now the MaxSAT model: a completion of σ[X] that differs from
+	// δ[Y′] on the returned candidate alone.
+	a := cnf.NewAssignment(n)
+	a.Set(1, sigma.x.Get(1))
+	for _, y := range in.Exist {
+		a.Set(y, sigma.y.Get(y))
+		if differs := sigma.y.Get(y) != sigma.yPrime.Get(y); differs != (y == ind[0]) {
+			t.Fatalf("σ[y%d] = %v, δ[y′%d] = %v, candidates %v", y, sigma.y.Get(y), y, sigma.yPrime.Get(y), ind)
+		}
+	}
+	if !in.Matrix.Eval(a) {
+		t.Fatalf("σ = %v is not a model of ϕ", a)
+	}
+}
+
 // TestVerifySolverPersistent checks the persistent-oracle acceptance
 // criterion: a multi-iteration synthesis run constructs exactly one
 // verification solver and re-encodes only changed candidates.

@@ -20,7 +20,7 @@ import (
 // an independent batch.
 func TestBatchedVerifyDeterministic(t *testing.T) {
 	res, err := Synthesize(context.Background(), blockParityInstance(4, 4),
-		Options{Seed: 7, NumSamples: 8, treeMaxDepth: 1, VerifyWorkers: 2})
+		Options{Seed: 7, numSamples: 8, treeMaxDepth: 1, VerifyWorkers: 2})
 	if err != nil {
 		t.Fatalf("four-block parity instance does not synthesize: %v", err)
 	}
@@ -40,7 +40,7 @@ func TestBatchedVerifyDeterministic(t *testing.T) {
 	workerCounts := []int{1, 2, 3, runtime.NumCPU()}
 	for name, in := range instances {
 		opts := func(w int) Options {
-			return Options{Seed: 7, NumSamples: 8, treeMaxDepth: 1, VerifyWorkers: w}
+			return Options{Seed: 7, numSamples: 8, treeMaxDepth: 1, VerifyWorkers: w}
 		}
 		want := outcomeFingerprint(t, in, opts(workerCounts[0]))
 		for _, w := range workerCounts[1:] {

@@ -484,15 +484,14 @@ func randomRows(rng *rand.Rand, n, nf int) *rowData {
 	return r
 }
 
-// sampledSigma draws the training set Σ core's sample phase draws for in:
-// 400 samples over X ∪ Y with adaptive sampling on Y.
+// sampledSigma draws the training set Σ core's sample phase draws for in,
+// leaving out what preprocessing would fix: 400 samples over X ∪ Y.
 func sampledSigma(tb testing.TB, in *dqbf.Instance, seed int64) []cnf.Assignment {
 	tb.Helper()
 	vars := append(append([]cnf.Var(nil), in.Univ...), in.Exist...)
 	samples, err := sampler.Sample(context.Background(), in.Matrix, 400, sampler.Options{
-		Seed:         seed,
-		Vars:         vars,
-		AdaptiveVars: in.Exist,
+		Seed: seed,
+		Vars: vars,
 	})
 	if err != nil {
 		tb.Fatalf("sampling: %v", err)

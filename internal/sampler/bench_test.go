@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkSample times one Sample call as core's sample phase makes it: 400
-// samples over X ∪ Y with adaptive sampling on Y, at seed 1. Each
+// samples over X ∪ Y at seed 1. Each
 // sub-benchmark is named after the path it times. random-002-h3 has 23
 // variables, so Sample draws, and every draw finds a new projection.
 // controller-000-h1 has 11 variables and fewer than 400 models, so Sample
@@ -30,9 +30,8 @@ func BenchmarkSample(b *testing.B) {
 		named := gen.Generate(c.fam, c.idx, 1)
 		in := named.DQBF
 		opts := Options{
-			Seed:         1,
-			Vars:         append(append([]cnf.Var(nil), in.Univ...), in.Exist...),
-			AdaptiveVars: in.Exist,
+			Seed: 1,
+			Vars: append(append([]cnf.Var(nil), in.Univ...), in.Exist...),
 		}
 		b.Run(c.path+"/"+named.Name, func(b *testing.B) {
 			b.ReportAllocs()

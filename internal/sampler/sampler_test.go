@@ -138,27 +138,6 @@ func TestSampleDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestAdaptiveSamplingStillSatisfying(t *testing.T) {
-	f := cnf.New(6)
-	f.AddClause(1, 2)
-	f.AddClause(-1, 3)
-	f.AddClause(4, 5, 6)
-	for _, sm := range samplers {
-		samples, err := sm.fn(context.Background(), f, 16, Options{
-			Seed:         9,
-			AdaptiveVars: []cnf.Var{4, 5, 6},
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", sm.name, err)
-		}
-		for i, m := range samples {
-			if !f.Eval(m) {
-				t.Fatalf("%s: adaptive sample %d invalid", sm.name, i)
-			}
-		}
-	}
-}
-
 func TestSampleCoversBothPolarities(t *testing.T) {
 	// A free variable should appear with both polarities across samples.
 	f := cnf.New(3)
@@ -252,7 +231,7 @@ func TestSampleBudgetExhaustedIsErrBudget(t *testing.T) {
 	if st := s.Solve(); st != sat.Sat {
 		t.Fatalf("formula is %v, want satisfiable", st)
 	}
-	_, err := Sample(context.Background(), f, 10, Options{Seed: 1, MaxConflictsPerSample: 1})
+	_, err := Sample(context.Background(), f, 10, Options{Seed: 1, maxConflicts: 1})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("got %v, want an ErrBudget error", err)
 	}
@@ -659,7 +638,7 @@ func TestEnumerateMatchesDrawLoop(t *testing.T) {
 		if nv > 12 {
 			big++
 		}
-		opts := Options{Seed: int64(trial), Vars: vars, AdaptiveVars: vars[:nv/2]}
+		opts := Options{Seed: int64(trial), Vars: vars}
 		var ref supportRef
 		for _, n := range []int{1, m - 1, m, m + 5} {
 			if n <= 0 {
@@ -866,10 +845,9 @@ func TestSampleAllocatesOnlyModels(t *testing.T) {
 		for _, sm := range samplers {
 			var st Stats
 			opts := Options{
-				Seed:         1,
-				Vars:         append(append([]cnf.Var(nil), in.Univ...), in.Exist...),
-				AdaptiveVars: in.Exist,
-				Stats:        &st,
+				Seed:  1,
+				Vars:  append(append([]cnf.Var(nil), in.Univ...), in.Exist...),
+				Stats: &st,
 			}
 			n := 0
 			allocs := testing.AllocsPerRun(2, func() {

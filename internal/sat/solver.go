@@ -658,13 +658,6 @@ func (s *Solver) SetRandomVarFreq(p float64) { s.randVarFreq = p }
 // decision instead of the saved phase. Used by the sampler.
 func (s *Solver) SetRandomPhaseFreq(p float64) { s.randPhaseFreq = p }
 
-// PrimePhase sets the saved phase of variable v, steering the polarity of
-// future decisions on v (used by the sampler's adaptive bias).
-func (s *Solver) PrimePhase(v cnf.Var, phase bool) {
-	s.EnsureVars(int(v))
-	s.phase[v] = phase
-}
-
 // SetConflictBudget limits the number of conflicts for subsequent Solve
 // calls; Solve returns Unknown when the budget is exhausted. Negative means
 // unlimited.
