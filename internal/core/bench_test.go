@@ -76,6 +76,32 @@ func BenchmarkVerifyRepair(b *testing.B) {
 	}
 }
 
+// BenchmarkRowRepair synthesizes controller-008-h4 (gen seed 1) at
+// suite-manthan3's engine settings: 200 repair rounds and one worker of each
+// kind. The controller's escape circuit reads universals outside the control
+// bits' dependency sets, so Gk is satisfiable at most counterexamples and
+// most rounds end in a row repair from Gk with all of X pinned; the run
+// answers in 12 rounds, where a repair of one full row σ[Hk] per round ran
+// out of the 200.
+func BenchmarkRowRepair(b *testing.B) {
+	in := gen.Generate(gen.FamilyController, 8, 1).DQBF
+	opts := Options{Seed: 1, MaxRepairIterations: 200, LearnWorkers: 1, PreprocWorkers: 1, VerifyWorkers: 1}
+	// Sanity outside the timed loop: the run answers through row repairs.
+	res, err := Synthesize(context.Background(), in, opts)
+	if err != nil {
+		b.Fatalf("Synthesize: %v", err)
+	}
+	if res.Stats.RowRepairs == 0 {
+		b.Fatalf("no row repair: %+v", res.Stats)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Synthesize(context.Background(), in, opts); err != nil {
+			b.Fatalf("Synthesize: %v", err)
+		}
+	}
+}
+
 // BenchmarkSynthesizeEndToEnd measures a full synthesis run (sampling,
 // learning, preprocessing, verify–repair, substitution) on the paper's
 // Example 1 — the everyday path rather than the repair-heavy extreme.

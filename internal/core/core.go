@@ -36,9 +36,10 @@
 //	verify-repair the counterexample-guided loop (Algorithms 1 and 3):
 //	              verify the candidate vector, localize faults with MaxSAT,
 //	              repair with UNSAT-core-guided strengthening/weakening, or,
-//	              when Gk is satisfiable and blame leaves nothing to repair,
-//	              patch the candidate on the row σ[Hk] (a row patched both
-//	              ways stops the run as ErrIncomplete).
+//	              when Gk is satisfiable but the candidate's output is
+//	              wrong, patch it from the core of Gk with all of X pinned
+//	              (a row σ[Hk] patched both ways stops the run as
+//	              ErrIncomplete).
 //
 // Each executed phase reports a backend.PhaseStat — name, wall-clock
 // duration, SAT/MaxSAT oracle calls — in Stats.Phases, in execution order.
@@ -62,7 +63,8 @@
 // lives for the whole synthesis run:
 //
 //   - phiSolver holds ϕ and answers all assumption queries (counterexample
-//     extension, the Gk repair queries with their UNSAT cores).
+//     extension, the Gk repair queries with their UNSAT cores, and the row
+//     repair's Gk with all of X pinned).
 //
 //   - The preprocessing phase checks out solvers loaded with its unate
 //     check formula from an oracle.Pool sized to its worker count, so a

@@ -120,10 +120,12 @@ type Stats struct {
 	// DefinedVars counts the existentials the preprocess phase defined by a
 	// gate over at most three other variables (see defineGates).
 	DefinedVars int
-	// RowRepairs counts the repairs, among CandidatesRepaired, that patched
-	// a candidate on the row σ[Hk] because its Gk was satisfiable and blame
-	// found no other candidate to change; RowOscillations counts the runs
-	// stopped because a row was patched both ways (0 or 1).
+	// RowRepairs counts the repairs, among CandidatesRepaired, that came
+	// from Gk with all of X pinned (see patchRow): yk's Gk was satisfiable
+	// although its output differed from the completion's, and the pinned
+	// query's core, less the universals outside Hk, gave the cube to patch.
+	// RowOscillations counts the runs stopped because a row σ[Hk] was
+	// patched both ways (0 or 1).
 	RowRepairs      int
 	RowOscillations int
 	// LearnConflicts counts candidates whose speculatively (in parallel)
@@ -227,7 +229,7 @@ type Engine struct {
 	scrQueue   []cnf.Var // repair queue backing; grows with blame appends
 	scrInQueue []bool    // indexed by var: queue membership
 	scrMark    []bool    // indexed by var: Ŷ / batch membership scratch
-	scrCore    []cnf.Lit
+	scrCore    []cnf.Lit // patchRow's failed-assumption core
 	scrSupport []cnf.Var
 	scrEval    cnf.Assignment // evalAtSigma's σ[X] ∪ σ[Y] view
 	scrSofts   []maxsat.Soft
@@ -235,8 +237,9 @@ type Engine struct {
 	scrSoftLit []cnf.Lit // flat backing for the unit soft clauses
 	scrRowKey  []byte    // patchRow's (yk, σ[Hk]) key
 
-	// rowPatched records, per row-repaired (yk, σ[Hk]) pair, whether the
-	// patch set fk to 1 on the row; see patchRow.
+	// rowPatched records, per (yk, σ[Hk]) pair that patchRow repaired at a
+	// counterexample on that row, whether the patch set fk to 1 there; a
+	// later patch of the pair the other way is an oscillation.
 	rowPatched map[string]bool
 
 	// Persistent FindCandi oracle: ϕ stays loaded; per-counterexample MaxSAT

@@ -225,10 +225,11 @@ func (e *Engine) runBatch(n int) error {
 // mergeProbes replays probes [0, n) strictly in queue order, applying the
 // serial algorithm's per-candidate step to each answer: core-guided
 // strengthening/weakening on Unsat (lines 11-13), blame on Sat (lines
-// 15-17) followed by the row repair when blame leaves nothing to repair
-// (patchRow), and the line-18 realignment of σ[yk] with the (possibly just
-// repaired) candidate's output. All engine mutation of the repair loop
-// happens here, on the calling goroutine.
+// 15-17) followed, whenever σ[yk] ≠ σ′[yk], by the row repair from Gk with
+// all of X pinned (patchRow), and the line-18 realignment of σ[yk] with the
+// (possibly just repaired) candidate's output. All engine mutation of the
+// repair loop happens here, on the calling goroutine, and so does
+// patchRow's query, on the ϕ-solver, after a batch's probes have run.
 func (e *Engine) mergeProbes(sigma *counterexample, ind *[]cnf.Var, n int, repairedAny *bool) error {
 	for pi := 0; pi < n; pi++ {
 		p := &e.probes[pi]
@@ -237,29 +238,21 @@ func (e *Engine) mergeProbes(sigma *counterexample, ind *[]cnf.Var, n int, repai
 		case sat.Unsat:
 			// Lines 11-13: repair from the UNSAT core.
 			e.stats.CoreCalls++
-			beta := e.buildBeta(p.core, yk, sigma)
-			if !beta.Valid() {
+			beta := p.core[:0]
+			for _, l := range p.core {
+				if l.Var() != yk {
+					beta = append(beta, l)
+				}
+			}
+			if len(beta) == 0 {
 				// Core contains only yk itself: the dependencies alone force
 				// the flip; repair with the constant flip on this point is
 				// impossible without literals — no progress for yk.
 				break
 			}
-			old := e.funcs[yk]
-			if sigma.yPrime.Get(yk) == cnf.True {
-				e.setFunc(yk, e.b.And(old, e.b.Not(beta))) // strengthen
-			} else {
-				e.setFunc(yk, e.b.Or(old, beta)) // weaken
-			}
-			if e.funcs[yk] != old {
+			if e.applyBeta(yk, beta, sigma) {
 				*repairedAny = true
 				e.stats.CandidatesRepaired++
-			}
-			// Dependency bookkeeping: β may introduce Ŷ variables into fk.
-			e.scrSupport = e.b.AppendSupport(e.scrSupport[:0], beta)
-			for _, v := range e.scrSupport {
-				if e.in.IsExist(v) {
-					e.recordUse(yk, v)
-				}
 			}
 		case sat.Sat:
 			// Lines 15-17: blame other candidates whose output disagrees
@@ -267,7 +260,6 @@ func (e *Engine) mergeProbes(sigma *counterexample, ind *[]cnf.Var, n int, repai
 			for _, yj := range p.yHat {
 				e.scrMark[yj] = true
 			}
-			blamed := false // a candidate repair may change joined the queue
 			for ti, yt := range e.in.Exist {
 				if yt == yk || e.scrMark[yt] || e.scrInQueue[yt] {
 					continue
@@ -275,17 +267,17 @@ func (e *Engine) mergeProbes(sigma *counterexample, ind *[]cnf.Var, n int, repai
 				if (p.rho[ti] == cnf.True) != (sigma.yPrime.Get(yt) == cnf.True) {
 					*ind = append(*ind, yt)
 					e.scrInQueue[yt] = true
-					blamed = blamed || !e.fixed[yt]
 				}
 			}
 			for _, yj := range p.yHat {
 				e.scrMark[yj] = false
 			}
-			if !blamed && sigma.y.Get(yk) != sigma.yPrime.Get(yk) {
-				if err := e.patchRow(p, sigma); err != nil {
+			if sigma.y.Get(yk) != sigma.yPrime.Get(yk) {
+				patched, err := e.patchRow(p, sigma)
+				if err != nil {
 					return err
 				}
-				*repairedAny = true
+				*repairedAny = *repairedAny || patched
 			}
 		default:
 			if cerr := e.interrupted(); cerr != nil {
@@ -306,17 +298,67 @@ func (e *Engine) mergeProbes(sigma *counterexample, ind *[]cnf.Var, n int, repai
 	return nil
 }
 
-// patchRow is the row repair, for a Gk that is satisfiable while blame
-// queued no candidate that repair may change: yk's wrong output at σ is
-// consistent with ϕ somewhere on the row σ[Hk], so neither Algorithm 3
-// branch repairs anything. It patches fk on that row to σ[yk], the genuine
-// completion's value: fk ∨ cube or fk ∧ ¬cube, where the cube fixes Hk to
-// σ[Hk], so fk stays within its dependencies. Each (yk, row) pair keeps the
-// direction it was patched in for the whole run; a patch the other way is
-// an oscillation and ends the run as ErrIncomplete.
-func (e *Engine) patchRow(p *repairProbe, sigma *counterexample) error {
+// applyBeta is Algorithm 3's lines 12-13 for β, the cube of the given
+// literals of σ (failed assumptions, so β holds at σ): it strengthens fk to
+// fk ∧ ¬β when σ′[yk] is 1 and weakens it to fk ∨ β otherwise, so fk gives
+// ¬σ′[yk] wherever β holds, and records β's existentials (Ŷ variables) as
+// fk's dependencies. An empty β is true. applyBeta reports whether fk
+// changed.
+func (e *Engine) applyBeta(yk cnf.Var, beta []cnf.Lit, sigma *counterexample) bool {
+	old := e.funcs[yk]
+	if sigma.yPrime.Get(yk) == cnf.True {
+		e.setFunc(yk, e.b.And(old, e.b.Not(e.b.Cube(beta)))) // strengthen
+	} else {
+		e.setFunc(yk, e.b.Or(old, e.b.Cube(beta))) // weaken
+	}
+	for _, l := range beta {
+		if e.in.IsExist(l.Var()) {
+			e.recordUse(yk, l.Var())
+		}
+	}
+	return e.funcs[yk] != old
+}
+
+// patchRow is the row repair, for a Gk that is satisfiable although yk's
+// output σ′[yk] differs from the completion's σ[yk]. Gk pins only Hk, so an
+// X on the row σ[Hk] other than σ[X], where a universal outside Hk excuses
+// yk's output, can satisfy it, and Algorithm 3 then repairs nothing for yk.
+// patchRow poses Gk with the rest of X pinned too, ϕ ∧ (yk ↔ σ′[yk]) ∧
+// (X ↔ σ[X]) ∧ (Ŷ ↔ σ[Ŷ]), on the ϕ-solver. On SAT it patches nothing. On
+// UNSAT it drops yk and the universals outside Hk from the failed-assumption
+// core and applies the rest, a cube β over Hk and Ŷ, as the Unsat branch
+// applies its β; an empty β patches fk to the constant σ[yk]. This is sound
+// for the same reason as that β: the dropped literals are universals outside
+// Hk, so every Hk row matching β reaches an X that agrees with the core, and
+// there any Henkin vector of a True instance gives fk the value σ[yk]
+// wherever β's Ŷ literals hold. Each (yk, σ[Hk]) pair keeps the direction of
+// its first patch for the whole run; a patch the other way is an
+// oscillation and ends the run as ErrIncomplete. patchRow reports whether
+// fk changed.
+func (e *Engine) patchRow(p *repairProbe, sigma *counterexample) (bool, error) {
 	yk := p.yk
 	row := p.assumps[1 : 1+len(e.in.DepSet(yk))] // Hk ↔ σ[Hk]; see buildProbes
+	assumps := append(e.scrAssumps[:0], p.assumps[0])
+	for _, x := range e.in.Univ {
+		assumps = append(assumps, cnf.MkLit(x, sigma.x.Get(x) == cnf.True))
+	}
+	assumps = append(assumps, p.assumps[1+len(row):]...) // Ŷ ↔ σ[Ŷ]
+	e.scrAssumps = assumps
+	switch e.phiSolver.SolveAssume(assumps) {
+	case sat.Sat:
+		return false, nil
+	case sat.Unknown:
+		return false, e.oracleUnknown(e.phiSolver, "row repair SAT call")
+	}
+	core := e.phiSolver.AppendCore(e.scrCore[:0])
+	beta := core[:0]
+	for _, l := range core {
+		if v := l.Var(); v != yk && (e.in.IsExist(v) || e.in.DepContains(yk, v)) {
+			beta = append(beta, l)
+		}
+	}
+	e.scrCore = core
+
 	up := sigma.y.Get(yk) == cnf.True
 	key := binary.LittleEndian.AppendUint32(e.scrRowKey[:0], uint32(yk))
 	for i := 0; i < len(row); i += 8 {
@@ -336,17 +378,14 @@ func (e *Engine) patchRow(p *repairProbe, sigma *counterexample) error {
 		e.rowPatched[string(key)] = up
 	} else if prev != up {
 		e.stats.RowOscillations++
-		return fmt.Errorf("%w: row repair of y%d oscillates", ErrIncomplete, yk)
+		return false, fmt.Errorf("%w: row repair of y%d oscillates", ErrIncomplete, yk)
 	}
-	cube := e.b.Cube(row)
-	if up {
-		e.setFunc(yk, e.b.Or(e.funcs[yk], cube))
-	} else {
-		e.setFunc(yk, e.b.And(e.funcs[yk], e.b.Not(cube)))
+	if !e.applyBeta(yk, beta, sigma) {
+		return false, nil
 	}
 	e.stats.RowRepairs++
 	e.stats.CandidatesRepaired++
-	return nil
+	return true, nil
 }
 
 // evalAtSigma evaluates f on the assignment σ = σ[X] ∪ σ[Y] (candidate
@@ -365,32 +404,6 @@ func (e *Engine) evalAtSigma(f boolfunc.Node, sigma *counterexample) bool {
 		a.Set(y, sigma.y.Get(y))
 	}
 	return e.b.Eval(f, a)
-}
-
-// buildBeta constructs the repair formula β = ⋀_{l ∈ core, l ≠ yk-unit}
-// ite(σ[l]=1, l, ¬l) over the failed assumption variables (line 12). It
-// returns None when the core mentions no variable other than yk.
-func (e *Engine) buildBeta(core []cnf.Lit, yk cnf.Var, sigma *counterexample) boolfunc.Node {
-	beta := e.b.True()
-	nonTrivial := false
-	for _, l := range core {
-		v := l.Var()
-		if v == yk {
-			continue
-		}
-		var val cnf.Value
-		if e.in.IsUniv(v) {
-			val = sigma.x.Get(v)
-		} else {
-			val = sigma.y.Get(v)
-		}
-		beta = e.b.And(beta, e.b.Lit(cnf.MkLit(v, val == cnf.True)))
-		nonTrivial = true
-	}
-	if !nonTrivial {
-		return boolfunc.None
-	}
-	return beta
 }
 
 // findCandi is the FindCandi subroutine: a MaxSAT query with hard

@@ -160,3 +160,66 @@ func TestVerifySolverPersistent(t *testing.T) {
 			res.Stats.CandidateReencodes, res.Stats.CandidatesRepaired)
 	}
 }
+
+// TestRowRepairGeneralizes runs the verify-repair loop from hand-set
+// candidates on two instances whose Gk is satisfiable at every
+// counterexample only because a universal outside Hk, h, excuses the
+// candidate's output. The row repair's Gk with all of X pinned is UNSAT,
+// and its core, less h, patches the whole cube it names at once: a repair
+// of one full row σ[Hk] per round would take four rounds on the first
+// instance and, since blame queues y2 on the second, none at all there.
+func TestRowRepairGeneralizes(t *testing.T) {
+	verifyRepairFrom := func(t *testing.T, in *dqbf.Instance, set func(b *boolfunc.Builder) map[cnf.Var]boolfunc.Node) *Engine {
+		t.Helper()
+		e := newEngine(context.Background(), in, Options{Seed: 1}.withDefaults())
+		for y, f := range set(e.b) {
+			e.funcs[y] = f
+		}
+		e.findOrder()
+		if err := e.verifyRepair(); err != nil {
+			t.Fatalf("verifyRepair: %v", err)
+		}
+		if e.stats.RepairIterations != 1 || e.stats.RowRepairs != 1 {
+			t.Fatalf("%d rounds and %d row repairs, want 1 and 1", e.stats.RepairIterations, e.stats.RowRepairs)
+		}
+		return e
+	}
+
+	t.Run("cube", func(t *testing.T) {
+		// ∀x1 x2 x3 h ∃^{x1,x2,x3}y . (y ↔ x1) ∨ h, from y := 0.
+		in := dqbf.NewInstance()
+		for x := cnf.Var(1); x <= 4; x++ {
+			in.AddUniv(x)
+		}
+		in.AddExist(5, []cnf.Var{1, 2, 3})
+		in.Matrix.AddClause(-5, 1, 4)
+		in.Matrix.AddClause(5, -1, 4)
+		e := verifyRepairFrom(t, in, func(b *boolfunc.Builder) map[cnf.Var]boolfunc.Node {
+			return map[cnf.Var]boolfunc.Node{5: b.False()}
+		})
+		if e.funcs[5] != e.b.Var(1) {
+			t.Fatalf("fy = %s, want x1", e.b.String(e.funcs[5]))
+		}
+	})
+
+	t.Run("blamed", func(t *testing.T) {
+		// ∀x1 h ∃^{x1}y1 ∃^{h}y2 . ((y1 ↔ x1) ∨ h) ∧ (y2 ↔ h), from y1 := 0
+		// and y2 := h. y1's Gk is satisfied with h = 1, where y2's candidate
+		// gives 0 and the model 1, so blame queues y2, which needs no repair.
+		in := dqbf.NewInstance()
+		in.AddUniv(1)
+		in.AddUniv(2)
+		in.AddExist(3, []cnf.Var{1})
+		in.AddExist(4, []cnf.Var{2})
+		in.Matrix.AddClause(-3, 1, 2)
+		in.Matrix.AddClause(3, -1, 2)
+		in.Matrix.AddClause(-4, 2)
+		in.Matrix.AddClause(4, -2)
+		e := verifyRepairFrom(t, in, func(b *boolfunc.Builder) map[cnf.Var]boolfunc.Node {
+			return map[cnf.Var]boolfunc.Node{3: b.False(), 4: b.Var(2)}
+		})
+		if e.funcs[3] != e.b.Var(1) || e.funcs[4] != e.b.Var(2) {
+			t.Fatalf("f1 = %s, f2 = %s; want x1 and h", e.b.String(e.funcs[3]), e.b.String(e.funcs[4]))
+		}
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dqbf"
+	"repro/internal/gen"
 )
 
 // TestBatchedVerifyDeterministic asserts the headline property of the
@@ -31,11 +32,24 @@ func TestBatchedVerifyDeterministic(t *testing.T) {
 		t.Fatalf("batches should hold ≥2 probes each: %+v", res.Stats)
 	}
 
+	// controller-008-h4's runs patch rows from Gk with all of X pinned, a
+	// query the serial merge poses on the ϕ-solver after batched probes.
+	controller := gen.Generate(gen.FamilyController, 8, 1)
+	res, err = Synthesize(context.Background(), controller.DQBF,
+		Options{Seed: 7, numSamples: 8, treeMaxDepth: 1, VerifyWorkers: 2})
+	if err != nil {
+		t.Fatalf("%s does not synthesize: %v", controller.Name, err)
+	}
+	if res.Stats.RowRepairs == 0 {
+		t.Fatalf("%s made no row repair: %+v", controller.Name, res.Stats)
+	}
+
 	instances := map[string]*dqbf.Instance{
-		"four-block": blockParityInstance(4, 4),
-		"parity":     parityInstance(5),
-		"paper":      paperExample(),
-		"chain":      plantedChainInstance(3, 4, 5),
+		"four-block":    blockParityInstance(4, 4),
+		"parity":        parityInstance(5),
+		"paper":         paperExample(),
+		"chain":         plantedChainInstance(3, 4, 5),
+		controller.Name: controller.DQBF,
 	}
 	workerCounts := []int{1, 2, 3, runtime.NumCPU()}
 	for name, in := range instances {
