@@ -129,24 +129,39 @@ func BenchmarkSynthesizeEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkSamplePhase times core's sample phase on random-001-h2 (gen seed
-// 1) after its preprocessing, with the default 400 samples: what one
-// engine run pays for Σ, beside the sampler's own BenchmarkSample/drawn. ϕ
-// has 18 variables, but preprocessing leaves 13 of them open, the 12
-// universals and one existential, so the sampler scans that support and
-// makes no solver call.
+// BenchmarkSamplePhase times core's sample phase after preprocessing, with
+// the default 400 samples: what one engine run pays for Σ, beside the
+// sampler's own BenchmarkSample. Each formula is from gen seed 1, and each
+// sub-benchmark but the first is named after the sampler path it times.
+// random-001-h2 has 18 variables, but preprocessing leaves 13 of them open,
+// the 12 universals and one existential, so the sampler scans that support.
+// random-002-h3 leaves 16 universals and two existentials open, so the row
+// path evaluates each of 400 rows on all four completions in one word.
+// sat2dqbf-001-h2 leaves 6 universals and 14 existentials, so the row path
+// takes each of the 64 rows and completes it by rejection. None of them
+// makes a solver call.
 func BenchmarkSamplePhase(b *testing.B) {
-	named := gen.Generate(gen.FamilyRandom, 1, 1)
-	e := newEngine(context.Background(), named.DQBF, Options{Seed: 1}.withDefaults())
-	if err := e.preprocess(); err != nil {
-		b.Fatal(err)
-	}
-	b.Run(named.Name, func(b *testing.B) {
-		b.ReportAllocs()
-		for b.Loop() {
-			if err := e.samplePhase(); err != nil {
-				b.Fatal(err)
-			}
+	for _, c := range []struct {
+		path string
+		fam  gen.Family
+		idx  int
+	}{
+		{"", gen.FamilyRandom, 1},
+		{"rows/", gen.FamilyRandom, 2},
+		{"rows-rejection/", gen.FamilySAT2DQBF, 1},
+	} {
+		named := gen.Generate(c.fam, c.idx, 1)
+		e := newEngine(context.Background(), named.DQBF, Options{Seed: 1}.withDefaults())
+		if err := e.preprocess(); err != nil {
+			b.Fatal(err)
 		}
-	})
+		b.Run(c.path+named.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := e.samplePhase(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

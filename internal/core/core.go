@@ -24,9 +24,10 @@
 //	              packed once into one bitset column per variable of X ∪ Y;
 //	              the sampler is handed preprocessing's unate constants and
 //	              gate definitions, so its support is X plus the
-//	              existentials left open; skipped, with no oracle call, when
-//	              preprocessing fixed every existential, since only learning
-//	              reads Σ;
+//	              existentials left open, and a support of at most 64
+//	              variables is sampled with no oracle call; skipped, with no
+//	              oracle call, when preprocessing fixed every existential,
+//	              since only learning reads Σ;
 //	learn         per-existential decision trees respecting the Henkin
 //	              dependencies (Algorithm 2), speculatively parallel with
 //	              more than one worker (Options.LearnWorkers) and learned
@@ -89,22 +90,30 @@
 //     against a solver that loads ϕ once.
 //
 //   - The sampler needs no solver when ϕ's independent support after
-//     preprocessing, X plus the existentials left open, has at most 16
+//     preprocessing, X plus the existentials left open, has at most 64
 //     variables, and X ∪ Y are ϕ's variables 1..NumVars (Validate admits no
 //     other variable into a clause). The sample phase hands it the unates'
 //     constants and the gate definitions, ordered so that every input is
-//     computed before it is read, and the sampler evaluates ϕ on every
-//     assignment of the support, 64 per word. With at most 400 models,
-//     those models are Σ. With more, Σ holds 400 distinct assignments of
-//     X, chosen uniformly among those with a completion, each with one
-//     completion chosen uniformly. Choosing among X rather
-//     than among models keeps rows whose every completion is a model (a
-//     controller's escape rows) from crowding out the rows that constrain
-//     the candidates. A larger support is drawn from one solver without
+//     computed before it is read, and the sampler evaluates ϕ on 64
+//     support assignments per word. With at most 16 support variables it
+//     scans every assignment: with at most 400 models, those models are
+//     Σ; with more, Σ holds 400 distinct assignments of X, chosen uniformly
+//     among those with a completion, each with one completion chosen
+//     uniformly. With 17–64 it takes rows, assignments of X, uniformly
+//     without replacement (every row when there are at most 400) and
+//     completes each in one word: with at most six open existentials the
+//     word holds all of the row's completions, and with more, 64 random
+//     ones, the first that satisfies ϕ completing the row. Either way Σ
+//     holds one sample per row, which is what a sat2dqbf run of 6–7
+//     universals learns from. Choosing among X rather than among models
+//     keeps rows whose every completion is a model (a controller's escape
+//     rows) from crowding out the rows that constrain the candidates. A
+//     larger support, or one whose first rows are mostly closed or whose
+//     row rejection cannot complete, is drawn from one solver without
 //     rebuilding it, exactly as before: draws add no blocking clauses, a
 //     hash set of projected samples drops repeats, and only a small
 //     projected space, whose draws keep repeating, is finished with
-//     blocking clauses.
+//     blocking clauses. The phase's progress line names the path that ran.
 //
 //   - Batched repair probes run on repairSlots ϕ-loaded slot solvers
 //     (Stats.RepairSolversBuilt), each built on the first batch that

@@ -111,59 +111,142 @@ func TestNoSamplingWhenEveryExistentialFixed(t *testing.T) {
 	}
 }
 
-// TestSampleSupportPaths pins which path the sample phase takes on gen seed
-// 1, indices 0–9 of every family. The sampler's support is X plus the
-// existentials preprocessing left open. With at most 16 such variables the
-// phase makes no oracle call, whatever ϕ's variable count; random-001-h2
-// has 18 variables and a support of 13. With more, Σ is exactly the draw
+// TestSampleSupportPaths pins which path the sample phase takes. The
+// sampler's support is X plus the existentials preprocessing left open,
+// and on gen seed 1, indices 0–9 of every family, each such support has at
+// most 64 variables, so the phase makes no oracle call. With at most 16 the
+// sampler scans the support, whatever ϕ's variable count (random-001-h2
+// has 18 variables and a support of 13); with 17–64 it takes rows, and Σ
+// keeps the row contract (checkRowSigma). Above 64, Σ is exactly the draw
 // loop's: what the sampler draws without the definitions and constants.
 func TestSampleSupportPaths(t *testing.T) {
-	scanned, drawn := 0, 0
+	scanned, rows := 0, 0
 	for _, fam := range []gen.Family{gen.FamilyEquiv, gen.FamilyController, gen.FamilySAT2DQBF, gen.FamilyRandom} {
 		for idx := 0; idx < 10; idx++ {
 			named := gen.Generate(fam, idx, 1)
-			in := named.DQBF
-			e := newEngine(context.Background(), in, Options{Seed: 1}.withDefaults())
+			e := newEngine(context.Background(), named.DQBF, Options{Seed: 1}.withDefaults())
 			if err := e.preprocess(); err != nil {
 				t.Fatalf("%s: preprocess: %v", named.Name, err)
 			}
 			if e.allFixed() {
 				continue
 			}
-			support := len(in.Univ)
-			for _, y := range in.Exist {
-				if !e.fixed[y] {
-					support++
-				}
-			}
+			support := openSupport(e)
 			before := e.oracleCount()
 			if err := e.samplePhase(); err != nil {
 				t.Fatalf("%s: sample: %v", named.Name, err)
 			}
-			calls := e.oracleCount() - before
+			if calls := e.oracleCount() - before; calls != 0 {
+				t.Fatalf("%s: support of %d took %d oracle calls, want none", named.Name, support, calls)
+			}
 			if support <= 16 {
 				scanned++
-				if calls != 0 {
-					t.Fatalf("%s: support of %d took %d oracle calls, want the exact path", named.Name, support, calls)
-				}
 				continue
 			}
-			drawn++
-			vars := append(append([]cnf.Var(nil), in.Univ...), in.Exist...)
-			samples, err := sampler.Sample(context.Background(), in.Matrix, e.opts.numSamples, sampler.Options{
-				Seed: e.opts.Seed, Vars: vars,
-			})
-			if err != nil {
-				t.Fatalf("%s: draw loop: %v", named.Name, err)
-			}
-			want := packSamples(vars, samples)
-			if e.sigma.n != want.n || !slices.Equal(e.sigma.bits, want.bits) || !slices.Equal(e.sigma.slot, want.slot) {
-				t.Fatalf("%s: support of %d: Σ of %d samples differs from the draw loop's %d", named.Name, support, e.sigma.n, want.n)
-			}
+			rows++
+			checkRowSigma(t, named.Name, e)
 		}
 	}
-	if scanned == 0 || drawn == 0 {
-		t.Fatalf("%d runs scanned and %d drew; want both paths", scanned, drawn)
+	if scanned == 0 || rows == 0 {
+		t.Fatalf("%d runs scanned and %d took rows; want both paths", scanned, rows)
+	}
+
+	in := idleUnivParityInstance()
+	e := newEngine(context.Background(), in, Options{Seed: 1}.withDefaults())
+	if err := e.preprocess(); err != nil {
+		t.Fatalf("parity: preprocess: %v", err)
+	}
+	if support := openSupport(e); support <= 64 {
+		t.Fatalf("parity: support of %d, want more than 64", support)
+	}
+	if err := e.samplePhase(); err != nil {
+		t.Fatalf("parity: sample: %v", err)
+	}
+	vars := append(append([]cnf.Var(nil), in.Univ...), in.Exist...)
+	samples, err := sampler.Sample(context.Background(), in.Matrix, e.opts.numSamples, sampler.Options{
+		Seed: e.opts.Seed, Vars: vars,
+	})
+	if err != nil {
+		t.Fatalf("parity: draw loop: %v", err)
+	}
+	want := packSamples(vars, samples)
+	if e.sigma.n != want.n || !slices.Equal(e.sigma.bits, want.bits) || !slices.Equal(e.sigma.slot, want.slot) {
+		t.Fatalf("parity: Σ of %d samples differs from the draw loop's %d", e.sigma.n, want.n)
+	}
+}
+
+// idleUnivParityInstance is blockParityInstance(4, 4) with 48 more
+// universals that ϕ does not read: preprocessing fixes none of the four
+// parity outputs, so the sampler's support has 68 variables, more than the
+// row path takes.
+func idleUnivParityInstance() *dqbf.Instance {
+	in := blockParityInstance(4, 4)
+	for v := cnf.Var(21); v <= 68; v++ {
+		in.AddUniv(v)
+	}
+	return in
+}
+
+// openSupport returns the size of the sampler's support after e's
+// preprocessing: X plus the existentials it left open.
+func openSupport(e *Engine) int {
+	support := len(e.in.Univ)
+	for _, y := range e.in.Exist {
+		if !e.fixed[y] {
+			support++
+		}
+	}
+	return support
+}
+
+// checkRowSigma holds e's Σ, sampled on the sampler's row path, to that
+// path's contract: the samples' X parts are pairwise distinct, and each
+// sample is a model of ϕ that holds the unates' constants and gives every
+// gate-defined existential its gate's value. Every X assignment of the gen
+// instances it checks has a completion, so Σ has one sample for each of
+// min(400, 2^|X|) of them.
+func checkRowSigma(t *testing.T, name string, e *Engine) {
+	t.Helper()
+	in := e.in
+	if want := min(e.opts.numSamples, 1<<len(in.Univ)); e.sigma.n != want {
+		t.Fatalf("%s: %d samples over %d universals, want %d", name, e.sigma.n, len(in.Univ), want)
+	}
+	seen := map[uint64]bool{}
+	vars := append(slices.Clone(in.Univ), in.Exist...)
+	a := cnf.NewAssignment(in.Matrix.NumVars)
+	for i := 0; i < e.sigma.n; i++ {
+		for _, v := range vars {
+			a.SetBool(v, e.sigma.col(v)[i/64]>>(i%64)&1 != 0)
+		}
+		row := uint64(0)
+		for k, x := range in.Univ {
+			if a.Get(x) == cnf.True {
+				row |= 1 << k
+			}
+		}
+		if seen[row] {
+			t.Fatalf("%s: sample %d repeats X assignment %b", name, i, row)
+		}
+		seen[row] = true
+		if !in.Matrix.Eval(a) {
+			t.Fatalf("%s: sample %d is not a model of ϕ", name, i)
+		}
+		for _, l := range e.unates {
+			if a.Get(l.Var()) != cnf.BoolValue(l.IsPos()) {
+				t.Fatalf("%s: sample %d does not hold unate %d", name, i, l)
+			}
+		}
+		for _, g := range e.gates {
+			r := 0
+			for j, v := range g.In {
+				if a.Get(v) == cnf.True {
+					r |= 1 << j
+				}
+			}
+			if (a.Get(g.Out) == cnf.True) != (g.Table>>r&1 != 0) {
+				t.Fatalf("%s: sample %d sets y%d off its gate", name, i, g.Out)
+			}
+		}
 	}
 }
 
@@ -619,33 +702,60 @@ func TestProblemLineDoesNotSizeTables(t *testing.T) {
 // unclassified error.
 func TestSamplerBudgetIsBudget(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sampling runs about 5 s and 10x that under the race detector")
+		t.Skip("the run takes about 3 s and 10x that under the race detector")
 	}
 	if testing.Short() {
 		t.Skip("multi-second sampling run is not short")
 	}
-	// ∀x1 ∃y2…y221, every y depending on x1, over 924 random 3-clauses on
-	// the y's plus (x1 ∨ y2 ∨ ¬y2).
+	// ∀x1…x264 ∃y265, over 1,092 random 3-clauses on x1…x260 plus
+	// (y ∨ x261 ∨ x262) ∧ (¬y ∨ x263 ∨ x264). The random clauses leave
+	// ϕ satisfiable, at the ratio where a draw's random decisions and
+	// phases run out of conflicts, and y, in both polarities with four
+	// inputs, is neither unate nor gate-defined, so the run samples.
+	// Its support of 265 variables is past the row path, so it draws.
+	const nx = 260
 	in := dqbf.NewInstance()
-	in.AddUniv(1)
-	for v := cnf.Var(2); v <= 221; v++ {
-		in.AddExist(v, []cnf.Var{1})
+	for v := cnf.Var(1); v <= nx+4; v++ {
+		in.AddUniv(v)
 	}
-	rng := rand.New(rand.NewSource(5))
-	for c := 0; c < 924; c++ {
+	y := cnf.Var(nx + 5)
+	in.AddExist(y, in.Univ[nx:])
+	rng := rand.New(rand.NewSource(7))
+	for c := 0; c < nx*42/10; c++ {
 		var lits [3]cnf.Lit
 		for k := range lits {
-			v := cnf.Var(2 + rng.Intn(220))
-			lits[k] = cnf.MkLit(v, rng.Intn(2) != 0)
+			lits[k] = cnf.MkLit(cnf.Var(1+rng.Intn(nx)), rng.Intn(2) != 0)
 		}
 		in.Matrix.AddClause(lits[:]...)
 	}
-	in.Matrix.AddClause(1, 2, -2)
+	in.Matrix.AddClause(cnf.PosLit(y), nx+1, nx+2)
+	in.Matrix.AddClause(cnf.NegLit(y), nx+3, nx+4)
 	_, err := Synthesize(context.Background(), in, Options{Seed: 1, LearnWorkers: 1, PreprocWorkers: 1, VerifyWorkers: 1})
-	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("got %v, want ErrBudget", err)
+	if !errors.Is(err, ErrBudget) || !strings.Contains(err.Error(), "sampling") {
+		t.Fatalf("got %v, want ErrBudget from sampling", err)
 	}
 	if got := backend.Classify(backendErr(err)); got != backend.OutcomeBudget {
 		t.Fatalf("backend classifies %v as %q, want %q", err, got, backend.OutcomeBudget)
+	}
+}
+
+// TestSamplingFaultIsInternal: a sampling error other than cancellation or
+// the draws' budget is ErrInternal, which the backend classifies as
+// internal. The only such error is an unsatisfiable ϕ, which a run's
+// initial check rules out, so the test calls drawSamples directly on an
+// engine over one.
+func TestSamplingFaultIsInternal(t *testing.T) {
+	in := dqbf.NewInstance()
+	in.AddUniv(1)
+	in.AddExist(2, []cnf.Var{1})
+	in.Matrix.AddClause(2)
+	in.Matrix.AddClause(-2)
+	e := newEngine(context.Background(), in, Options{Seed: 1}.withDefaults())
+	_, err := e.drawSamples([]cnf.Var{1, 2})
+	if !errors.Is(err, ErrInternal) {
+		t.Fatalf("got %v, want ErrInternal", err)
+	}
+	if got := backend.Classify(backendErr(err)); got != backend.OutcomeInternal {
+		t.Fatalf("backend classifies %v as %q, want %q", err, got, backend.OutcomeInternal)
 	}
 }

@@ -117,7 +117,10 @@ func (e *Engine) learnPhase() error {
 // drawSamples produces the training data Σ via constrained sampling of ϕ,
 // projected onto vars (X ∪ Y). It hands the sampler what preprocessing
 // found, the unates' constants and the gate definitions, so the sampler's
-// exact path sees ϕ's support: X plus the existentials left open.
+// exact and row paths see ϕ's support: X plus the existentials left open.
+// A sampling error other than cancellation or the draws' budget is
+// ErrInternal: the run's initial check found a model of ϕ, so the only
+// other one, an unsatisfiable ϕ, means a fault.
 func (e *Engine) drawSamples(vars []cnf.Var) ([]cnf.Assignment, error) {
 	var sst sampler.Stats
 	samples, err := sampler.Sample(e.ctx, e.in.Matrix, e.opts.numSamples, sampler.Options{
@@ -136,12 +139,12 @@ func (e *Engine) drawSamples(vars []cnf.Var) ([]cnf.Assignment, error) {
 		if errors.Is(err, sampler.ErrBudget) {
 			return nil, fmt.Errorf("%w: sampling: %w", ErrBudget, err)
 		}
-		return nil, fmt.Errorf("core: sampling: %w", err)
+		return nil, fmt.Errorf("%w: sampling: %w", ErrInternal, err)
 	}
-	if sst.Solves == 0 {
-		e.tracef("sample: %d samples enumerated", len(samples))
-	} else {
+	if sst.Path == sampler.PathDrawn {
 		e.tracef("sample: %d samples drawn in %d solves", len(samples), sst.Solves)
+	} else {
+		e.tracef("sample: %d samples, %v", len(samples), sst.Path)
 	}
 	return samples, nil
 }

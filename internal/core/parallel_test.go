@@ -292,9 +292,10 @@ func TestWorkerPanicIsInternal(t *testing.T) {
 // TestPhaseTelemetry pins the phase-telemetry contract on the engine
 // itself: the pipeline phases appear in order, every duration is non-zero,
 // and each phase reports the oracle calls of the path it took. The sample
-// phase takes one of three: ϕ of paperExample has six variables, so the
-// sampler's exact path returns every model without a solver call; over
-// more than 16 variables the sampler draws; and when preprocessing fixed
+// phase takes one of four: ϕ of paperExample has six variables, so the
+// sampler's exact path returns every model without a solver call; a
+// support of 17–64 variables takes the row path, again with no solver
+// call; over more than 64 the sampler draws; and when preprocessing fixed
 // every existential the phase stays listed but samples nothing.
 func TestPhaseTelemetry(t *testing.T) {
 	phaseNames := func(res *Result) string {
@@ -339,9 +340,22 @@ func TestPhaseTelemetry(t *testing.T) {
 			res.Stats.Samples, sample.OracleCalls, models)
 	}
 
-	// 16 universals and 4 parity outputs: 20 variables, so the sampler
-	// draws.
+	// 16 universals and 4 parity outputs: a support of 20 variables, so
+	// the sampler takes 400 of the 2^16 rows.
 	res, err = Synthesize(context.Background(), blockParityInstance(4, 4), Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := phaseNames(res); got != all {
+		t.Fatalf("phases %q, want %q", got, all)
+	}
+	if res.Stats.Phases[1].OracleCalls != 0 || res.Stats.Samples != 400 {
+		t.Fatalf("row sample phase: %d samples, %+v; want 400 in 0 calls", res.Stats.Samples, res.Stats.Phases[1])
+	}
+
+	// The same blocks with 48 more universals: a support of 68 variables,
+	// so the sampler draws.
+	res, err = Synthesize(context.Background(), idleUnivParityInstance(), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,13 +399,18 @@ func TestPhaseTelemetry(t *testing.T) {
 // is slack for loaded CI machines) with a status distinguishable from budget
 // exhaustion.
 func TestSynthesizeCancellationPrompt(t *testing.T) {
-	// Five 4-input parity blocks: 2^20 models, so the sampling loop alone
-	// runs far longer than the test and cancellation must cut it short.
-	// Each output occurs in both polarities, in clauses too wide for a gate
-	// definition, so preprocessing leaves them to sampling; an instance it
-	// fixed entirely would skip sampling and could be decided before the
-	// cancel arrives.
+	// Five 4-input parity blocks and two universals ϕ does not read: a
+	// support of 27 variables, so the sampler's row path takes each of the
+	// 2^22 rows, all open, one word each, which runs far longer than the
+	// wait below (about 0.9 s on a 2-CPU host, where the 2^20 rows of the
+	// blocks alone took 0.2 s and the whole run 0.26 s), and cancellation
+	// must cut it short. Each output occurs in both polarities, in clauses
+	// too wide for a gate definition, so preprocessing leaves them to
+	// sampling; an instance it fixed entirely would skip sampling and could
+	// be decided before the cancel arrives.
 	in := blockParityInstance(5, 4)
+	in.AddUniv(26)
+	in.AddUniv(27)
 	e := newEngine(context.Background(), in, Options{Seed: 1}.withDefaults())
 	if err := e.preprocess(); err != nil {
 		t.Fatal(err)

@@ -9,9 +9,13 @@ import (
 )
 
 // BenchmarkSample times one Sample call as core's sample phase makes it: 400
-// samples over X ∪ Y at seed 1. Each
-// sub-benchmark is named after the path it times. random-002-h3 has 23
-// variables, so Sample draws, and every draw finds a new projection.
+// samples over X ∪ Y at seed 1. Each sub-benchmark is named after the path
+// it times. The calls pass no constants, definitions or existentials, so
+// every variable is universal to the row path and each row a full
+// assignment. random-002-h3 has 23 variables, too many to scan, and fewer
+// than a quarter of the row path's first rowProbe rows are models, so it
+// declines and Sample draws, every draw finding a new projection: this
+// times the draw loop plus what the row path pays to decline.
 // controller-000-h1 has 11 variables and fewer than 400 models, so Sample
 // enumerates them; the draw loop alone on the same formula keeps the
 // blocking switch timed, since its draws repeat until the loop switches to

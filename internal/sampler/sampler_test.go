@@ -276,7 +276,8 @@ func TestSampleMatchesEnumeration(t *testing.T) {
 // earlier gate) and the truth table. Each gate's clauses join the CNF, so
 // it holds in every model. A projection onto every base variable (at most
 // 8) takes Sample's exact path, and checkSampleContract then also holds it
-// to the draw loop.
+// to the draw loop. Each input is checked a second time with the scan bound
+// lowered so that such a projection takes the row path instead.
 func FuzzSampleContract(f *testing.F) {
 	f.Add([]byte{2, 2, 1, 2, 0}, []byte(nil), int64(3))                                                 // x1 ∨ x2 on {1,2}: 3 points
 	f.Add([]byte{5, 5}, []byte(nil), int64(0))                                                          // no clauses: 32 points
@@ -332,7 +333,10 @@ func FuzzSampleContract(f *testing.F) {
 		for i := range vars {
 			vars[i] = cnf.Var(nv - i)
 		}
-		checkSampleContract(t, fm, Options{Seed: seed, Vars: vars, Defs: defs, Exist: exist})
+		opts := Options{Seed: seed, Vars: vars, Defs: defs, Exist: exist}
+		checkSampleContract(t, fm, opts)
+		opts.scanVars = -1
+		checkSampleContract(t, fm, opts)
 	})
 }
 
@@ -351,11 +355,13 @@ func addGateClauses(f *cnf.Formula, d Def) {
 // checkSampleContract samples f under opts with n = 1, 2^|P|−1 and 2^|P|+5
 // and checks each call against brute force. The draw loop must return
 // min(n, #projected solutions) samples, each a model, pairwise distinct on
-// the projection, and the same samples for the same seed. When Sample's
-// exact path applies, because every variable is projected or defined, its
-// output must keep checkSupportSample's contract and, when f has at most n
-// models, be the draw loop's set. Otherwise Sample is the draw loop and
-// keeps its contract.
+// the projection, and the same samples for the same seed. When every
+// variable is projected or defined, Sample takes the exact path, unless
+// opts lowers the scan bound below the support: its output must then keep
+// checkSupportSample's contract and, when f has at most n models, be the
+// draw loop's set. Below the bound Sample takes the row path, whose output
+// must keep checkRowSample's contract, or declines, and then returns the
+// draw loop's samples. Otherwise Sample is the draw loop.
 func checkSampleContract(t *testing.T, f *cnf.Formula, opts Options) {
 	t.Helper()
 	vars := opts.Vars
@@ -387,11 +393,23 @@ func checkSampleContract(t *testing.T, f *cnf.Formula, opts Options) {
 			continue // one projected variable: 2^1−1 is n = 1 again
 		}
 		outs := make([][]cnf.Assignment, len(samplers))
+		var path Path
 		for k, sm := range samplers {
 			var st Stats
 			withStats := opts
 			withStats.Stats = &st
 			got, err := sm.fn(context.Background(), f, n, withStats)
+			if sm.name == "Sample" {
+				path = st.Path
+				switch {
+				case !exact && path != PathDrawn:
+					t.Fatalf("%v on %v, n=%d: Sample took path %v with a variable neither projected nor defined", f.Clauses, vars, n, path)
+				case exact && opts.scanVars == 0 && path != PathScanned:
+					t.Fatalf("%v on %v, n=%d: Sample took path %v, want the exact path", f.Clauses, vars, n, path)
+				case path != PathDrawn && st.Solves != 0:
+					t.Fatalf("%v on %v, n=%d: path %v made %d solves", f.Clauses, vars, n, path, st.Solves)
+				}
+			}
 			if len(want) == 0 {
 				if err == nil || errors.Is(err, ErrBudget) {
 					t.Fatalf("%s: %v on %v: UNSAT formula gave %d samples, err %v", sm.name, f.Clauses, vars, len(got), err)
@@ -401,13 +419,13 @@ func checkSampleContract(t *testing.T, f *cnf.Formula, opts Options) {
 			if err != nil {
 				t.Fatalf("%s: %v on %v, n=%d: %v", sm.name, f.Clauses, vars, n, err)
 			}
-			if exact && sm.name == "Sample" {
-				if st.Solves != 0 {
-					t.Fatalf("%v on %v, n=%d: the exact path made %d solves", f.Clauses, vars, n, st.Solves)
-				}
-				checkSupportSample(t, f, opts, n, got, ref)
-			} else {
+			switch {
+			case sm.name == "draw" || path == PathDrawn:
 				checkDrawContract(t, sm.name, f, vars, n, len(want), got)
+			case path == PathScanned:
+				checkSupportSample(t, f, opts, n, got, ref)
+			default:
+				checkRowSample(t, f, opts, n, got, ref)
 			}
 			again, err := sm.fn(context.Background(), f, n, opts)
 			if err != nil || len(again) != len(got) {
@@ -420,8 +438,12 @@ func checkSampleContract(t *testing.T, f *cnf.Formula, opts Options) {
 			}
 			outs[k] = got
 		}
-		if exact && len(want) > 0 && len(want) <= n {
-			checkSameAsDrawLoop(t, f, n, outs[0], outs[1]) // samplers lists Sample, then draw
+		switch {
+		case len(want) == 0:
+		case path == PathDrawn:
+			checkSameSamples(t, f, n, outs[0], outs[1]) // samplers lists Sample, then draw
+		case path == PathScanned && len(want) <= n:
+			checkSameAsDrawLoop(t, f, n, outs[0], outs[1])
 		}
 	}
 }
@@ -463,6 +485,21 @@ func checkSameAsDrawLoop(t *testing.T, f *cnf.Formula, n int, got, drawn []cnf.A
 	for i := range got {
 		if !slices.Equal(got[i], drawn[i]) {
 			t.Fatalf("%v, n=%d: Sample's model %d is %v, the draw loop's %v", f.Clauses, n, i, got[i], drawn[i])
+		}
+	}
+}
+
+// checkSameSamples holds Sample's output got on f, from a call that ran
+// the draw loop, to the draw loop's output drawn under the same options:
+// the same samples in the same order.
+func checkSameSamples(t *testing.T, f *cnf.Formula, n int, got, drawn []cnf.Assignment) {
+	t.Helper()
+	if len(got) != len(drawn) {
+		t.Fatalf("%v, n=%d: Sample gave %d samples, the draw loop %d", f.Clauses, n, len(got), len(drawn))
+	}
+	for i := range got {
+		if !slices.Equal(got[i], drawn[i]) {
+			t.Fatalf("%v, n=%d: Sample's sample %d is %v, the draw loop's %v", f.Clauses, n, i, got[i], drawn[i])
 		}
 	}
 }
@@ -559,23 +596,8 @@ func checkSupportSample(t *testing.T, f *cnf.Formula, opts Options, n int, got [
 	seen := map[string]bool{}
 	univ := map[uint]bool{}
 	for i, m := range got {
-		if !f.Eval(m) {
-			t.Fatalf("%v, n=%d: sample %d is not a model", f.Clauses, n, i)
-		}
-		for _, l := range opts.Fixed {
-			if m.Get(l.Var()) != cnf.BoolValue(l.IsPos()) {
-				t.Fatalf("%v, n=%d: sample %d does not hold fixed literal %d", f.Clauses, n, i, l)
-			}
-		}
-		for _, d := range opts.Defs {
-			if (m.Get(d.Out) == cnf.True) != gateValue(d, m) {
-				t.Fatalf("%v, n=%d: sample %d sets defined y%d off its gate %+v", f.Clauses, n, i, d.Out, d)
-			}
-		}
+		checkSupportModel(t, f, opts, n, i, m, ref)
 		key := fmt.Sprint(m)
-		if !ref.models[key] {
-			t.Fatalf("%v, n=%d: sample %d, %v, is not among the %d brute-force models", f.Clauses, n, i, m, len(ref.models))
-		}
 		if seen[key] {
 			t.Fatalf("%v, n=%d: sample %d repeats an earlier one", f.Clauses, n, i)
 		}
@@ -592,6 +614,54 @@ func checkSupportSample(t *testing.T, f *cnf.Formula, opts Options, n int, got [
 	case len(got) != min(n, ref.open):
 		t.Fatalf("%v, n=%d (%d models): %d samples, want one for each of min(n, %d) universal assignments with a completion",
 			f.Clauses, n, len(ref.models), len(got), ref.open)
+	}
+}
+
+// checkRowSample holds got, the output of a Sample call for n under opts
+// that the row path answered, to that path's contract, against the
+// brute-force reference ref. Every sample is a model, each defined
+// variable equals its gate and each fixed variable holds its constant, the
+// universal parts are pairwise distinct, and there are min(n, open rows)
+// samples: with every completion of a row in its word, the path takes rows
+// until it has n open ones or has taken them all, and by rejection it
+// answers only when every row it took was open.
+func checkRowSample(t *testing.T, f *cnf.Formula, opts Options, n int, got []cnf.Assignment, ref supportRef) {
+	t.Helper()
+	univ := map[uint]bool{}
+	for i, m := range got {
+		checkSupportModel(t, f, opts, n, i, m, ref)
+		u := projection(m, ref.univ)
+		if univ[u] {
+			t.Fatalf("%v, n=%d: sample %d repeats universal part %b", f.Clauses, n, i, u)
+		}
+		univ[u] = true
+	}
+	if len(got) != min(n, ref.open) {
+		t.Fatalf("%v, n=%d: %d samples, want one for each of min(n, %d) open rows", f.Clauses, n, len(got), ref.open)
+	}
+}
+
+// checkSupportModel holds sample i, m, of a call for n under opts to what
+// both paths on a support keep: m is one of ref's models, so it satisfies
+// f, each defined variable equals its gate and each fixed variable holds
+// its constant.
+func checkSupportModel(t *testing.T, f *cnf.Formula, opts Options, n, i int, m cnf.Assignment, ref supportRef) {
+	t.Helper()
+	if !f.Eval(m) {
+		t.Fatalf("%v, n=%d: sample %d is not a model", f.Clauses, n, i)
+	}
+	for _, l := range opts.Fixed {
+		if m.Get(l.Var()) != cnf.BoolValue(l.IsPos()) {
+			t.Fatalf("%v, n=%d: sample %d does not hold fixed literal %d", f.Clauses, n, i, l)
+		}
+	}
+	for _, d := range opts.Defs {
+		if (m.Get(d.Out) == cnf.True) != gateValue(d, m) {
+			t.Fatalf("%v, n=%d: sample %d sets defined y%d off its gate %+v", f.Clauses, n, i, d.Out, d)
+		}
+	}
+	if !ref.models[fmt.Sprint(m)] {
+		t.Fatalf("%v, n=%d: sample %d, %v, is not among the %d brute-force models", f.Clauses, n, i, m, len(ref.models))
 	}
 }
 
@@ -799,6 +869,194 @@ func TestSupportSampleContract(t *testing.T) {
 	t.Logf("%d gate inputs defined later in declaration order, %d calls chose among more models than requested", laterInput, chosen)
 }
 
+// TestRowSampleContract holds the row path to its contract against brute
+// force, with the scan bound lowered so that it takes every support: random
+// CNFs over up to 12 variables, with up to two gate definitions and one
+// fixed variable, and up to 8 of the support variables existential, so
+// that both ways of completing a row run: every completion in one word
+// with at most six, rejection with more. A call the path answers makes no
+// solver call and keeps checkRowSample's contract; a call it declines
+// returns the draw loop's samples, sample for sample, and the path
+// declines every formula without a model under the constants and gates, so
+// it never answers that one is unsatisfiable. The same seed gives the same
+// samples.
+func TestRowSampleContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	paths := map[Path]int{}
+	inOrder, shuffled := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		ns, ng, nf := 1+rng.Intn(9), rng.Intn(3), rng.Intn(2)
+		nv := ns + ng + nf
+		perm := rng.Perm(nv)
+		at := func(i int) cnf.Var { return cnf.Var(1 + perm[i]) }
+		opts := Options{Seed: int64(trial), scanVars: -1}
+		kE := rng.Intn(min(ns, 8) + 1)
+		if ns >= 7 && rng.Intn(2) == 0 {
+			kE = 7 + rng.Intn(min(ns, 8)-6) // rejection
+		}
+		pool := make([]cnf.Var, 0, nv)
+		for i := 0; i < ns; i++ {
+			opts.Vars = append(opts.Vars, at(i))
+			pool = append(pool, at(i))
+			if i < kE {
+				opts.Exist = append(opts.Exist, at(i))
+			}
+		}
+		for i := ns + ng; i < nv; i++ {
+			opts.Fixed = append(opts.Fixed, cnf.MkLit(at(i), rng.Intn(2) == 0))
+			pool = append(pool, at(i))
+		}
+		for i := ns; i < ns+ng; i++ {
+			d := Def{Out: at(i), Table: uint8(rng.Intn(256))}
+			for j := rng.Intn(4); j > 0; j-- {
+				if v := pool[rng.Intn(len(pool))]; !slices.Contains(d.In, v) {
+					d.In = append(d.In, v)
+				}
+			}
+			d.Table &= uint8(1<<(1<<len(d.In)) - 1)
+			opts.Defs = append(opts.Defs, d)
+			pool = append(pool, d.Out)
+		}
+		f := cnf.New(nv)
+		for c := rng.Intn(3*nv + 3); c > 0; c-- {
+			cl := make([]cnf.Lit, 1+rng.Intn(3))
+			for i := range cl {
+				cl[i] = cnf.MkLit(cnf.Var(1+rng.Intn(nv)), rng.Intn(2) == 0)
+			}
+			f.AddClause(cl...)
+		}
+		ref := newSupportRef(f, opts)
+		rows := 1 << len(ref.univ)
+		for _, n := range []int{1, ref.open - 1, ref.open, rows - 1, rows, rows + 5} {
+			if n <= 0 {
+				continue
+			}
+			var st Stats
+			withStats := opts
+			withStats.Stats = &st
+			got, err := Sample(context.Background(), f, n, withStats)
+			paths[st.Path]++
+			switch {
+			case st.Path == PathScanned:
+				t.Fatalf("trial %d, n=%d: scanned with the scan bound at -1", trial, n)
+			case len(ref.models) == 0 && st.Path != PathDrawn:
+				t.Fatalf("trial %d: path %v answered on a support without a model: %d samples, err %v", trial, st.Path, len(got), err)
+			case st.Path == PathDrawn:
+				drawn, derr := draw(context.Background(), f, n, opts)
+				if (err == nil) != (derr == nil) {
+					t.Fatalf("trial %d, n=%d: declined call returned err %v, the draw loop %v", trial, n, err, derr)
+				}
+				checkSameSamples(t, f, n, got, drawn)
+			case err != nil:
+				t.Fatalf("trial %d, n=%d: %v", trial, n, err)
+			default:
+				if st.Solves != 0 {
+					t.Fatalf("trial %d, n=%d: path %v made %d solves", trial, n, st.Path, st.Solves)
+				}
+				checkRowSample(t, f, opts, n, got, ref)
+				if n >= rows {
+					inOrder++
+				} else {
+					shuffled++
+				}
+			}
+			again, aerr := Sample(context.Background(), f, n, opts)
+			if (aerr == nil) != (err == nil) || len(again) != len(got) {
+				t.Fatalf("trial %d, n=%d: second call gave %d samples, err %v; first gave %d, err %v", trial, n, len(again), aerr, len(got), err)
+			}
+			for i := range got {
+				if !slices.Equal(got[i], again[i]) {
+					t.Fatalf("trial %d, n=%d: sample %d differs between two calls with seed %d", trial, n, i, opts.Seed)
+				}
+			}
+		}
+	}
+	if paths[PathRows] == 0 || paths[PathRejection] == 0 || paths[PathDrawn] == 0 || inOrder == 0 || shuffled == 0 {
+		t.Fatalf("calls by path %v, %d answered taking every row and %d in shuffled order; want every path and both orders", paths, inOrder, shuffled)
+	}
+	t.Logf("calls by path %v, %d answered taking every row and %d in shuffled order", paths, inOrder, shuffled)
+}
+
+// TestRowPathDeclines pins the row path's two ways of declining, with the
+// scan bound lowered. Over twelve universals and one existential, a formula
+// that opens one row in eight declines after rowProbe rows and draws
+// instead, and one that opens every other row is answered with no solver
+// call. Over four universals and sixteen existentials, a row whose one
+// completion sets every existential true is not found by rejection, so the
+// call draws.
+func TestRowPathDeclines(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		univ, exst int
+		clauses    [][]cnf.Lit
+		want       Path
+	}{
+		{"one row in eight", 12, 1, [][]cnf.Lit{{1}, {2}, {3}}, PathDrawn},
+		{"every other row", 12, 1, [][]cnf.Lit{{1}}, PathRows},
+		{"one completion in 2^16", 4, 16, nil, PathDrawn},
+	} {
+		nv := c.univ + c.exst
+		f := cnf.New(nv)
+		vars := make([]cnf.Var, nv)
+		for i := range vars {
+			vars[i] = cnf.Var(i + 1)
+		}
+		for _, cl := range c.clauses {
+			f.AddClause(cl...)
+		}
+		if c.exst == 16 {
+			for _, e := range vars[c.univ:] {
+				f.AddClause(1, cnf.PosLit(e))
+			}
+		}
+		var st Stats
+		opts := Options{Seed: 1, Vars: vars, Exist: vars[c.univ:], scanVars: -1, Stats: &st}
+		got, err := Sample(context.Background(), f, 400, opts)
+		if err != nil || len(got) == 0 || st.Path != c.want || (st.Solves == 0) != (c.want != PathDrawn) {
+			t.Errorf("%s: %d samples on path %v in %d solves, err %v; want path %v", c.name, len(got), st.Path, st.Solves, err, c.want)
+		}
+	}
+}
+
+// TestRowPathWideSupport runs the row path on supports of 64 variables,
+// the most it takes, where brute force cannot follow: 64 free universals,
+// 2^64 rows that are all open, and 40 universals with 24 existentials in
+// twelve binary clauses, which rejection completes. Each call returns 400
+// models with pairwise distinct universal parts and makes no solver call.
+func TestRowPathWideSupport(t *testing.T) {
+	for _, c := range []struct {
+		univ int
+		want Path
+	}{{64, PathRows}, {40, PathRejection}} {
+		f := cnf.New(64)
+		vars := make([]cnf.Var, 64)
+		for i := range vars {
+			vars[i] = cnf.Var(i + 1)
+		}
+		for v := c.univ + 1; v < 64; v += 2 {
+			f.AddClause(cnf.Lit(v), cnf.Lit(v+1))
+		}
+		var st Stats
+		opts := Options{Seed: 3, Vars: vars, Exist: vars[c.univ:], Stats: &st}
+		got, err := Sample(context.Background(), f, 400, opts)
+		if err != nil || len(got) != 400 || st.Path != c.want || st.Solves != 0 {
+			t.Fatalf("%d universals: %d samples on path %v in %d solves, err %v; want 400 on %v in 0",
+				c.univ, len(got), st.Path, st.Solves, err, c.want)
+		}
+		seen := map[uint]bool{}
+		for i, m := range got {
+			if !f.Eval(m) {
+				t.Fatalf("%d universals: sample %d is not a model", c.univ, i)
+			}
+			u := projection(m, vars[:c.univ])
+			if seen[u] {
+				t.Fatalf("%d universals: sample %d repeats universal part %x", c.univ, i, u)
+			}
+			seen[u] = true
+		}
+	}
+}
+
 // projection packs m's values of vars into bits, vars[k] at bit k.
 func projection(m cnf.Assignment, vars []cnf.Var) uint {
 	p := uint(0)
@@ -812,7 +1070,8 @@ func projection(m cnf.Assignment, vars []cnf.Var) uint {
 
 // TestSampleLargeSpaceNeverBlocks: 400 draws from 2^30 projected points all
 // find new projections, so no draw is a duplicate (Stats.Solves = 400) and
-// the sampler never switches to blocking.
+// the draw loop never switches to blocking. Sample would answer this
+// formula on its row path, so the test runs the draw loop alone.
 func TestSampleLargeSpaceNeverBlocks(t *testing.T) {
 	const nv = 30
 	f := cnf.New(nv)
@@ -820,7 +1079,7 @@ func TestSampleLargeSpaceNeverBlocks(t *testing.T) {
 		f.AddClause(cnf.PosLit(v), cnf.NegLit(v))
 	}
 	var st Stats
-	samples, err := Sample(context.Background(), f, 400, Options{Seed: 5, Stats: &st})
+	samples, err := draw(context.Background(), f, 400, Options{Seed: 5, Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -832,15 +1091,25 @@ func TestSampleLargeSpaceNeverBlocks(t *testing.T) {
 // TestSampleAllocatesOnlyModels: a draw allocates nothing beyond the model
 // of a sample it accepts. Loading the formula and sizing the tables take
 // 40–80 allocations per call on these instances, so one allocation per
-// draw (406–609 draws here) would break the bound. Sample enumerates
-// controller-000-h1 in a handful of allocations, so the draw loop runs on
-// every instance too: on controller-000-h1 its draws repeat until it
-// switches to blocking.
+// draw (406–609 draws here) would break the bound. Sample answers
+// controller-000-h1 on its exact path and sat2dqbf-004-h5 on its row path,
+// rows (exact) with every variable universal and rejection with its
+// existentials named, each in a handful of allocations, so the draw loop
+// runs on every instance too: on controller-000-h1 its draws repeat until
+// it switches to blocking.
 func TestSampleAllocatesOnlyModels(t *testing.T) {
 	for _, c := range []struct {
-		fam gen.Family
-		idx int
-	}{{gen.FamilyRandom, 2}, {gen.FamilyController, 0}, {gen.FamilyEquiv, 0}, {gen.FamilySAT2DQBF, 4}} {
+		fam   gen.Family
+		idx   int
+		exist bool
+		path  Path // Sample's
+	}{
+		{gen.FamilyRandom, 2, false, PathDrawn},
+		{gen.FamilyController, 0, false, PathScanned},
+		{gen.FamilyEquiv, 0, false, PathScanned},
+		{gen.FamilySAT2DQBF, 4, false, PathRows},
+		{gen.FamilySAT2DQBF, 4, true, PathRejection},
+	} {
 		in := gen.Generate(c.fam, c.idx, 1).DQBF
 		for _, sm := range samplers {
 			var st Stats
@@ -848,6 +1117,9 @@ func TestSampleAllocatesOnlyModels(t *testing.T) {
 				Seed:  1,
 				Vars:  append(append([]cnf.Var(nil), in.Univ...), in.Exist...),
 				Stats: &st,
+			}
+			if c.exist {
+				opts.Exist = in.Exist
 			}
 			n := 0
 			allocs := testing.AllocsPerRun(2, func() {
@@ -858,6 +1130,9 @@ func TestSampleAllocatesOnlyModels(t *testing.T) {
 				}
 				n = len(samples)
 			})
+			if sm.name == "Sample" && st.Path != c.path {
+				t.Errorf("%s-%d: Sample took path %v, want %v", c.fam, c.idx, st.Path, c.path)
+			}
 			if allocs > float64(n+128) {
 				t.Errorf("%s: %s-%d: %.0f allocations for %d samples in %d draws, want at most %d",
 					sm.name, c.fam, c.idx, allocs, n, st.Solves, n+128)
@@ -867,43 +1142,67 @@ func TestSampleAllocatesOnlyModels(t *testing.T) {
 }
 
 // TestSupportSampleUniformOverX checks that the exact path chooses among
-// universal assignments, not among models, and each completion uniformly.
-// Over x1..x6 and existentials e1, e2, the rows with x1 true allow all four
-// completions and the rows with x1 false only e1 = e2 = 0, so four in five
-// models lie on x1-true rows. Over 400 seeds of 16 samples each, a choice
-// uniform over X puts about half the samples on those rows, every row is
-// chosen, and each of the four completions takes about a quarter of them.
+// universal assignments, not among models, and each completion uniformly
+// (checkUniformOverX).
 func TestSupportSampleUniformOverX(t *testing.T) {
-	f := cnf.New(8)
+	checkUniformOverX(t, 0, 0, PathScanned)
+}
+
+// TestRowSampleUniformOverX runs TestSupportSampleUniformOverX's check on
+// the row path, with the scan bound lowered: on the same formula, where a
+// word holds every completion of a row, and with five more existentials
+// that no clause reads, so that rows are completed by rejection.
+func TestRowSampleUniformOverX(t *testing.T) {
+	checkUniformOverX(t, 0, -1, PathRows)
+	checkUniformOverX(t, 5, -1, PathRejection)
+}
+
+// checkUniformOverX samples, under scan bound scanVars, a formula over
+// x1..x6 and existentials e1, e2 (variables 7 and 8), plus extra further
+// existentials no clause reads, and checks that path chose among universal
+// assignments, not among models, and each completion uniformly. The rows
+// with x1 true allow all four completions of e1, e2 and the rows with x1
+// false only e1 = e2 = 0, so four in five models lie on x1-true rows. Over
+// 400 seeds of 16 samples each, a choice uniform over X puts about half the
+// samples on those rows, every row is chosen, and each of the four
+// completions takes about a quarter of them.
+func checkUniformOverX(t *testing.T, extra, scanVars int, path Path) {
+	t.Helper()
+	f := cnf.New(8 + extra)
 	f.AddClause(1, -7)
 	f.AddClause(1, -8)
-	opts := Options{Vars: []cnf.Var{1, 2, 3, 4, 5, 6, 7, 8}, Exist: []cnf.Var{7, 8}}
+	vars := make([]cnf.Var, 8+extra)
+	for i := range vars {
+		vars[i] = cnf.Var(i + 1)
+	}
+	opts := Options{Vars: vars, Exist: vars[6:], scanVars: scanVars}
 	const seeds, n = 400, 16
 	rows := map[uint]int{}
 	onX1, completions := 0, [4]int{}
 	for seed := int64(0); seed < seeds; seed++ {
-		opts.Seed = seed
+		var st Stats
+		opts.Seed, opts.Stats = seed, &st
 		got, err := Sample(context.Background(), f, n, opts)
-		if err != nil || len(got) != n {
-			t.Fatalf("seed %d: %d samples, err %v", seed, len(got), err)
+		if err != nil || len(got) != n || st.Path != path {
+			t.Fatalf("%v: seed %d: %d samples on path %v, err %v", path, seed, len(got), st.Path, err)
 		}
 		for _, m := range got {
 			rows[projection(m, opts.Vars[:6])]++
 			if m.Get(1) == cnf.True {
 				onX1++
-				completions[projection(m, opts.Vars[6:])]++
+				completions[projection(m, opts.Vars[6:8])]++
 			}
 		}
 	}
 	if share := float64(onX1) / (seeds * n); share < 0.45 || share > 0.55 {
-		t.Errorf("%.3f of the samples lie on x1-true rows, want about 0.5 (0.8 would be uniform over models)", share)
+		t.Errorf("%v: %.3f of the samples lie on x1-true rows, want about 0.5 (0.8 would be uniform over models)", path, share)
 	}
 	if len(rows) != 64 {
-		t.Errorf("%d of 64 universal assignments were ever chosen", len(rows))
+		t.Errorf("%v: %d of 64 universal assignments were ever chosen", path, len(rows))
 	}
 	for c, k := range completions {
 		if share := float64(k) / float64(onX1); share < 0.2 || share > 0.3 {
-			t.Errorf("completion %02b took %.3f of the x1-true samples, want about 0.25", c, share)
+			t.Errorf("%v: completion %02b took %.3f of the x1-true samples, want about 0.25", path, c, share)
 		}
 	}
 }
