@@ -76,7 +76,6 @@ func run(args []string) int {
 	fig := fs.String("fig", "all", "which figure to emit: 6,7,8,9,10,all")
 	jobs := fs.Int("j", 0, "parallel engine-run workers (0 = NumCPU)")
 	ppWorkers := fs.Int("pp-workers", 1, "per-engine preprocessing workers (manthan3-family engines)")
-	verifyWorkers := fs.Int("verify-workers", 1, "per-engine repair-phase verification workers (manthan3-family engines; bit-identical results at every setting)")
 	enginesFlag := fs.String("engines", "", "comma-separated engine specs to race (default: the canonical set; accepts name@seed and portfolio:a+b+c)")
 	faults := fs.String("faults", "", "deterministic fault plan injected into every engine run (e.g. \"panic@1,budget@2,stall(5ms)@3\"; see internal/faultinject); a fresh plan is armed per run")
 	replay := fs.String("replay", "", "regenerate reports from a previous results_raw.csv instead of re-running")
@@ -172,8 +171,7 @@ func run(args []string) int {
 		start := time.Now()
 		results = bench.RunSuite(context.Background(), suite, bench.Options{
 			Timeout: *timeout, Seed: *seed, Workers: workers,
-			Engines: engines, PreprocWorkers: *ppWorkers,
-			VerifyWorkers: *verifyWorkers, WrapBackend: wrap,
+			Engines: engines, PreprocWorkers: *ppWorkers, WrapBackend: wrap,
 		})
 		fmt.Printf("suite completed in %v\n\n", time.Since(start).Round(time.Millisecond))
 	}

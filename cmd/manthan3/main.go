@@ -6,8 +6,8 @@
 // Usage:
 //
 //	manthan3 [-engine manthan3|expand|pedant|cegar|portfolio:manthan3+expand+pedant]
-//	         [-timeout 60s] [-j 0] [-pp-workers 0] [-verify-workers 0]
-//	         [-seed 1] [-verify] [-verilog out.v] [-v] [-q] instance.dqdimacs
+//	         [-timeout 60s] [-pp-workers 0] [-seed 1] [-verify]
+//	         [-verilog out.v] [-v] [-q] instance.dqdimacs
 //
 // -timeout bounds the whole synthesis through a context threaded into every
 // engine's SAT search loops, so expiry interrupts a run promptly.
@@ -21,16 +21,14 @@
 // isolation — an engine that panics yields a classified internal error
 // (exit 2), never a crash. A portfolio races its members under one
 // context: the first definitive answer (functions or a False proof) wins
-// and the losers are canceled. -j bounds engine-internal parallelism (the
-// manthan3 learn phase; 0 = NumCPU) and -pp-workers its preprocessing worker
-// pool (0 = NumCPU); -verify-workers
-// bounds the manthan3 repair-phase verification pool the same way. Every
-// engine-internal SAT solver runs the one search configuration of
-// internal/sat. On success the engine's per-phase telemetry is printed as
-// `c stats: phases: …` — name, wall-clock duration, and oracle calls per
-// executed phase — and, for composed dispatch (portfolio/fallback/retry),
-// the member invocations as `c stats: attempts: …` with each attempt's
-// outcome class and duration.
+// and the losers are canceled. -pp-workers bounds the manthan3
+// preprocessing worker pool, the one engine-internal pool (0 = NumCPU);
+// manthan3 learns and repairs serially. Every engine-internal SAT solver
+// runs the one search configuration of internal/sat. On success the
+// engine's per-phase telemetry is printed as `c stats: phases: …` — name,
+// wall-clock duration, and oracle calls per executed phase — and, for
+// composed dispatch (portfolio/fallback/retry), the member invocations as
+// `c stats: attempts: …` with each attempt's outcome class and duration.
 //
 // On True instances, the synthesized functions are printed one per line as
 // `y<var> := <expression>`; the exit status is 0. False instances report
@@ -67,9 +65,7 @@ func run() int {
 	engine := flag.String("engine", "manthan3", "synthesis engine spec (also name@seed, portfolio:a+b+c, fallback:a>b, retry(k):spec): "+strings.Join(backend.Names(), ", "))
 	timeout := flag.Duration("timeout", 60*time.Second, "synthesis timeout (enforced via context cancellation)")
 	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("j", 0, "engine-internal worker count (0 = NumCPU)")
 	ppWorkers := flag.Int("pp-workers", 0, "manthan3 preprocessing worker count (0 = NumCPU)")
-	verifyWorkers := flag.Int("verify-workers", 0, "repair-phase candidate-verification worker count (manthan3; results are bit-identical at every setting; 0 = NumCPU)")
 	verify := flag.Bool("verify", true, "independently verify the synthesized vector")
 	quiet := flag.Bool("q", false, "suppress function printing; report status only")
 	verilog := flag.String("verilog", "", "also write the functions as a structural Verilog module to this file")
@@ -102,7 +98,7 @@ func run() int {
 	fmt.Printf("c instance: %d universal, %d existential, %d clauses, dep sizes %d..%d\n",
 		st.NumUniv, st.NumExist, st.NumClauses, st.MinDepSize, st.MaxDepSize)
 
-	bopts := backend.Options{Seed: *seed, Workers: *workers, PreprocWorkers: *ppWorkers, VerifyWorkers: *verifyWorkers}
+	bopts := backend.Options{Seed: *seed, PreprocWorkers: *ppWorkers}
 	if *verbose {
 		bopts.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "c trace: "+format+"\n", args...)

@@ -138,22 +138,14 @@ func MapEngineError(err error, classes ...ErrorClass) error {
 // Options tunes a backend run. The zero value gives usable defaults. Every
 // engine-internal SAT solver runs the one search configuration sat.New
 // builds; a run sets only its effort (SATConflictBudget), its seed, and its
-// worker counts.
+// preprocessing worker count.
 type Options struct {
 	// Seed drives engine randomization (sampling, solver tie-breaking).
 	Seed int64
-	// Workers bounds engine-internal parallelism where an engine has any
-	// (currently the manthan3 learn phase); 0 means NumCPU.
-	Workers int
 	// PreprocWorkers bounds the manthan3 preprocessing worker pool (the
-	// per-existential semantic unate checks); 0 means NumCPU. Results are
-	// bit-identical for every worker count.
+	// per-existential semantic unate checks), the one engine-internal pool;
+	// 0 means NumCPU. Results are bit-identical for every worker count.
 	PreprocWorkers int
-	// VerifyWorkers bounds the manthan3 repair-phase candidate-verification
-	// pool (independent candidates of one repair round probed concurrently
-	// on a fixed-slot solver pool); 0 means NumCPU. Results are
-	// bit-identical for every worker count.
-	VerifyWorkers int
 	// SATConflictBudget bounds each engine-internal SAT oracle call in
 	// conflicts; 0 means the engine's own default (DefaultSATConflictBudget
 	// for the engines that bound per-call effort). Retry escalates it

@@ -117,10 +117,6 @@ type Options struct {
 	// Default 1: RunSuite already saturates the CPUs with concurrent engine
 	// runs, so per-engine durations stay like-for-like (see RunEngine).
 	PreprocWorkers int
-	// VerifyWorkers bounds each engine's internal repair-phase verification
-	// pool. Default 1, for the same like-for-like reason as PreprocWorkers;
-	// results are bit-identical at every setting.
-	VerifyWorkers int
 	// WrapBackend, when set, wraps every resolved backend before it runs —
 	// the seam the fault-injection harness (internal/faultinject,
 	// benchrunner's -faults flag) uses to inject dispatch-level faults. The
@@ -163,26 +159,19 @@ func RunEngine(ctx context.Context, engine string, in *dqbf.Instance, opts Optio
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
+	// One preprocessing worker by default keeps the measurement
+	// like-for-like: RunSuite already saturates the CPUs with concurrent
+	// engine runs, and the baselines have no intra-engine parallelism to
+	// match — a manthan3 run fanning out NumCPU preprocessing goroutines
+	// would both oversubscribe the machine and skew the per-engine Durations
+	// behind the paper figures. benchrunner's -pp-workers raises it
+	// deliberately.
 	ppWorkers := opts.PreprocWorkers
 	if ppWorkers <= 0 {
 		ppWorkers = 1
 	}
-	vWorkers := opts.VerifyWorkers
-	if vWorkers <= 0 {
-		vWorkers = 1
-	}
 	start := time.Now()
-	// Workers: 1 keeps the measurement like-for-like: RunSuite already
-	// saturates the CPUs with concurrent engine runs, and the serial
-	// baselines have no intra-engine parallelism to match — a manthan3 run
-	// fanning out NumCPU learn goroutines would both oversubscribe the
-	// machine and skew the per-engine Durations behind the paper figures.
-	// PreprocWorkers and VerifyWorkers default to 1 for the same reason;
-	// benchrunner's -pp-workers and -verify-workers raise them deliberately.
-	res, err := b.Synthesize(ctx, in, backend.Options{
-		Seed: opts.Seed, Workers: 1, PreprocWorkers: ppWorkers,
-		VerifyWorkers: vWorkers,
-	})
+	res, err := b.Synthesize(ctx, in, backend.Options{Seed: opts.Seed, PreprocWorkers: ppWorkers})
 	end := time.Now()
 	// The deadline is compared directly because ctx.Err() turns non-nil only
 	// when ctx's timer fires, which can lag on a loaded host.

@@ -77,15 +77,15 @@ func BenchmarkVerifyRepair(b *testing.B) {
 }
 
 // BenchmarkRowRepair synthesizes controller-008-h4 (gen seed 1) at
-// suite-manthan3's engine settings: 200 repair rounds and one worker of each
-// kind. The controller's escape circuit reads universals outside the control
-// bits' dependency sets, so Gk is satisfiable at most counterexamples and
-// most rounds end in a row repair from Gk with all of X pinned; the run
-// answers in 12 rounds, where a repair of one full row σ[Hk] per round ran
-// out of the 200.
+// suite-manthan3's engine settings: 200 repair rounds and one preprocessing
+// worker. The controller's escape circuit reads universals outside the
+// control bits' dependency sets, so Gk is satisfiable at most
+// counterexamples and most rounds end in a row repair from Gk with all of X
+// pinned; the run answers in 12 rounds, where a repair of one full row
+// σ[Hk] per round ran out of the 200.
 func BenchmarkRowRepair(b *testing.B) {
 	in := gen.Generate(gen.FamilyController, 8, 1).DQBF
-	opts := Options{Seed: 1, MaxRepairIterations: 200, LearnWorkers: 1, PreprocWorkers: 1, VerifyWorkers: 1}
+	opts := Options{Seed: 1, MaxRepairIterations: 200, PreprocWorkers: 1}
 	// Sanity outside the timed loop: the run answers through row repairs.
 	res, err := Synthesize(context.Background(), in, opts)
 	if err != nil {
@@ -139,7 +139,10 @@ func BenchmarkSynthesizeEndToEnd(b *testing.B) {
 // path evaluates each of 400 rows on all four completions in one word.
 // sat2dqbf-001-h2 leaves 6 universals and 14 existentials, so the row path
 // takes each of the 64 rows and completes it by rejection. None of them
-// makes a solver call.
+// makes a solver call. Each formula also gets a sample/ sub-benchmark, the
+// phase's drawSamples call alone, and a pack/ one, its packSamples call on
+// that output, so a change in one half is not read off the other: where
+// the linker places packSamples moves the whole phase by several percent.
 func BenchmarkSamplePhase(b *testing.B) {
 	for _, c := range []struct {
 		path string
@@ -160,6 +163,27 @@ func BenchmarkSamplePhase(b *testing.B) {
 			for b.Loop() {
 				if err := e.samplePhase(); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+		vars := append(append([]cnf.Var(nil), named.DQBF.Univ...), named.DQBF.Exist...) // as samplePhase orders them
+		samples, err := e.drawSamples(vars)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("sample/"+c.path+named.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := e.drawSamples(vars); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("pack/"+c.path+named.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if m := packSamples(vars, samples); m.n != len(samples) {
+					b.Fatalf("packed %d of %d samples", m.n, len(samples))
 				}
 			}
 		})

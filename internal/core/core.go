@@ -29,11 +29,10 @@
 //	              oracle call, when preprocessing fixed every existential,
 //	              since only learning reads Σ;
 //	learn         per-existential decision trees respecting the Henkin
-//	              dependencies (Algorithm 2), speculatively parallel with
-//	              more than one worker (Options.LearnWorkers) and learned
-//	              just before their merge with one, each learned by dtree
-//	              straight from the packed columns of its features and its
-//	              label;
+//	              dependencies (Algorithm 2), one at a time in declaration
+//	              order, each against the current dependency matrix, learned
+//	              by dtree straight from the packed columns of its features
+//	              and its label;
 //	verify-repair the counterexample-guided loop (Algorithms 1 and 3):
 //	              verify the candidate vector, localize faults with MaxSAT,
 //	              repair with UNSAT-core-guided strengthening/weakening, or,
@@ -44,19 +43,16 @@
 //
 // Each executed phase reports a backend.PhaseStat — name, wall-clock
 // duration, SAT/MaxSAT oracle calls — in Stats.Phases, in execution order.
-// The parallel phases all run through oracle.ForEach, which runs inline
-// with one worker, and they are deterministic: for a fixed seed the fixed
-// set, the synthesized constants, and the final functions are bit-identical
-// for every PreprocWorkers/LearnWorkers/VerifyWorkers count, because
-// workers only write their own item's result and all merging happens
-// serially in declaration (or queue) order. The repair phase batches the Gk
-// probes of provably independent queue members (no member may appear in a
-// later member's Ŷ), and there answers alone are not enough: UNSAT cores
-// and models depend on solver history. So probe i of a batch always runs on
-// slot solver i mod repairSlots, per-slot probes stay in index order, and
-// VerifyWorkers only sets how many slots run at once — every solver's query
-// history is a function of the query stream alone, not of scheduling (see
-// repair.go). A panic on any worker fails the run with ErrInternal.
+// Preprocessing is the one parallel phase. Its unate checks run through
+// oracle.ForEach, which runs inline with one worker, and it is
+// deterministic: for a fixed seed the fixed set, the synthesized constants,
+// and the final functions are bit-identical for every PreprocWorkers count,
+// because workers only write their own item's result and the merge happens
+// serially in declaration order. Learning and verify-repair are serial
+// loops, and every query of the repair loop runs on one of the persistent
+// solvers below, so their UNSAT cores and models are a function of the
+// query stream alone. A panic on a preprocessing worker, or in the learn
+// loop, fails the run with ErrInternal.
 //
 // # Persistent oracles
 //
@@ -114,10 +110,6 @@
 //     hash set of projected samples drops repeats, and only a small
 //     projected space, whose draws keep repeating, is finished with
 //     blocking clauses. The phase's progress line names the path that ran.
-//
-//   - Batched repair probes run on repairSlots ϕ-loaded slot solvers
-//     (Stats.RepairSolversBuilt), each built on the first batch that
-//     reaches its slot and kept for the rest of the run.
 //
 // The verify–repair loop itself is allocation-free in steady state: repair
 // rounds run entirely on engine-owned scratch (assumption/queue/core/soft

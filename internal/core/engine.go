@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/backend"
 	"repro/internal/boolfunc"
@@ -47,9 +46,8 @@ type Options struct {
 	MaxRepairIterations int
 	// SATConflictBudget bounds each SAT oracle call (default 500000).
 	SATConflictBudget int64
-	// LearnWorkers bounds the decision-tree learning worker pool (0 =
-	// NumCPU). The learned candidates are bit-identical for every worker
-	// count; see learnPhase.
+	// LearnWorkers is ignored: the learn phase learns one tree at a time. It
+	// stays only because the benchmark module (perfbench) sets it.
 	LearnWorkers int
 	// PreprocWorkers bounds the preprocessing worker pool (0 = NumCPU): the
 	// per-existential semantic unate checks run concurrently over an
@@ -61,14 +59,8 @@ type Options struct {
 	// needs close to SATConflictBudget conflicts may flip between succeeding
 	// and ErrBudget across worker counts — never between different results.
 	PreprocWorkers int
-	// VerifyWorkers bounds the batched repair-verification worker pool (0 =
-	// NumCPU). When the repair queue holds a run of independent candidates
-	// (no earlier member of the run appears in a later member's Ŷ set),
-	// their Gk queries fan out over a fixed-slot solver pool. The slot a
-	// query runs on and the per-slot query order depend only on queue
-	// position — never on scheduling — so the cores and models the queries
-	// produce, and therefore every repair, counterexample, and synthesized
-	// function, are bit-identical for every worker count; see repair.
+	// VerifyWorkers is ignored: every repair query runs on the ϕ-solver. It
+	// stays only because the benchmark module (perfbench) sets it.
 	VerifyWorkers int
 
 	// Logf, when non-nil, receives progress trace lines (used by the CLI's
@@ -128,12 +120,6 @@ type Stats struct {
 	// patched both ways (0 or 1).
 	RowRepairs      int
 	RowOscillations int
-	// LearnConflicts counts candidates whose speculatively (in parallel)
-	// learned tree referenced a feature a concurrently-learned candidate
-	// banned, forcing a serial relearn during the deterministic merge. It
-	// stays 0 with one learn worker, which learns every tree against the
-	// current dependency matrix (see learnPhase).
-	LearnConflicts int
 	// VerifySolversBuilt counts constructions of the verification solver; the
 	// persistent-oracle architecture keeps it at 1 per synthesis run.
 	VerifySolversBuilt int
@@ -146,13 +132,10 @@ type Stats struct {
 	// preprocessing worker count regardless of how many queries the phase
 	// issues.
 	PreprocSolversBuilt int
-	// VerifyBatches counts multi-candidate repair batches whose Gk queries
-	// ran on the fixed-slot solver pool instead of the serial ϕ-solver;
-	// BatchedProbes totals the queries so batched.
-	VerifyBatches int
-	BatchedProbes int
-	// RepairSolversBuilt counts the ϕ-loaded slot solvers built for batched
-	// repair probes; it never exceeds repairSlots.
+	// BatchedProbes and RepairSolversBuilt are always 0: every repair query
+	// runs on the ϕ-solver. They stay only because the benchmark module
+	// (perfbench) reads them.
+	BatchedProbes      int
 	RepairSolversBuilt int
 	// OracleCalls totals the SAT/MaxSAT solver calls of the whole run.
 	OracleCalls int64
@@ -211,13 +194,6 @@ type Engine struct {
 	grpCls       [2]cnf.Clause
 	dirty        map[cnf.Var]bool // candidates changed since last encode
 
-	// Batched repair verification (see repair.go): the lazily built
-	// ϕ-loaded slot solvers, the probe array reused across batches, and the
-	// per-slot probe index lists.
-	slotSolvers [repairSlots]*sat.Solver
-	probes      []repairProbe
-	slotIdxs    [repairSlots][]int
-
 	// Engine-owned verify-repair scratch, reused across rounds so the hot
 	// loop stops allocating: the repackaged verify model, the persistent
 	// counterexample σ buffers, and the repair/FindCandi working sets
@@ -228,8 +204,10 @@ type Engine struct {
 	scrAssumps []cnf.Lit
 	scrQueue   []cnf.Var // repair queue backing; grows with blame appends
 	scrInQueue []bool    // indexed by var: queue membership
-	scrMark    []bool    // indexed by var: Ŷ / batch membership scratch
-	scrCore    []cnf.Lit // patchRow's failed-assumption core
+	scrMark    []bool    // indexed by var: Ŷ membership scratch
+	scrGk      []cnf.Lit // Gk's assumptions
+	scrYHat    []cnf.Var // Ŷ of the candidate under repair
+	scrCore    []cnf.Lit // Gk's or patchRow's failed-assumption core
 	scrSupport []cnf.Var
 	scrEval    cnf.Assignment // evalAtSigma's σ[X] ∪ σ[Y] view
 	scrSofts   []maxsat.Soft
@@ -256,7 +234,7 @@ type Engine struct {
 
 	// extraOracle counts solver calls outside the persistent solvers: the
 	// tautology check's fresh solver, pooled preprocessing queries (merged
-	// from workers), batched repair probes, and the sampler's draws.
+	// from workers), and the sampler's draws.
 	extraOracle int64
 
 	stats Stats
@@ -800,11 +778,4 @@ func (e *Engine) recordUse(yi, yk cnf.Var) {
 			e.up[d][t] = true
 		}
 	}
-}
-
-// sortedExist returns existentials sorted by Order position.
-func (e *Engine) sortedExist() []cnf.Var {
-	out := append([]cnf.Var(nil), e.in.Exist...)
-	sort.Slice(out, func(i, j int) bool { return e.orderIdx[out[i]] < e.orderIdx[out[j]] })
-	return out
 }

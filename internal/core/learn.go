@@ -35,27 +35,13 @@ func (e *Engine) samplePhase() error {
 }
 
 // learnPhase is the candidate-learning phase (Algorithm 1 lines 3-7 and
-// Algorithm 2) over the sample phase's packed Σ.
-//
-// Decision-tree learning is the expensive part and, given the samples and a
-// snapshot of the dependency matrix, each existential's tree is independent
-// of the others, so the trees are learned speculatively through
-// oracle.ForEach (Options.LearnWorkers). Every learner reads the same packed
-// Σ and owns only its tree's scratch. The deps/recordUse bookkeeping is
-// NOT independent — in the serial algorithm, the tree learned for y1 bans y1
-// as a feature for later trees that would close a reference cycle — so the
-// learned trees are merged back sequentially in declaration order: a tree
-// that references a feature banned by an earlier merge is relearned
-// serially against the current matrix (Stats.LearnConflicts counts these).
-// Because the parallel phase depends only on the snapshot and the merge
-// only on declaration order, the resulting candidates are bit-identical for
-// every worker count. With one worker there is nothing to speculate on: each
-// tree is learned against the current matrix right before its merge. That
-// gives the same trees, because the current matrix drops only features the
-// snapshot offered, and dropping a feature a tree never splits on cannot
-// change the tree under dtree's first-wins rule; a tree that did split on
-// one is the tree the merge relearns anyway. On sat2dqbf, whose constants
-// take each other as features, most speculative trees were relearned.
+// Algorithm 2) over the sample phase's packed Σ. It learns one tree per
+// open existential, in declaration order, each against the current
+// dependency matrix and merged right after it is learned: in the serial
+// algorithm the tree learned for y1 bans y1 as a feature for later trees
+// that would close a reference cycle. The loop runs through oracle.ForEach
+// with one worker, inline, so the context is checked before each tree and a
+// panic fails the run with ErrInternal.
 func (e *Engine) learnPhase() error {
 	// Lines 3-5: dependency constraints from strict subset relations — if
 	// Hj ⊂ Hi then yi may depend on yj, so preemptively record yi ∈ d_j,
@@ -71,9 +57,7 @@ func (e *Engine) learnPhase() error {
 		}
 	}
 
-	// Line 7: learn a candidate per existential. The worker pool reads the
-	// engine (Σ, instance, dependency matrix) strictly read-only; all
-	// mutation happens in the sequential merge below.
+	// Line 7: learn a candidate per existential.
 	todo := make([]cnf.Var, 0, len(e.in.Exist))
 	for _, yi := range e.in.Exist {
 		if e.fixed[yi] {
@@ -81,31 +65,11 @@ func (e *Engine) learnPhase() error {
 		}
 		todo = append(todo, yi)
 	}
-	if oracle.Workers(e.opts.LearnWorkers, len(todo)) == 1 {
-		// One worker learns each tree against the current matrix right before
-		// merging it, so no tree is learned twice. ForEach runs it inline, in
-		// index order.
-		err := oracle.ForEach(e.ctx, 1, len(todo), func(i int) error {
-			lt, err := e.learnTree(todo[i])
-			if err != nil {
-				return fmt.Errorf("%w: learning candidate for %d: %w", ErrInternal, todo[i], err)
-			}
-			return e.mergeCandidate(todo[i], lt)
-		})
-		if err != nil {
-			return e.workerErr("learn", err)
-		}
-	} else {
-		learned, err := e.learnTrees(todo)
-		if err != nil {
-			return err
-		}
-		// Deterministic merge in declaration order.
-		for i, yi := range todo {
-			if err := e.mergeCandidate(yi, learned[i]); err != nil {
-				return err
-			}
-		}
+	err := oracle.ForEach(e.ctx, 1, len(todo), func(i int) error {
+		return e.learnCandidate(todo[i])
+	})
+	if err != nil {
+		return e.workerErr("learn", err)
 	}
 	e.sigma = sampleMatrix{} // Σ is dead after learning; free it before verify-repair
 	e.findOrder()
@@ -201,33 +165,6 @@ func (m *sampleMatrix) col(v cnf.Var) []uint64 {
 	return m.bits[k*m.stride : (k+1)*m.stride : (k+1)*m.stride]
 }
 
-// learnedTree is the output of the speculative learning phase for one
-// existential: either a decision tree over feats, or (when the feature set
-// is empty) the majority-label constant.
-type learnedTree struct {
-	feats    []cnf.Var
-	tree     *dtree.Tree // nil → constant candidate
-	constVal bool
-}
-
-// learnTrees learns a candidate tree for every variable of todo through
-// oracle.ForEach with Options.LearnWorkers workers. Workers only read shared
-// state; results land at their own index, so the output is independent of
-// scheduling.
-func (e *Engine) learnTrees(todo []cnf.Var) ([]learnedTree, error) {
-	out := make([]learnedTree, len(todo))
-	err := oracle.ForEach(e.ctx, e.opts.LearnWorkers, len(todo), func(i int) (err error) {
-		if out[i], err = e.learnTree(todo[i]); err != nil {
-			return fmt.Errorf("%w: learning candidate for %d: %w", ErrInternal, todo[i], err)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, e.workerErr("learn", err)
-	}
-	return out, nil
-}
-
 // featuresFor computes Algorithm 2's feature set for yi against the CURRENT
 // dependency matrix: Hi ∪ {yj : Hj ⊆ Hi, yj ∉ d_i ∪ {yi}}.
 func (e *Engine) featuresFor(yi cnf.Var) []cnf.Var {
@@ -248,20 +185,22 @@ func (e *Engine) featuresFor(yi cnf.Var) []cnf.Var {
 	return featset
 }
 
-// learnTree learns one candidate tree for yi over featuresFor(yi), on the
-// columns of packed Σ: the features' columns and yi's as the labels. A shape
-// error from dtree means core packed Σ wrong, so callers classify it as
-// ErrInternal.
-func (e *Engine) learnTree(yi cnf.Var) (learnedTree, error) {
+// learnCandidate learns yi's candidate over featuresFor(yi), on the columns
+// of packed Σ: the features' columns and yi's as the labels. It installs
+// the tree's 1-labeled paths as fi and updates the dependency bookkeeping D
+// through recordUse (Algorithm 2 lines 8-12); with no features, fi is the
+// majority label. A shape error from dtree means core packed Σ wrong, so it
+// is ErrInternal.
+func (e *Engine) learnCandidate(yi cnf.Var) error {
 	featset := e.featuresFor(yi)
 	labels := e.sigma.col(yi)
 	if len(featset) == 0 {
-		// No features: learn the majority label as a constant.
 		pos := 0
 		for _, w := range labels {
 			pos += bits.OnesCount64(w)
 		}
-		return learnedTree{constVal: pos*2 >= e.sigma.n}, nil
+		e.setFunc(yi, e.b.Const(pos*2 >= e.sigma.n))
+		return nil
 	}
 	ds := &dtree.Dataset{
 		Features: featset,
@@ -274,54 +213,20 @@ func (e *Engine) learnTree(yi cnf.Var) (learnedTree, error) {
 	}
 	tree, err := dtree.Learn(ds, dtree.Options{MaxDepth: e.opts.treeMaxDepth})
 	if err != nil {
-		return learnedTree{}, err
-	}
-	return learnedTree{feats: featset, tree: tree}, nil
-}
-
-// mergeCandidate installs one speculatively-learned tree (Algorithm 2 lines
-// 8-12): convert the 1-labeled paths to a candidate function and update the
-// dependency bookkeeping D through recordUse. If the tree references a
-// feature that an earlier merge banned (using it now would close a reference
-// cycle), the tree is relearned serially against the current dependency
-// matrix first — the one spot where speculative parallelism and the serial
-// semantics can disagree.
-func (e *Engine) mergeCandidate(yi cnf.Var, lt learnedTree) error {
-	var used []cnf.Var
-	if lt.tree != nil {
-		used = lt.tree.AppendUsedFeatures(e.scrSupport[:0])
-		for _, yk := range used {
-			if e.in.IsExist(yk) && e.deps[yi][yk] {
-				e.stats.LearnConflicts++
-				relearned, err := e.learnTree(yi)
-				if err != nil {
-					return fmt.Errorf("%w: relearning candidate for %d: %w", ErrInternal, yi, err)
-				}
-				lt = relearned
-				if lt.tree != nil {
-					used = lt.tree.AppendUsedFeatures(used[:0])
-				}
-				break
-			}
-		}
-		e.scrSupport = used
-	}
-	if lt.tree == nil {
-		e.setFunc(yi, e.b.Const(lt.constVal))
-		return nil
+		return fmt.Errorf("%w: learning candidate for %d: %w", ErrInternal, yi, err)
 	}
 	if e.opts.Logf != nil {
-		e.tracef("decision tree for y%d (features %v):\n%s", yi, lt.feats, lt.tree)
+		e.tracef("decision tree for y%d (features %v):\n%s", yi, featset, tree)
 	}
-	f := lt.tree.ToFunc(e.b)
+	f := tree.ToFunc(e.b)
 	// Lines 11-12: every yk used by the tree gains yi (and everything
 	// that depends on yi) as dependents; recordUse keeps the closure
-	// transitive so later merges cannot close a reference cycle.
-	for _, yk := range used {
-		if !e.in.IsExist(yk) {
-			continue
+	// transitive so later trees cannot close a reference cycle.
+	e.scrSupport = tree.AppendUsedFeatures(e.scrSupport[:0])
+	for _, yk := range e.scrSupport {
+		if e.in.IsExist(yk) {
+			e.recordUse(yi, yk)
 		}
-		e.recordUse(yi, yk)
 	}
 	e.setFunc(yi, f)
 	return nil

@@ -19,10 +19,8 @@ import (
 
 // plantedChainInstance builds a True instance with nY existentials over nX
 // universals where every dependency set is the full universal block and ϕ
-// asserts Y ↔ planted functions chained through Tseitin auxiliaries — equal
-// dependency sets force heavy Y-as-feature learning, the regime where the
-// speculative parallel learn phase can disagree with the serial semantics
-// and the merge's relearn path matters.
+// asserts Y ↔ planted functions chained through Tseitin auxiliaries. The
+// preprocess phase's gate definitions take the auxiliaries.
 func plantedChainInstance(seed int64, nX, nY int) *dqbf.Instance {
 	rng := rand.New(rand.NewSource(seed))
 	in := dqbf.NewInstance()
@@ -74,11 +72,10 @@ func plantedChainInstance(seed int64, nX, nY int) *dqbf.Instance {
 
 // outcomeFingerprint renders a synthesis outcome under the given Options as
 // a comparable string: the full certificate on success (bit-identical
-// functions ⇒ identical certificates) plus every stat the parallel phases
-// influence — including the preprocessing verdicts, total oracle calls, and
-// the per-phase call counts — or the error text on failure. It leaves out
-// Stats.LearnConflicts, which counts discarded speculative trees and so
-// reads 0 with one learn worker whatever it reads with more.
+// functions ⇒ identical certificates) plus every stat the parallel
+// preprocessing phase could influence — including the preprocessing
+// verdicts, total oracle calls, and the per-phase call counts — or the
+// error text on failure.
 func outcomeFingerprint(t *testing.T, in *dqbf.Instance, opts Options) string {
 	t.Helper()
 	res, err := Synthesize(context.Background(), in, opts)
@@ -92,68 +89,18 @@ func outcomeFingerprint(t *testing.T, in *dqbf.Instance, opts Options) string {
 	if err := dqbf.WriteCertificate(&sb, res.Vector); err != nil {
 		t.Fatalf("opts=%+v: certificate: %v", opts, err)
 	}
-	fmt.Fprintf(&sb, "stats: samples=%d verify=%d repairs=%d rowRepairs=%d learnConflicts=%d unates=%d defined=%d oracle=%d\n",
+	fmt.Fprintf(&sb, "stats: samples=%d verify=%d repairs=%d rowRepairs=%d unates=%d defined=%d oracle=%d\n",
 		res.Stats.Samples, res.Stats.VerifyCalls, res.Stats.CandidatesRepaired, res.Stats.RowRepairs,
-		res.Stats.LearnConflicts, res.Stats.UnatesDetected, res.Stats.DefinedVars, res.Stats.OracleCalls)
+		res.Stats.UnatesDetected, res.Stats.DefinedVars, res.Stats.OracleCalls)
 	for _, p := range res.Stats.Phases {
 		fmt.Fprintf(&sb, "phase %s: %d oracle calls\n", p.Name, p.OracleCalls)
 	}
 	return sb.String()
 }
 
-// TestParallelLearnDeterministic asserts the headline property of the
-// parallel learn phase: for a fixed seed, the synthesized Skolem/Henkin
-// functions are bit-identical regardless of the worker count. One worker
-// learns each tree against the current dependency matrix, so it discards
-// no tree (Stats.LearnConflicts is 0) and still matches the speculative
-// learning of several workers.
-func TestParallelLearnDeterministic(t *testing.T) {
-	instances := map[string]*dqbf.Instance{
-		"paper":    paperExample(),
-		"chain-a":  plantedChainInstance(3, 4, 5),
-		"chain-b":  plantedChainInstance(11, 3, 8),
-		"wide-dep": plantedChainInstance(23, 5, 3),
-	}
-	workerCounts := []int{1, 2, 3, runtime.NumCPU()}
-	for name, in := range instances {
-		res, err := Synthesize(context.Background(), in, Options{Seed: 7, LearnWorkers: 1})
-		if err == nil && res.Stats.LearnConflicts != 0 {
-			t.Fatalf("%s: one learn worker discarded %d trees, want 0", name, res.Stats.LearnConflicts)
-		}
-		want := outcomeFingerprint(t, in, Options{Seed: 7, LearnWorkers: workerCounts[0]})
-		for _, w := range workerCounts[1:] {
-			if got := outcomeFingerprint(t, in, Options{Seed: 7, LearnWorkers: w}); got != want {
-				t.Fatalf("%s: workers=%d diverges from workers=%d:\n--- want ---\n%s\n--- got ---\n%s",
-					name, w, workerCounts[0], want, got)
-			}
-		}
-	}
-
-	// Gate definitions fix every existential of the chains above, so they
-	// learn nothing. sat2dqbf-004-h5's constants take each other as features,
-	// so speculative trees there use features an earlier merge banned; its
-	// runs stop incomplete, so the learned candidates are compared directly.
-	in := gen.Generate(gen.FamilySAT2DQBF, 4, 1).DQBF
-	want, conflicts := learnedFunctions(t, in, Options{Seed: 7, LearnWorkers: workerCounts[0]})
-	if conflicts != 0 {
-		t.Fatalf("sat2dqbf-004-h5: one learn worker discarded %d trees, want 0", conflicts)
-	}
-	relearned := 0
-	for _, w := range workerCounts[1:] {
-		got, conflicts := learnedFunctions(t, in, Options{Seed: 7, LearnWorkers: w})
-		if got != want {
-			t.Fatalf("sat2dqbf-004-h5: workers=%d learns other candidates than one worker:\n--- want ---\n%s\n--- got ---\n%s", w, want, got)
-		}
-		relearned += conflicts
-	}
-	if relearned == 0 {
-		t.Fatal("sat2dqbf-004-h5: no speculative tree was relearned; the merge's relearn path went unchecked")
-	}
-}
-
 // learnedFunctions runs the phases up to learning and renders every
-// candidate in declaration order, with the run's Stats.LearnConflicts.
-func learnedFunctions(t *testing.T, in *dqbf.Instance, opts Options) (string, int) {
+// candidate in declaration order.
+func learnedFunctions(t *testing.T, in *dqbf.Instance, opts Options) string {
 	t.Helper()
 	e := newEngine(context.Background(), in, opts.withDefaults())
 	for _, phase := range []func() error{e.preprocess, e.samplePhase, e.learnPhase} {
@@ -165,7 +112,7 @@ func learnedFunctions(t *testing.T, in *dqbf.Instance, opts Options) (string, in
 	for _, y := range in.Exist {
 		fmt.Fprintf(&sb, "y%d := %s\n", y, e.b.String(e.funcs[y]))
 	}
-	return sb.String(), e.stats.LearnConflicts
+	return sb.String()
 }
 
 // preprocHeavyInstance builds a True instance whose existentials exercise
@@ -226,7 +173,9 @@ func fixedFunctions(t *testing.T, in *dqbf.Instance, opts Options) string {
 // parallel preprocessing phase: for a fixed seed, the fixed set, the
 // synthesized constants and gate definitions, the preprocessing
 // statistics, and the final functions are bit-identical for every
-// PreprocWorkers count.
+// PreprocWorkers count. It holds them so on learn-heavy and repair-heavy
+// runs too, since the learn and verify-repair phases that follow read
+// what preprocessing fixed.
 func TestParallelPreprocessDeterministic(t *testing.T) {
 	// Sanity-check the crafted instance actually exercises the semantic
 	// preprocessing paths (otherwise the determinism claim is vacuous).
@@ -251,25 +200,55 @@ func TestParallelPreprocessDeterministic(t *testing.T) {
 		t.Fatalf("equiv-030-h1 defines no gate: %v", err)
 	}
 
-	instances := map[string]*dqbf.Instance{
-		"preproc-heavy": preprocHeavyInstance(),
-		"paper":         paperExample(),
-		"chain":         plantedChainInstance(3, 4, 5),
-		"chain-b":       plantedChainInstance(11, 3, 8),
-		"equiv-030-h1":  equiv,
+	// Eight samples and stumps leave most of the work to verify-repair,
+	// where controller-008-h4 patches rows from Gk with all of X pinned.
+	defaults := Options{Seed: 7}
+	repairHeavy := Options{Seed: 7, numSamples: 8, treeMaxDepth: 1}
+	controller := gen.Generate(gen.FamilyController, 8, 1)
+	cases := []struct {
+		name string
+		in   *dqbf.Instance
+		opts Options
+	}{
+		{"preproc-heavy", preprocHeavyInstance(), defaults},
+		{"paper", paperExample(), defaults},
+		{"chain", plantedChainInstance(3, 4, 5), defaults},
+		{"chain-b", plantedChainInstance(11, 3, 8), defaults},
+		{"wide-dep", plantedChainInstance(23, 5, 3), defaults},
+		{"equiv-030-h1", equiv, defaults},
+		{"four-block/repair-heavy", blockParityInstance(4, 4), repairHeavy},
+		{"parity/repair-heavy", parityInstance(5), repairHeavy},
+		{"paper/repair-heavy", paperExample(), repairHeavy},
+		{"chain/repair-heavy", plantedChainInstance(3, 4, 5), repairHeavy},
+		{controller.Name + "/repair-heavy", controller.DQBF, repairHeavy},
 	}
 	workerCounts := []int{1, 2, 3, runtime.NumCPU()}
-	for name, in := range instances {
+	for _, c := range cases {
 		fingerprint := func(w int) string {
-			opts := Options{Seed: 7, PreprocWorkers: w}
-			return fixedFunctions(t, in, opts) + outcomeFingerprint(t, in, opts)
+			opts := c.opts
+			opts.PreprocWorkers = w
+			return fixedFunctions(t, c.in, opts) + outcomeFingerprint(t, c.in, opts)
 		}
 		want := fingerprint(workerCounts[0])
 		for _, w := range workerCounts[1:] {
 			if got := fingerprint(w); got != want {
 				t.Fatalf("%s: pp-workers=%d diverges from pp-workers=%d:\n--- want ---\n%s\n--- got ---\n%s",
-					name, w, workerCounts[0], want, got)
+					c.name, w, workerCounts[0], want, got)
 			}
+		}
+	}
+
+	// Gate definitions fix every existential of the chains above, so they
+	// learn nothing. sat2dqbf-004-h5's constants take each other as
+	// features, so each of its trees depends on the trees merged before it;
+	// its runs stop incomplete, so the learned candidates are compared
+	// directly.
+	sat2dqbf := gen.Generate(gen.FamilySAT2DQBF, 4, 1).DQBF
+	want := learnedFunctions(t, sat2dqbf, Options{Seed: 7, PreprocWorkers: workerCounts[0]})
+	for _, w := range workerCounts[1:] {
+		if got := learnedFunctions(t, sat2dqbf, Options{Seed: 7, PreprocWorkers: w}); got != want {
+			t.Fatalf("sat2dqbf-004-h5: pp-workers=%d learns other candidates than pp-workers=%d:\n--- want ---\n%s\n--- got ---\n%s",
+				w, workerCounts[0], want, got)
 		}
 	}
 }

@@ -16,9 +16,7 @@ func init() {
 		func(ctx context.Context, in *dqbf.Instance, opts backend.Options) (*backend.Result, error) {
 			res, err := Synthesize(ctx, in, Options{
 				Seed:              opts.Seed,
-				LearnWorkers:      opts.Workers,
 				PreprocWorkers:    opts.PreprocWorkers,
-				VerifyWorkers:     opts.VerifyWorkers,
 				SATConflictBudget: opts.SATConflictBudget,
 				Logf:              opts.Logf,
 			})
@@ -30,11 +28,10 @@ func init() {
 				res.Stats.CandidatesRepaired, res.Stats.RowRepairs, res.Stats.RowOscillations,
 				res.Stats.UnatesDetected, res.Stats.DefinedVars, res.Stats.OracleCalls)
 			if opts.Logf != nil {
-				// Verbose runs also report the solvers the pools built and the
-				// aggregated SAT-solver counters: conflicts, restarts, learnt
-				// tiers and glue.
-				stats += fmt.Sprintf("; pools: %d preproc built, %d repair built",
-					res.Stats.PreprocSolversBuilt, res.Stats.RepairSolversBuilt)
+				// Verbose runs also report the solvers the preprocessing pool
+				// built and the aggregated SAT-solver counters: conflicts,
+				// restarts, learnt tiers and glue.
+				stats += fmt.Sprintf("; pools: %d preproc built", res.Stats.PreprocSolversBuilt)
 				ss := res.Stats.SAT
 				avgGlue := 0.0
 				if ss.LearntClauses > 0 {

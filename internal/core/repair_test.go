@@ -7,6 +7,7 @@ import (
 	"repro/internal/boolfunc"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
+	"repro/internal/gen"
 	"repro/internal/sat"
 )
 
@@ -161,13 +162,40 @@ func TestVerifySolverPersistent(t *testing.T) {
 	}
 }
 
+// TestVerifyRepairAllocBudget pins the zero-alloc verify–repair acceptance
+// bar as a plain test: a full repair-heavy synthesis run must stay under
+// 2,000 heap allocations — the arena-backed function DAG and the
+// engine-owned repair scratch together brought it down from ~10,700, and
+// this guard keeps incidental per-round allocations from creeping back in.
+func TestVerifyRepairAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; guard runs in the non-race pass")
+	}
+	if testing.Short() {
+		t.Skip("multi-run synthesis guard is not short")
+	}
+	in := parityInstance(5)
+	opts := repairHeavyOptions(1)
+	run := func() {
+		if _, err := Synthesize(context.Background(), in, opts); err != nil {
+			t.Fatalf("Synthesize: %v", err)
+		}
+	}
+	run() // warm-up, mirroring the benchmark's sanity run
+	if avg := testing.AllocsPerRun(5, run); avg >= 2000 {
+		t.Fatalf("verify–repair synthesis allocates %.0f objects per run, want < 2000", avg)
+	}
+}
+
 // TestRowRepairGeneralizes runs the verify-repair loop from hand-set
 // candidates on two instances whose Gk is satisfiable at every
 // counterexample only because a universal outside Hk, h, excuses the
 // candidate's output. The row repair's Gk with all of X pinned is UNSAT,
 // and its core, less h, patches the whole cube it names at once: a repair
 // of one full row σ[Hk] per round would take four rounds on the first
-// instance and, since blame queues y2 on the second, none at all there.
+// instance and, since blame queues y2 on the second, none at all there. A
+// third subtest requires a whole run on a generated controller to patch
+// rows.
 func TestRowRepairGeneralizes(t *testing.T) {
 	verifyRepairFrom := func(t *testing.T, in *dqbf.Instance, set func(b *boolfunc.Builder) map[cnf.Var]boolfunc.Node) *Engine {
 		t.Helper()
@@ -220,6 +248,21 @@ func TestRowRepairGeneralizes(t *testing.T) {
 		})
 		if e.funcs[3] != e.b.Var(1) || e.funcs[4] != e.b.Var(2) {
 			t.Fatalf("f1 = %s, f2 = %s; want x1 and h", e.b.String(e.funcs[3]), e.b.String(e.funcs[4]))
+		}
+	})
+
+	t.Run("controller-008-h4", func(t *testing.T) {
+		// The controller's escape circuit reads universals outside the
+		// control bits' dependency sets, so Gk is satisfiable at most
+		// counterexamples; from eight samples and stumps the run answers
+		// through row repairs.
+		in := gen.Generate(gen.FamilyController, 8, 1).DQBF
+		res, err := Synthesize(context.Background(), in, Options{Seed: 7, numSamples: 8, treeMaxDepth: 1})
+		if err != nil {
+			t.Fatalf("Synthesize: %v", err)
+		}
+		if res.Stats.RowRepairs == 0 {
+			t.Fatalf("no row repair: %+v", res.Stats)
 		}
 	})
 }

@@ -499,10 +499,10 @@ func sampledSigma(tb testing.TB, in *dqbf.Instance, seed int64) []cnf.Assignment
 	return samples
 }
 
-// speculativeFeatures returns H(y) ∪ {y′ ≠ y : H(y′) ⊆ H(y)}, the features
-// core's speculative learn pass gives y before any merge ban (when
-// preprocessing fixed no existential).
-func speculativeFeatures(in *dqbf.Instance, y cnf.Var) []cnf.Var {
+// allFeatures returns H(y) ∪ {y′ ≠ y : H(y′) ⊆ H(y)}, the features core's
+// learn phase offers y while no earlier tree has banned one and
+// preprocessing has fixed no existential.
+func allFeatures(in *dqbf.Instance, y cnf.Var) []cnf.Var {
 	feats := append([]cnf.Var(nil), in.DepSet(y)...)
 	for _, y2 := range in.Exist {
 		if y2 != y && in.SubsetDeps(y2, y) {
@@ -538,8 +538,8 @@ func TestLearnMatchesReference(t *testing.T) {
 			checkMatchesReference(t, fmt.Sprintf("random n=%d trial %d", n, trial), r, opts)
 		}
 	}
-	// Real Σ: one tree per existential over its speculative features,
-	// unbounded like core's trees.
+	// Real Σ: one tree per existential over all its features, unbounded
+	// like core's trees.
 	trees, leaves := 0, 0
 	for _, fam := range []gen.Family{gen.FamilySAT2DQBF, gen.FamilyController, gen.FamilyEquiv} {
 		for idx := 0; idx < 5; idx++ {
@@ -547,7 +547,7 @@ func TestLearnMatchesReference(t *testing.T) {
 			in := named.DQBF
 			samples := sampledSigma(t, in, 1)
 			for _, y := range in.Exist {
-				feats := speculativeFeatures(in, y)
+				feats := allFeatures(in, y)
 				if len(feats) == 0 {
 					continue
 				}

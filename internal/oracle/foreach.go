@@ -41,10 +41,13 @@ func Workers(requested, n int) int {
 //     error wrapping ErrPanic.
 //
 // fn runs concurrently with itself for distinct indices, so it may write
-// only state owned by its index and must read shared state read-only.
-// Results that depend on which solver answers a query (UNSAT cores,
-// models) stay deterministic when the caller binds items to solvers by
-// index, as the batched repair probes of internal/core do.
+// only state owned by its index and must read shared state read-only;
+// called with one worker, as the manthan3 learn loop is, it may also write
+// shared state. Results that depend on which solver answers a query (UNSAT
+// cores, models) are deterministic only when the caller binds items to
+// solvers by index; a solver checked out of a Pool answers whichever item
+// asks first, so the manthan3 preprocessing phase asks its pooled solvers
+// only for SAT/UNSAT facts.
 func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	workers = Workers(workers, n)
 	if workers == 1 {

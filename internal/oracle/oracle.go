@@ -2,9 +2,9 @@
 // one panic-isolated worker loop, and Pool, a checkout pool of
 // identically-built SAT solvers.
 //
-// ForEach runs independent per-item work — the manthan3 preprocessing,
-// learning and batched repair-probe phases — on a bounded number of
-// goroutines, inline when there is one worker. It claims
+// ForEach runs independent per-item work — the manthan3 preprocessing
+// phase's unate checks, and its learn loop inline on one worker — on a
+// bounded number of goroutines, inline when there is one worker. It claims
 // items in index order, recovers a worker's panic as an error wrapping
 // ErrPanic, and returns the lowest-indexed failure, so callers that write
 // results at their item's index and merge them serially get the same

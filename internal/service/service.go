@@ -78,10 +78,14 @@ type Config struct {
 	// resolve; they get (and are gated by) breakers of their own.
 	Fallbacks map[string]string
 
-	// Engine pass-throughs (see backend.Options).
-	Workers        int
+	// PreprocWorkers is the engine pass-through of
+	// backend.Options.PreprocWorkers.
 	PreprocWorkers int
-	VerifyWorkers  int
+	// Workers and VerifyWorkers are ignored, since manthan3 learns and
+	// repairs serially. They stay only because the benchmark module
+	// (perfbench) sets them.
+	Workers       int
+	VerifyWorkers int
 
 	// VerifyConflictBudget bounds each response verification; 0 means
 	// DefaultVerifyConflictBudget, negative disables verification (trust
@@ -464,9 +468,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		be:   be,
 		opts: backend.Options{
 			Seed:              seed,
-			Workers:           s.cfg.Workers,
 			PreprocWorkers:    s.cfg.PreprocWorkers,
-			VerifyWorkers:     s.cfg.VerifyWorkers,
 			SATConflictBudget: budget,
 		},
 		result: make(chan *Response, 1),
