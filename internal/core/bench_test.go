@@ -189,3 +189,31 @@ func BenchmarkSamplePhase(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPreprocess times the preprocess phase alone, with one worker, on
+// two gen seed 1 instances: sat2dqbf-004-h5, whose unate checks all answer
+// not unate, and controller-003-h4. Each round preprocesses a fresh engine;
+// building it, which loads ϕ into the run's ϕ-solver, is not timed.
+func BenchmarkPreprocess(b *testing.B) {
+	for _, c := range []struct {
+		fam gen.Family
+		idx int
+	}{{gen.FamilySAT2DQBF, 4}, {gen.FamilyController, 3}} {
+		named := gen.Generate(c.fam, c.idx, 1)
+		opts := Options{Seed: 1, PreprocWorkers: 1}.withDefaults()
+		b.Run(named.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			// A b.N loop: Go 1.24's b.Loop measures its time budget from the
+			// last StartTimer, so with the timer stopped each round it never
+			// ends.
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e := newEngine(context.Background(), named.DQBF, opts)
+				b.StartTimer()
+				if err := e.preprocess(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

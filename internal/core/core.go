@@ -8,18 +8,18 @@
 // the same decomposition the paper's evaluation (§6) uses to report where
 // time goes:
 //
-//	preprocess    unate detection: a syntactic pass over the clauses,
-//	              then one semantic check per existential it left, run
-//	              through oracle.ForEach (Options.PreprocWorkers) over an
-//	              oracle.Pool of solvers loaded with one selector-guarded
-//	              two-copy encoding (ϕ ∧ ¬ϕ with primed existentials), so
-//	              per-existential queries are assumption calls instead of
-//	              fresh formula constructions; a constant of ϕ is unate, so
-//	              the checks find every one. Then, serially and with no SAT
-//	              call, gate definitions: an existential that ϕ's clauses
-//	              over it and at most three other variables define gets that
-//	              gate as its function, and like the unates it is skipped by
-//	              learning and repair;
+//	preprocess    unate detection: a syntactic pass over ϕ's literal
+//	              occurrences, then semantic checks for the existentials it
+//	              left, run through oracle.ForEach (Options.PreprocWorkers)
+//	              over an oracle.Pool of ϕ-loaded solvers: the positive
+//	              check asks, for each clause holding ¬y, whether a model of
+//	              ϕ makes ¬y its only true literal (the negative check, the
+//	              same for y), each an assumption query on ϕ alone; a
+//	              constant of ϕ is unate, so the checks find every one.
+//	              Then, serially and with no SAT call, gate definitions: an
+//	              existential that ϕ's clauses over it and at most three
+//	              other variables define gets that gate as its function, and
+//	              like the unates it is skipped by learning and repair;
 //	sample        constrained sampling of ϕ for the training set Σ,
 //	              packed once into one bitset column per variable of X ∪ Y;
 //	              the sampler is handed preprocessing's unate constants and
@@ -63,10 +63,11 @@
 //     extension, the Gk repair queries with their UNSAT cores, and the row
 //     repair's Gk with all of X pinned).
 //
-//   - The preprocessing phase checks out solvers loaded with its unate
-//     check formula from an oracle.Pool sized to its worker count, so a
-//     thousand per-existential queries cost at most PreprocWorkers formula
-//     loads (Stats.PreprocSolversBuilt).
+//   - The preprocessing phase checks out ϕ-loaded solvers of its own from
+//     an oracle.Pool sized to its worker count, so a thousand unate queries
+//     cost at most PreprocWorkers loads of ϕ (Stats.PreprocSolversBuilt).
+//     They leave phiSolver alone: repair reads its learnt clauses and saved
+//     phases, so a query there would move certificates.
 //
 //   - verifySolver holds ¬ϕ(X,Y′) permanently, the Tseitin definitions of
 //     every candidate-DAG node encoded exactly once through a persistent

@@ -607,10 +607,10 @@ func (e *Engine) buildVerifySolver() {
 	clear(e.dirty)
 }
 
-// addNegatedCopy adds ¬ϕ(X,Y′) to f: it allocates from f a primed copy y′
-// of every existential y, in declaration order, renames Y to Y′ in the
-// matrix and adds the negation with its selectors (cnf.NegationInto). It
-// returns the renaming Y → Y′.
+// addNegatedCopy adds ¬ϕ(X,Y′), the static part of the verification solver,
+// to f: it allocates from f a primed copy y′ of every existential y, in
+// declaration order, renames Y to Y′ in the matrix and adds the negation
+// with its selectors (cnf.NegationInto). It returns the renaming Y → Y′.
 func (e *Engine) addNegatedCopy(f *cnf.Formula) map[cnf.Var]cnf.Var {
 	prime := make(map[cnf.Var]cnf.Var, len(e.in.Exist))
 	for _, y := range e.in.Exist {

@@ -34,16 +34,21 @@ import (
 // interpolation-based UNIQUE tool); this reproduction finds only the local
 // gates, with no SAT call.
 //
-// The phase runs in three steps: a syntactic unate pass over the clause
-// list, one semantic unate check per existential it left, and the gate
-// definitions. The unate checks of one existential are independent of
-// every other's, so they run through oracle.ForEach
-// (Options.PreprocWorkers), borrowing solvers from an oracle.Pool sized to
-// the worker count and loaded with one shared assumption-driven check
-// formula — ϕ(X,Y) ∧ ¬ϕ(X,Y″) with per-existential equality selectors —
-// built once per run instead of re-encoding cofactors into a fresh solver
-// per check. Workers only compute; the results are merged — setFunc, the
-// fixed set, the stats counters — strictly in declaration order, so the
+// The phase runs in three steps: a syntactic unate pass over ϕ's literal
+// occurrences, semantic unate checks for the existentials it left, and the
+// gate definitions. The two cofactors of a semantic check share every
+// variable but y, so the check needs one copy of ϕ: ϕ[y:=0] ∧ ¬ϕ[y:=1] is
+// satisfiable exactly when some model of ϕ with y = 0 makes ¬y the only
+// true literal of a clause C that holds ¬y and not y. The positive check
+// therefore asks ϕ ∧ ¬y ∧ ¬(C∖{¬y}) for each such C, in clause order, and
+// stops at the first Sat; y is positive unate when every query is UNSAT.
+// The negative check is the mirror image. The checks of one existential
+// are independent of every other's, so they run through oracle.ForEach
+// (Options.PreprocWorkers) on ϕ-loaded solvers borrowed from an oracle.Pool
+// sized to the worker count. None runs on the run's ϕ-solver: repair reads
+// its learnt clauses and saved phases, so a query there would move
+// certificates. Workers only compute; the results are merged — setFunc,
+// the fixed set, the stats counters — strictly in declaration order, so the
 // outcome is bit-identical for every worker count
 // (TestParallelPreprocessDeterministic).
 
@@ -60,22 +65,12 @@ func (e *Engine) preprocess() error {
 	// Syntactic unate fast path: a y that never occurs negated in the CNF is
 	// positive unate (flipping it to 1 can only satisfy more clauses), and
 	// symmetrically for never-positive occurrences.
-	posOcc := make(map[cnf.Var]bool)
-	negOcc := make(map[cnf.Var]bool)
-	for _, c := range e.in.Matrix.Clauses {
-		for _, l := range c {
-			if l.IsPos() {
-				posOcc[l.Var()] = true
-			} else {
-				negOcc[l.Var()] = true
-			}
-		}
-	}
+	occ := newLitOcc(e.in.Matrix)
 	for _, y := range e.in.Exist {
 		switch {
-		case !negOcc[y]:
+		case len(occ.of(cnf.NegLit(y))) == 0:
 			e.fixUnate(y, true)
-		case !posOcc[y]:
+		case len(occ.of(cnf.PosLit(y))) == 0:
 			e.fixUnate(y, false)
 		}
 	}
@@ -86,36 +81,37 @@ func (e *Engine) preprocess() error {
 			todo = append(todo, y)
 		}
 	}
-	if len(todo) == 0 {
-		return nil
-	}
+	var workers int
+	var queries int64
+	if len(todo) > 0 {
+		workers = oracle.Workers(e.opts.PreprocWorkers, len(todo))
+		u := e.buildUnateOracle(workers, occ)
+		results := make([]preprocResult, len(todo))
+		err := oracle.ForEach(e.ctx, workers, len(todo), func(i int) error {
+			results[i] = e.preprocessOne(todo[i], u)
+			return results[i].err
+		})
+		e.stats.PreprocSolversBuilt = u.pool.Built()
+		if err != nil {
+			return e.workerErr("preprocess", err)
+		}
 
-	workers := oracle.Workers(e.opts.PreprocWorkers, len(todo))
-	u := e.buildUnateOracle(workers)
-	results := make([]preprocResult, len(todo))
-	err := oracle.ForEach(e.ctx, workers, len(todo), func(i int) error {
-		results[i] = e.preprocessOne(todo[i], u)
-		return results[i].err
-	})
-	e.stats.PreprocSolversBuilt = u.pool.Built()
-	if err != nil {
-		return e.workerErr("preprocess", err)
-	}
-
-	// Deterministic merge in declaration order: all engine mutation happens
-	// here, serially.
-	for i, y := range todo {
-		r := results[i]
-		e.extraOracle += r.oracle
-		if r.unate {
-			e.fixUnate(y, r.value)
+		// Deterministic merge in declaration order: all engine mutation
+		// happens here, serially.
+		for i, y := range todo {
+			r := results[i]
+			queries += r.oracle
+			if r.unate {
+				e.fixUnate(y, r.value)
+			}
+		}
+		e.extraOracle += queries
+		if err := e.defineGates(); err != nil {
+			return err
 		}
 	}
-	if err := e.defineGates(); err != nil {
-		return err
-	}
-	e.tracef("preprocess: %d unates, %d defined (%d workers, %d pooled solvers)",
-		e.stats.UnatesDetected, e.stats.DefinedVars, workers, e.stats.PreprocSolversBuilt)
+	e.tracef("preprocess: %d unates, %d defined, %d queries (%d workers, %d pooled solvers)",
+		e.stats.UnatesDetected, e.stats.DefinedVars, queries, workers, e.stats.PreprocSolversBuilt)
 	return nil
 }
 
@@ -397,91 +393,123 @@ func (e *Engine) gatesInEvalOrder() []sampler.Def {
 	return order
 }
 
-// preprocessOne runs one existential's unate checks, positive first,
-// reading the engine strictly read-only (safe from worker goroutines); all
-// mutation is deferred to the merge. Each pooled solver is held only for
-// its own query, and other workers' checkouts interleave freely.
-func (e *Engine) preprocessOne(y cnf.Var, u *unateOracle) preprocResult {
-	r := preprocResult{}
-	for _, positive := range []bool{true, false} {
-		unate, err := e.isUnate(u, y, positive)
-		r.oracle++
-		if err != nil {
-			r.err = err
-			return r
-		}
-		if unate {
-			r.unate, r.value = true, positive
-			return r
+// litOcc is a flat occurrence index of ϕ's literals: the clauses that hold
+// literal l are clause[start[i]:start[i+1]], i = litSlot(l), in clause
+// order, once per occurrence of l, so a clause repeating l is listed
+// twice in a row.
+type litOcc struct {
+	start  []int32
+	clause []int32
+}
+
+// litSlot numbers the literals of variable v as 2v (positive) and 2v+1.
+func litSlot(l cnf.Lit) int {
+	if l.IsPos() {
+		return 2 * int(l.Var())
+	}
+	return 2*int(l.Var()) + 1
+}
+
+// newLitOcc builds the index in two passes over the clause list.
+func newLitOcc(f *cnf.Formula) litOcc {
+	start := make([]int32, 2*f.NumVars+3)
+	for _, c := range f.Clauses {
+		for _, l := range c {
+			start[litSlot(l)+1]++
 		}
 	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	next := append([]int32(nil), start...)
+	clause := make([]int32, start[len(start)-1])
+	for ci, c := range f.Clauses {
+		for _, l := range c {
+			clause[next[litSlot(l)]] = int32(ci)
+			next[litSlot(l)]++
+		}
+	}
+	return litOcc{start: start, clause: clause}
+}
+
+// of returns the indices of the clauses that hold l.
+func (o *litOcc) of(l cnf.Lit) []int32 {
+	i := litSlot(l)
+	return o.clause[o.start[i]:o.start[i+1]]
+}
+
+// preprocessOne runs one existential's unate checks, positive first,
+// reading the engine strictly read-only (safe from worker goroutines); all
+// mutation is deferred to the merge. It holds one pooled solver for both
+// checks, and other workers' checkouts interleave freely.
+func (e *Engine) preprocessOne(y cnf.Var, u *unateOracle) preprocResult {
+	r := preprocResult{}
+	u.pool.With(func(s *sat.Solver) {
+		for _, positive := range []bool{true, false} {
+			unate, queries, err := e.isUnate(s, &u.occ, y, positive)
+			r.oracle += queries
+			if err != nil {
+				r.err = err
+				return
+			}
+			if unate {
+				r.unate, r.value = true, positive
+				return
+			}
+		}
+	})
 	return r
 }
 
-// unateOracle is the shared machinery of every semantic unate check: one
-// formula ϕ(X,Y) ∧ ¬ϕ(X,Y″) — Y″ a primed copy of the existentials, X
-// shared — with a per-existential equality selector t_y → (y ↔ y″). It is
-// built once per run and loaded into pooled solvers; a single check is then
-// a pure assumption query, where the old implementation re-encoded two
-// cofactors plus a Tseitin negation into a fresh solver per check.
+// unateOracle is the shared machinery of every semantic unate check: ϕ's
+// literal occurrences, which name the clauses a check queries, and a pool
+// of solvers each loaded with ϕ alone, so a query is an assumption call.
 type unateOracle struct {
-	prime map[cnf.Var]cnf.Var // y → y″
-	sel   map[cnf.Var]cnf.Var // y → t_y
-	pool  *oracle.Pool
+	occ  litOcc
+	pool *oracle.Pool
 }
 
-// buildUnateOracle constructs the shared unate check formula and its solver
-// pool (sized to the preprocessing worker count; solvers build lazily on
-// first checkout).
-func (e *Engine) buildUnateOracle(workers int) *unateOracle {
-	f := cnf.New(e.in.Matrix.NumVars)
-	for _, c := range e.in.Matrix.Clauses {
-		f.AddClause(c...)
-	}
-	// ¬ϕ(X,Y″): the existentials renamed to Y″, then negated.
-	u := &unateOracle{
-		prime: e.addNegatedCopy(f),
-		sel:   make(map[cnf.Var]cnf.Var, len(e.in.Exist)),
-	}
-	for _, y := range e.in.Exist {
-		t := f.NewVar()
-		u.sel[y] = t
-		f.AddClause(cnf.NegLit(t), cnf.NegLit(y), cnf.PosLit(u.prime[y]))
-		f.AddClause(cnf.NegLit(t), cnf.PosLit(y), cnf.NegLit(u.prime[y]))
-	}
-	u.pool = oracle.NewPool(workers, func() *sat.Solver {
-		s := e.newSolver()
-		s.AddFormula(f)
-		return s
-	})
-	return u
+// buildUnateOracle sizes the check's solver pool to the preprocessing
+// worker count (solvers build lazily on first checkout).
+func (e *Engine) buildUnateOracle(workers int, occ litOcc) *unateOracle {
+	return &unateOracle{occ: occ, pool: oracle.NewPool(workers, e.newPhiSolver)}
 }
 
-// isUnate checks semantic unateness of y in ϕ: positive unate when
-// ϕ[y:=0] ∧ ¬ϕ[y:=1] is UNSAT; negative unate with the cofactors swapped.
-// On the shared formula the cofactors become assumptions — equality
-// selectors tie every OTHER existential to its primed copy, and y itself is
-// split (y fixed low in the positive copy, y″ fixed high in the negated
-// one). Read-only on the engine, safe from worker goroutines.
-func (e *Engine) isUnate(u *unateOracle, y cnf.Var, positive bool) (bool, error) {
-	assumps := make([]cnf.Lit, 0, len(e.in.Exist)+1)
-	for _, yj := range e.in.Exist {
-		if yj != y {
-			assumps = append(assumps, cnf.PosLit(u.sel[yj]))
+// isUnate checks semantic unateness of y in ϕ on s, a solver loaded with ϕ:
+// positive unate when ϕ[y:=0] ∧ ¬ϕ[y:=1] is UNSAT, negative unate with the
+// cofactors swapped. For the positive check it asks, for every clause C
+// that holds ¬y and not y, whether ϕ ∧ ¬y ∧ ¬(C∖{¬y}) has a model, and
+// stops at the first that does (see the phase comment); it returns the
+// verdict and the queries it issued. Read-only on the engine, safe from
+// worker goroutines.
+func (e *Engine) isUnate(s *sat.Solver, occ *litOcc, y cnf.Var, positive bool) (unate bool, queries int64, err error) {
+	held := cnf.MkLit(y, !positive) // ¬y for the positive check, y for the negative
+	assumps := make([]cnf.Lit, 0, 16)
+	prev := int32(-1)
+clauses:
+	for _, ci := range occ.of(held) {
+		if ci == prev {
+			continue // held repeated in one clause
 		}
-	}
-	assumps = append(assumps, cnf.MkLit(y, !positive), cnf.MkLit(u.prime[y], positive))
-	var unate bool
-	var err error
-	u.pool.With(func(s *sat.Solver) {
-		switch st := s.SolveAssume(assumps); st {
+		prev = ci
+		assumps = append(assumps[:0], held)
+		for _, l := range e.in.Matrix.Clauses[ci] {
+			switch l {
+			case held:
+			case held.Neg():
+				continue clauses // a tautology is true at both values of y
+			default:
+				assumps = append(assumps, l.Neg())
+			}
+		}
+		queries++
+		switch s.SolveAssume(assumps) {
 		case sat.Unsat:
-			unate = true
 		case sat.Sat:
-			unate = false
+			return false, queries, nil
 		default:
-			err = e.oracleUnknown(s, "unate check")
+			return false, queries, e.oracleUnknown(s, "unate check")
 		}
-	})
-	return unate, err
+	}
+	return true, queries, nil
 }

@@ -14,9 +14,9 @@
 // the expensive part, and a loaded solver answers many incremental
 // assumption queries cheaply. When a phase has per-item queries that are
 // independent — the manthan3 preprocessing phase issues per-existential
-// unate checks against one doubled ϕ with equality selectors — the natural
-// shape is a fixed pool of loaded solvers, each built once and then checked
-// out by whichever worker needs an oracle next.
+// unate checks as assumption queries on ϕ — the natural shape is a fixed
+// pool of loaded solvers, each built once and then checked out by
+// whichever worker needs an oracle next.
 //
 // Pool builds solvers lazily through the constructor it is given: the first
 // Size checkouts each construct one solver, later checkouts reuse returned
