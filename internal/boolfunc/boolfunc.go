@@ -633,10 +633,16 @@ func (b *Builder) writeExpr(n Node, sb *strings.Builder) {
 		sb.WriteString("~")
 		b.writeExpr(r.kids[0], sb)
 	case OpAnd, OpOr, OpXor:
-		op := map[Op]string{OpAnd: " & ", OpOr: " | ", OpXor: " ^ "}[r.op]
 		sb.WriteString("(")
 		b.writeExpr(r.kids[0], sb)
-		sb.WriteString(op)
+		switch r.op {
+		case OpAnd:
+			sb.WriteString(" & ")
+		case OpOr:
+			sb.WriteString(" | ")
+		default:
+			sb.WriteString(" ^ ")
+		}
 		b.writeExpr(r.kids[1], sb)
 		sb.WriteString(")")
 	case OpIte:

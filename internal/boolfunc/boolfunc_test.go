@@ -340,6 +340,12 @@ func TestStringRendering(t *testing.T) {
 	if b.String(b.True()) != "1" || b.String(b.False()) != "0" {
 		t.Fatal("constant rendering broken")
 	}
+	// Every operator's text, which certificates and their hashes are made of.
+	g := NewBuilder()
+	h := g.Ite(g.Var(3), g.Or(g.Var(1), g.Var(2)), g.Xor(g.Var(1), g.Not(g.Var(4))))
+	if s, want := g.String(g.And(h, g.Var(5))), "(ite(v3, (v1 | v2), (v1 ^ ~v4)) & v5)"; s != want {
+		t.Fatalf("rendering %q, want %q", s, want)
+	}
 }
 
 func TestBuilderSizeGrowth(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/boolfunc"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
 	"repro/internal/gen"
@@ -213,6 +214,42 @@ func BenchmarkPreprocess(b *testing.B) {
 				if err := e.preprocess(); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkVerifySolverBuild times buildVerifySolver alone, the first build
+// of the verification solver: ¬ϕ(X,Y′) and the Tseitin encoding of every
+// candidate, each under its clause group. It runs on two gen seed 1
+// instances after preprocess, sample and learn with one worker:
+// sat2dqbf-004-h5, which learns 26 trees, and controller-003-h4. Each round
+// rebuilds the solver from the same candidates.
+func BenchmarkVerifySolverBuild(b *testing.B) {
+	for _, c := range []struct {
+		fam gen.Family
+		idx int
+	}{{gen.FamilySAT2DQBF, 4}, {gen.FamilyController, 3}} {
+		named := gen.Generate(c.fam, c.idx, 1)
+		e := newEngine(context.Background(), named.DQBF, Options{Seed: 1, PreprocWorkers: 1}.withDefaults())
+		for _, phase := range []func() error{e.preprocess, e.samplePhase, e.learnPhase} {
+			if err := phase(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		// Sanity outside the timed loop: the candidates encode to clauses.
+		enc := cnf.New(named.DQBF.Matrix.NumVars)
+		var cache boolfunc.Cache
+		for _, y := range named.DQBF.Exist {
+			e.b.ToCNF(e.funcs[y], enc, boolfunc.CNFOptions{Cache: &cache})
+		}
+		if len(enc.Clauses) == 0 {
+			b.Fatalf("%s: the candidates encode to no clause", named.Name)
+		}
+		b.Run(named.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				e.buildVerifySolver()
 			}
 		})
 	}

@@ -71,7 +71,9 @@
 //
 //   - verifySolver holds ¬ϕ(X,Y′) permanently, the Tseitin definitions of
 //     every candidate-DAG node encoded exactly once through a persistent
-//     node → literal cache, and per candidate a tiny releasable clause
+//     node → literal cache (a learned candidate is one Ite per tree node,
+//     computing the disjunction of 1-paths, so its first encoding costs at
+//     most four clauses per node), and per candidate a tiny releasable clause
 //     group tying Y′y to its function's root literal (sat.AddClauseGroup).
 //     A repair round releases and re-encodes only the candidates that
 //     changed. Its search branches on X alone (sat.RestrictBranching),

@@ -187,10 +187,10 @@ func (e *Engine) featuresFor(yi cnf.Var) []cnf.Var {
 
 // learnCandidate learns yi's candidate over featuresFor(yi), on the columns
 // of packed Σ: the features' columns and yi's as the labels. It installs
-// the tree's 1-labeled paths as fi and updates the dependency bookkeeping D
-// through recordUse (Algorithm 2 lines 8-12); with no features, fi is the
-// majority label. A shape error from dtree means core packed Σ wrong, so it
-// is ErrInternal.
+// the tree as fi, one Ite per tree node, computing the disjunction of
+// 1-paths, and updates the dependency bookkeeping D through recordUse
+// (Algorithm 2 lines 8-12); with no features, fi is the majority label. A
+// shape error from dtree means core packed Σ wrong, so it is ErrInternal.
 func (e *Engine) learnCandidate(yi cnf.Var) error {
 	featset := e.featuresFor(yi)
 	labels := e.sigma.col(yi)

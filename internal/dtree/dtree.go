@@ -12,7 +12,8 @@
 // rule are those of the row-scanning ID3 builder the tests keep as a
 // reference, so the learned trees are structurally identical to it.
 //
-// A learned tree converts to a Boolean function as the disjunction of the
+// A learned tree converts to a Boolean function as an if-then-else circuit,
+// one Ite per tree node, computing the disjunction of 1-paths: the
 // root-to-leaf paths that end in a leaf labeled 1 (paper Algorithm 2,
 // lines 7-10).
 //
@@ -274,23 +275,20 @@ func leaves(n *Node) int {
 	return leaves(n.Lo) + leaves(n.Hi)
 }
 
-// ToFunc converts the tree to a Boolean function in builder b: the
-// disjunction over all root-to-leaf paths ending in a 1-labeled leaf of the
-// conjunction of the literals along the path.
+// ToFunc converts the tree to a Boolean function in builder b, one Ite per
+// tree node, computing the disjunction of 1-paths: a leaf is its label's
+// constant and an internal node is Ite(feature, Hi, Lo), so an input reaches
+// a 1-labeled leaf exactly when the function is true. The builder's folding
+// of constant and equal branches leaves at most one gate per internal node.
 func (t *Tree) ToFunc(b *boolfunc.Builder) boolfunc.Node {
-	var walk func(n *Node, path boolfunc.Node) boolfunc.Node
-	walk = func(n *Node, path boolfunc.Node) boolfunc.Node {
-		if n.IsLeaf() {
-			if n.Label {
-				return path
-			}
-			return b.False()
-		}
-		lo := walk(n.Lo, b.And(path, b.Not(b.Var(n.Feature))))
-		hi := walk(n.Hi, b.And(path, b.Var(n.Feature)))
-		return b.Or(lo, hi)
+	return toFunc(b, t.Root)
+}
+
+func toFunc(b *boolfunc.Builder, n *Node) boolfunc.Node {
+	if n.IsLeaf() {
+		return b.Const(n.Label)
 	}
-	return walk(t.Root, b.True())
+	return b.Ite(b.Var(n.Feature), toFunc(b, n.Hi), toFunc(b, n.Lo))
 }
 
 // AppendUsedFeatures appends the feature variables the tree tests to dst,

@@ -345,6 +345,94 @@ func TestToFuncMatchesPredict(t *testing.T) {
 	}
 }
 
+// referenceToFunc is the walk ToFunc replaced, the disjunction of 1-paths
+// spelled out in DNF: every internal node interns its path's conjunction
+// with each branch literal and the disjunction of its subtrees' results, and
+// a 1-labeled leaf returns its path's conjunction. ToFunc must compute the
+// same function.
+func referenceToFunc(tr *Tree, b *boolfunc.Builder) boolfunc.Node {
+	var walk func(n *Node, path boolfunc.Node) boolfunc.Node
+	walk = func(n *Node, path boolfunc.Node) boolfunc.Node {
+		if n.IsLeaf() {
+			if n.Label {
+				return path
+			}
+			return b.False()
+		}
+		lo := walk(n.Lo, b.And(path, b.Not(b.Var(n.Feature))))
+		hi := walk(n.Hi, b.And(path, b.Var(n.Feature)))
+		return b.Or(lo, hi)
+	}
+	return walk(tr.Root, b.True())
+}
+
+// toFuncChecked converts tr with ToFunc on a fresh builder and fails unless
+// the builder then holds at most one gate (And, Or, Xor or Ite node) per
+// internal node of tr, which bounds the gates reachable from the function.
+func toFuncChecked(t *testing.T, what string, tr *Tree) (*boolfunc.Builder, boolfunc.Node) {
+	t.Helper()
+	b := boolfunc.NewBuilder()
+	f := tr.ToFunc(b)
+	gates := 0
+	for id := 1; id <= b.Size(); id++ {
+		switch b.Op(boolfunc.Node(id)) {
+		case boolfunc.OpAnd, boolfunc.OpOr, boolfunc.OpXor, boolfunc.OpIte:
+			gates++
+		}
+	}
+	if internal := tr.Leaves() - 1; gates > internal {
+		t.Fatalf("%s: ToFunc interned %d gates for %d internal nodes\n%s", what, gates, internal, tr)
+	}
+	return b, f
+}
+
+// TestToFuncMatchesReference requires ToFunc, the DNF walk it replaced and
+// Predict to agree on every assignment of the features, for trees learned
+// from random datasets of 1–12 features and 1–256 rows, and ToFunc to cost
+// at most one gate per internal node.
+func TestToFuncMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 300; trial++ {
+		nf, n := 1+rng.Intn(12), 1+rng.Intn(256)
+		r := randomRows(rng, n, nf)
+		opts := Options{MaxDepth: rng.Intn(6), MinSamplesSplit: rng.Intn(4)}
+		tr, err := learnRows(r, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("trial %d (%d rows, %d features, %+v)", trial, n, nf, opts)
+		b, f := toFuncChecked(t, what, tr)
+		rb := boolfunc.NewBuilder()
+		ref := referenceToFunc(tr, rb)
+		a := assignOf(r.features, make([]bool, nf))
+		for mask := 0; mask < 1<<nf; mask++ {
+			for k, v := range r.features {
+				a.SetBool(v, mask>>k&1 == 1)
+			}
+			want := tr.Predict(a)
+			if got, dnf := b.Eval(f, a), rb.Eval(ref, a); got != want || dnf != want {
+				t.Fatalf("%s, assignment %#x: ToFunc %v, reference %v, Predict %v\n%s", what, mask, got, dnf, want, tr)
+			}
+		}
+	}
+
+	leaf := func(label bool) *Node { return &Node{Label: label} }
+	split := func(f cnf.Var, lo, hi *Node) *Node { return &Node{Feature: f, Lo: lo, Hi: hi} }
+	for _, label := range []bool{false, true} {
+		b := boolfunc.NewBuilder()
+		if got := (&Tree{Root: leaf(label)}).ToFunc(b); got != b.Const(label) {
+			t.Fatalf("leaf %v converts to %s", label, b.String(got))
+		}
+	}
+	// A node whose subtrees are equal is that subtree: it tests nothing.
+	sub := func() *Node { return split(2, leaf(false), split(3, leaf(true), leaf(false))) }
+	b := boolfunc.NewBuilder()
+	whole := (&Tree{Root: split(5, sub(), sub())}).ToFunc(b)
+	if part := (&Tree{Root: sub()}).ToFunc(b); whole != part {
+		t.Fatalf("v5 ? s : s converts to %s, want s = %s", b.String(whole), b.String(part))
+	}
+}
+
 func TestMaxDepthRespected(t *testing.T) {
 	feats := []cnf.Var{1, 2, 3, 4}
 	r := tableDataset(feats, func(row []bool) bool {
@@ -633,7 +721,9 @@ func fuzzRows(data []byte) (*rowData, Options) {
 }
 
 // FuzzLearnMatchesReference requires Learn and the reference builder to
-// agree on every dataset fuzzRows decodes.
+// agree on every dataset fuzzRows decodes, and the learned tree's ToFunc to
+// agree with Predict on every decoded row at one gate per internal node at
+// most.
 func FuzzLearnMatchesReference(f *testing.F) {
 	le := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 	f.Add([]byte{0, 0, 0, 0, 0xa5})                                          // one row
@@ -646,6 +736,12 @@ func FuzzLearnMatchesReference(f *testing.F) {
 	f.Add([]byte{4, 99, 5, 0})                                               // every cell zero
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, opts := fuzzRows(data)
-		checkMatchesReference(t, "fuzz", r, opts)
+		tr := checkMatchesReference(t, "fuzz", r, opts)
+		b, fn := toFuncChecked(t, "fuzz", tr)
+		for i, row := range r.rows {
+			if a := assignOf(r.features, row); b.Eval(fn, a) != tr.Predict(a) {
+				t.Fatalf("row %d: ToFunc disagrees with Predict\n%s", i, tr)
+			}
+		}
 	})
 }
