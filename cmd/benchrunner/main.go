@@ -11,16 +11,15 @@
 //
 // Usage:
 //
-//	benchrunner [-n 563] [-timeout 2s] [-seed 1] [-j 0] [-pp-workers 1]
+//	benchrunner [-n 563] [-timeout 2s] [-seed 1] [-j 0]
 //	            [-engines expand,pedant,manthan3] [-faults panic@1,budget@2]
 //	            [-out bench/results]
 //	            [-fig 6|7|8|9|10|all] [-table 1]
 //	benchrunner -bench-out BENCH_5.json [-bench-count 3] [-bench-time 2s]
 //
 // -j sets the number of parallel engine-run workers (0 = NumCPU); the worker
-// count is reported in the run header. -pp-workers raises manthan3's
-// internal preprocessing worker pool (default 1, keeping per-engine
-// durations like-for-like under the parallel suite runner). -engines
+// count is reported in the run header. Each engine run is serial within
+// its worker, so per-engine durations stay like-for-like. -engines
 // overrides the competitor set with comma-separated backend specs — plain
 // registry names, seed-pinned variants ("manthan3@7"), or portfolios
 // ("portfolio:expand+cegar+manthan3") — each reported like any other engine;
@@ -75,7 +74,6 @@ func run(args []string) int {
 	outDir := fs.String("out", "bench-results", "output directory for CSV data")
 	fig := fs.String("fig", "all", "which figure to emit: 6,7,8,9,10,all")
 	jobs := fs.Int("j", 0, "parallel engine-run workers (0 = NumCPU)")
-	ppWorkers := fs.Int("pp-workers", 1, "per-engine preprocessing workers (manthan3-family engines)")
 	enginesFlag := fs.String("engines", "", "comma-separated engine specs to race (default: the canonical set; accepts name@seed and portfolio:a+b+c)")
 	faults := fs.String("faults", "", "deterministic fault plan injected into every engine run (e.g. \"panic@1,budget@2,stall(5ms)@3\"; see internal/faultinject); a fresh plan is armed per run")
 	replay := fs.String("replay", "", "regenerate reports from a previous results_raw.csv instead of re-running")
@@ -166,12 +164,12 @@ func run(args []string) int {
 		if workers <= 0 {
 			workers = runtime.NumCPU()
 		}
-		fmt.Printf("running %d instances × %d engines (%s), timeout %v, %d workers, %d preproc workers…\n",
-			len(suite), len(engines), strings.Join(engines, ", "), *timeout, workers, *ppWorkers)
+		fmt.Printf("running %d instances × %d engines (%s), timeout %v, %d workers…\n",
+			len(suite), len(engines), strings.Join(engines, ", "), *timeout, workers)
 		start := time.Now()
 		results = bench.RunSuite(context.Background(), suite, bench.Options{
 			Timeout: *timeout, Seed: *seed, Workers: workers,
-			Engines: engines, PreprocWorkers: *ppWorkers, WrapBackend: wrap,
+			Engines: engines, WrapBackend: wrap,
 		})
 		fmt.Printf("suite completed in %v\n\n", time.Since(start).Round(time.Millisecond))
 	}

@@ -81,7 +81,6 @@ func run() int {
 	brThreshold := flag.Int("breaker-threshold", service.DefaultBreakerThreshold, "consecutive internal/stall outcomes that trip an engine's breaker (negative disables)")
 	brCooldown := flag.Duration("breaker-cooldown", service.DefaultBreakerCooldown, "how long a tripped breaker stays open before a half-open probe")
 	fallbacks := flag.String("fallback", "", "breaker reroutes as spec=spec pairs, semicolon-separated (e.g. \"manthan3=fallback:cegar>expand\")")
-	ppWorkers := flag.Int("pp-workers", 0, "manthan3 preprocessing worker count (0 = NumCPU)")
 	verifyBudget := flag.Int64("verify-budget", service.DefaultVerifyConflictBudget, "conflict budget for the service's independent response verification (negative disables verification)")
 	faults := flag.String("faults", "", "fault-injection plan armed fresh per request (testing only): comma-separated kind@n rules, kinds panic/budget/unknown/cancel/stall(dur)")
 	faultSeed := flag.Int64("fault-seed", 1, "fault-injection plan seed")
@@ -101,7 +100,6 @@ func run() int {
 			Threshold: *brThreshold,
 			Cooldown:  *brCooldown,
 		},
-		PreprocWorkers:       *ppWorkers,
 		VerifyConflictBudget: *verifyBudget,
 	}
 	if *fallbacks != "" {

@@ -62,9 +62,7 @@ func main() {
 	}
 
 	fmt.Println("distributed safety controller: c1 sees {s1,s2}, c2 sees {s2,s3}")
-	// PreprocWorkers: 2 runs the two controllers' unate checks concurrently;
-	// the result is bit-identical to a serial run.
-	res, err := core.Synthesize(context.Background(), in, core.Options{Seed: 7, PreprocWorkers: 2})
+	res, err := core.Synthesize(context.Background(), in, core.Options{Seed: 7})
 	if err != nil {
 		log.Fatalf("synthesis: %v", err)
 	}

@@ -76,10 +76,9 @@ func goldenInstances() []goldenInstance {
 }
 
 // TestGoldenEngineOutcomes runs every registered engine on the golden
-// instances with engine seed 1 and default worker counts, checks every
-// returned vector with dqbf.VerifyVector, and compares
-// "<instance> <engine> <outcome> <certificate sha256 or ->" lines against
-// the committed golden file.
+// instances with engine seed 1, checks every returned vector with
+// dqbf.VerifyVector, and compares "<instance> <engine> <outcome>
+// <certificate sha256 or ->" lines against the committed golden file.
 func TestGoldenEngineOutcomes(t *testing.T) {
 	var got bytes.Buffer
 	for _, inst := range goldenInstances() {

@@ -17,8 +17,8 @@ import (
 //   - runs a function literal that defers a recover(), or
 //   - runs a function literal whose body calls a *Safe-suffixed wrapper or
 //     backend.Protect-style guard (the worker-pool shape: the literal only
-//     loops and delegates each item to a wrapper, as oracle.ForEach's
-//     workers do through callSafe).
+//     loops and delegates each item to a wrapper, as bench.RunSuite's
+//     workers do through runEngineSafe).
 //
 // Anything else is a goroutine that can crash the process.
 var GoRecover = &analysis.Analyzer{
@@ -99,7 +99,7 @@ func literalIsolatesPanics(info *types.Info, lit *ast.FuncLit) bool {
 
 // isSafeName reports whether name advertises panic isolation under the
 // naming contract: a Safe prefix (backend.SafeSynthesize) or suffix
-// (oracle's callSafe, the service's workerLoopSafe).
+// (bench's runEngineSafe, the service's workerLoopSafe).
 func isSafeName(name string) bool {
 	return name != "" && (strings.HasPrefix(name, "Safe") || strings.HasSuffix(name, "Safe"))
 }

@@ -137,15 +137,10 @@ func MapEngineError(err error, classes ...ErrorClass) error {
 
 // Options tunes a backend run. The zero value gives usable defaults. Every
 // engine-internal SAT solver runs the one search configuration sat.New
-// builds; a run sets only its effort (SATConflictBudget), its seed, and its
-// preprocessing worker count.
+// builds; a run sets only its effort (SATConflictBudget) and its seed.
 type Options struct {
 	// Seed drives engine randomization (sampling, solver tie-breaking).
 	Seed int64
-	// PreprocWorkers bounds the manthan3 preprocessing worker pool (the
-	// per-existential semantic unate checks), the one engine-internal pool;
-	// 0 means NumCPU. Results are bit-identical for every worker count.
-	PreprocWorkers int
 	// SATConflictBudget bounds each engine-internal SAT oracle call in
 	// conflicts; 0 means the engine's own default (DefaultSATConflictBudget
 	// for the engines that bound per-call effort). Retry escalates it

@@ -113,10 +113,6 @@ type Options struct {
 	// Engines lists the competitor specs to run (see backend.Resolve for
 	// the grammar); empty means the canonical Engines set.
 	Engines []string
-	// PreprocWorkers bounds each engine's internal preprocessing pool.
-	// Default 1: RunSuite already saturates the CPUs with concurrent engine
-	// runs, so per-engine durations stay like-for-like (see RunEngine).
-	PreprocWorkers int
 	// WrapBackend, when set, wraps every resolved backend before it runs —
 	// the seam the fault-injection harness (internal/faultinject,
 	// benchrunner's -faults flag) uses to inject dispatch-level faults. The
@@ -139,7 +135,9 @@ func (o Options) engines() []string {
 // caller canceling ctx (a benchrunner shard being shut down, a service
 // request going away) interrupts the run promptly. A vector or False
 // verdict that arrives after that derived ctx has expired is TimedOut, with
-// the Duration measured: it is no solve within the run's timeout.
+// the Duration measured: it is no solve within the run's timeout. A plain
+// engine runs on the calling goroutine and starts none of its own, so
+// RunSuite's concurrent runs keep per-engine Durations like-for-like.
 func RunEngine(ctx context.Context, engine string, in *dqbf.Instance, opts Options) RunResult {
 	if ctx == nil {
 		ctx = context.Background()
@@ -159,19 +157,8 @@ func RunEngine(ctx context.Context, engine string, in *dqbf.Instance, opts Optio
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	// One preprocessing worker by default keeps the measurement
-	// like-for-like: RunSuite already saturates the CPUs with concurrent
-	// engine runs, and the baselines have no intra-engine parallelism to
-	// match — a manthan3 run fanning out NumCPU preprocessing goroutines
-	// would both oversubscribe the machine and skew the per-engine Durations
-	// behind the paper figures. benchrunner's -pp-workers raises it
-	// deliberately.
-	ppWorkers := opts.PreprocWorkers
-	if ppWorkers <= 0 {
-		ppWorkers = 1
-	}
 	start := time.Now()
-	res, err := b.Synthesize(ctx, in, backend.Options{Seed: opts.Seed, PreprocWorkers: ppWorkers})
+	res, err := b.Synthesize(ctx, in, backend.Options{Seed: opts.Seed})
 	end := time.Now()
 	// The deadline is compared directly because ctx.Err() turns non-nil only
 	// when ctx's timer fires, which can lag on a loaded host.

@@ -78,15 +78,14 @@ func BenchmarkVerifyRepair(b *testing.B) {
 }
 
 // BenchmarkRowRepair synthesizes controller-008-h4 (gen seed 1) at
-// suite-manthan3's engine settings: 200 repair rounds and one preprocessing
-// worker. The controller's escape circuit reads universals outside the
-// control bits' dependency sets, so Gk is satisfiable at most
-// counterexamples and most rounds end in a row repair from Gk with all of X
-// pinned; the run answers in 12 rounds, where a repair of one full row
-// σ[Hk] per round ran out of the 200.
+// suite-manthan3's engine settings: 200 repair rounds. The controller's
+// escape circuit reads universals outside the control bits' dependency
+// sets, so Gk is satisfiable at most counterexamples and most rounds end in
+// a row repair from Gk with all of X pinned; the run answers in 12 rounds,
+// where a repair of one full row σ[Hk] per round ran out of the 200.
 func BenchmarkRowRepair(b *testing.B) {
 	in := gen.Generate(gen.FamilyController, 8, 1).DQBF
-	opts := Options{Seed: 1, MaxRepairIterations: 200, PreprocWorkers: 1}
+	opts := Options{Seed: 1, MaxRepairIterations: 200}
 	// Sanity outside the timed loop: the run answers through row repairs.
 	res, err := Synthesize(context.Background(), in, opts)
 	if err != nil {
@@ -191,17 +190,17 @@ func BenchmarkSamplePhase(b *testing.B) {
 	}
 }
 
-// BenchmarkPreprocess times the preprocess phase alone, with one worker, on
-// two gen seed 1 instances: sat2dqbf-004-h5, whose unate checks all answer
-// not unate, and controller-003-h4. Each round preprocesses a fresh engine;
-// building it, which loads ϕ into the run's ϕ-solver, is not timed.
+// BenchmarkPreprocess times the preprocess phase alone on two gen seed 1
+// instances: sat2dqbf-004-h5, whose unate checks all answer not unate, and
+// controller-003-h4. Each round preprocesses a fresh engine; building it,
+// which loads ϕ into the run's ϕ-solver, is not timed.
 func BenchmarkPreprocess(b *testing.B) {
 	for _, c := range []struct {
 		fam gen.Family
 		idx int
 	}{{gen.FamilySAT2DQBF, 4}, {gen.FamilyController, 3}} {
 		named := gen.Generate(c.fam, c.idx, 1)
-		opts := Options{Seed: 1, PreprocWorkers: 1}.withDefaults()
+		opts := Options{Seed: 1}.withDefaults()
 		b.Run(named.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			// A b.N loop: Go 1.24's b.Loop measures its time budget from the
@@ -222,16 +221,16 @@ func BenchmarkPreprocess(b *testing.B) {
 // BenchmarkVerifySolverBuild times buildVerifySolver alone, the first build
 // of the verification solver: ¬ϕ(X,Y′) and the Tseitin encoding of every
 // candidate, each under its clause group. It runs on two gen seed 1
-// instances after preprocess, sample and learn with one worker:
-// sat2dqbf-004-h5, which learns 26 trees, and controller-003-h4. Each round
-// rebuilds the solver from the same candidates.
+// instances after preprocess, sample and learn: sat2dqbf-004-h5, which
+// learns 26 trees, and controller-003-h4. Each round rebuilds the solver
+// from the same candidates.
 func BenchmarkVerifySolverBuild(b *testing.B) {
 	for _, c := range []struct {
 		fam gen.Family
 		idx int
 	}{{gen.FamilySAT2DQBF, 4}, {gen.FamilyController, 3}} {
 		named := gen.Generate(c.fam, c.idx, 1)
-		e := newEngine(context.Background(), named.DQBF, Options{Seed: 1, PreprocWorkers: 1}.withDefaults())
+		e := newEngine(context.Background(), named.DQBF, Options{Seed: 1}.withDefaults())
 		for _, phase := range []func() error{e.preprocess, e.samplePhase, e.learnPhase} {
 			if err := phase(); err != nil {
 				b.Fatal(err)

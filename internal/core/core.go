@@ -10,12 +10,12 @@
 //
 //	preprocess    unate detection: a syntactic pass over ϕ's literal
 //	              occurrences, then semantic checks for the existentials it
-//	              left, run through oracle.ForEach (Options.PreprocWorkers)
-//	              over an oracle.Pool of ϕ-loaded solvers: the positive
-//	              check asks, for each clause holding ¬y, whether a model of
-//	              ϕ makes ¬y its only true literal (the negative check, the
-//	              same for y), each an assumption query on ϕ alone; a
-//	              constant of ϕ is unate, so the checks find every one.
+//	              left, in declaration order on one ϕ-loaded solver: the
+//	              positive check asks, for each clause holding ¬y, whether a
+//	              model of ϕ makes ¬y its only true literal (the negative
+//	              check, the same for y), each an assumption query on ϕ
+//	              alone; a constant of ϕ is unate, so the checks find every
+//	              one.
 //	              Then, serially and with no SAT call, gate definitions: an
 //	              existential that ϕ's clauses over it and at most three
 //	              other variables define gets that gate as its function, and
@@ -43,16 +43,11 @@
 //
 // Each executed phase reports a backend.PhaseStat — name, wall-clock
 // duration, SAT/MaxSAT oracle calls — in Stats.Phases, in execution order.
-// Preprocessing is the one parallel phase. Its unate checks run through
-// oracle.ForEach, which runs inline with one worker, and it is
-// deterministic: for a fixed seed the fixed set, the synthesized constants,
-// and the final functions are bit-identical for every PreprocWorkers count,
-// because workers only write their own item's result and the merge happens
-// serially in declaration order. Learning and verify-repair are serial
-// loops, and every query of the repair loop runs on one of the persistent
-// solvers below, so their UNSAT cores and models are a function of the
-// query stream alone. A panic on a preprocessing worker, or in the learn
-// loop, fails the run with ErrInternal.
+// A run lives on its caller's goroutine and starts none of its own: every
+// phase is a serial loop, and every query runs on a solver the run built,
+// so UNSAT cores and models are a function of the query stream alone, and
+// for a fixed seed the outcome is too. A panic in any phase fails the run
+// with ErrInternal.
 //
 // # Persistent oracles
 //
@@ -63,11 +58,11 @@
 //     extension, the Gk repair queries with their UNSAT cores, and the row
 //     repair's Gk with all of X pinned).
 //
-//   - The preprocessing phase checks out ϕ-loaded solvers of its own from
-//     an oracle.Pool sized to its worker count, so a thousand unate queries
-//     cost at most PreprocWorkers loads of ϕ (Stats.PreprocSolversBuilt).
-//     They leave phiSolver alone: repair reads its learnt clauses and saved
-//     phases, so a query there would move certificates.
+//   - The preprocessing phase builds one ϕ-loaded solver of its own for
+//     its unate checks, so a thousand unate queries cost one load of ϕ
+//     (Stats.PreprocSolversBuilt). It leaves phiSolver alone: repair reads
+//     its learnt clauses and saved phases, so a query there would move
+//     certificates.
 //
 //   - verifySolver holds ¬ϕ(X,Y′) permanently, the Tseitin definitions of
 //     every candidate-DAG node encoded exactly once through a persistent
@@ -124,7 +119,7 @@
 // TestVerifyRepairAllocBudget pins the allocation budget.
 //
 // The package is under the determinism contract — results must be
-// bit-identical across runs and worker counts (see internal/analysis).
+// bit-identical across runs (see internal/analysis).
 //
 //lint:deterministic
 package core

@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 
 	"repro/internal/backend"
 	"repro/internal/boolfunc"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
 	"repro/internal/maxsat"
-	"repro/internal/oracle"
 	"repro/internal/sampler"
 	"repro/internal/sat"
 )
@@ -29,12 +29,11 @@ var (
 	// wrapped chain also contains context.Canceled, so either sentinel works
 	// with errors.Is.
 	ErrCanceled = errors.New("core: synthesis canceled")
-	// ErrInternal means a worker panicked mid-phase, or the engine caught
-	// itself in an inconsistent state. A worker panic is recovered by
-	// oracle.ForEach on the goroutine that raised it (a panic there cannot be
-	// recovered at the dispatch boundary), and its oracle.ErrPanic error,
-	// carrying the panic value and stack, stays in the chain. The backend
-	// adapter maps ErrInternal to backend.ErrInternal.
+	// ErrInternal means the run panicked in some phase, or the engine caught
+	// itself in an inconsistent state. A run lives on its caller's
+	// goroutine, and Synthesize recovers a panic of any phase there, so it
+	// reaches direct callers as ErrInternal carrying the panic value and
+	// stack. The backend adapter maps ErrInternal to backend.ErrInternal.
 	ErrInternal = errors.New("core: internal panic")
 )
 
@@ -46,22 +45,10 @@ type Options struct {
 	MaxRepairIterations int
 	// SATConflictBudget bounds each SAT oracle call (default 500000).
 	SATConflictBudget int64
-	// LearnWorkers is ignored: the learn phase learns one tree at a time. It
-	// stays only because the benchmark module (perfbench) sets it.
-	LearnWorkers int
-	// PreprocWorkers bounds the preprocessing worker pool (0 = NumCPU): the
-	// per-existential semantic unate checks run concurrently over an
-	// oracle.Pool of loaded solvers and merge in declaration order, so the
-	// fixed set and synthesized constants are bit-identical for every worker
-	// count; see preprocess. Caveat: each query's SAT/UNSAT answer is a
-	// fact, but which pooled solver (with which learnt-clause warmth) serves
-	// a query is scheduling-dependent, so an instance whose preprocessing
-	// needs close to SATConflictBudget conflicts may flip between succeeding
-	// and ErrBudget across worker counts — never between different results.
-	PreprocWorkers int
-	// VerifyWorkers is ignored: every repair query runs on the ϕ-solver. It
-	// stays only because the benchmark module (perfbench) sets it.
-	VerifyWorkers int
+	// LearnWorkers, PreprocWorkers and VerifyWorkers are ignored: a run is
+	// serial, on its caller's goroutine. They stay only because the
+	// benchmark module (perfbench) sets them.
+	LearnWorkers, PreprocWorkers, VerifyWorkers int
 
 	// Logf, when non-nil, receives progress trace lines (used by the CLI's
 	// verbose mode; nil disables tracing).
@@ -127,10 +114,9 @@ type Stats struct {
 	// the persistent verification solver after repairs (the initial encoding
 	// of each candidate is not counted).
 	CandidateReencodes int
-	// PreprocSolversBuilt counts the solvers the preprocess phase built,
-	// all of them in its unate-check pool; it never exceeds the
-	// preprocessing worker count regardless of how many queries the phase
-	// issues.
+	// PreprocSolversBuilt is 1 when the preprocess phase built the solver
+	// of its semantic unate checks, and 0 when the syntactic pass left it
+	// no existential to check.
 	PreprocSolversBuilt int
 	// BatchedProbes and RepairSolversBuilt are always 0: every repair query
 	// runs on the ϕ-solver. They stay only because the benchmark module
@@ -233,8 +219,8 @@ type Engine struct {
 	sigma sampleMatrix // training set Σ, packed by the sample phase
 
 	// extraOracle counts solver calls outside the persistent solvers: the
-	// tautology check's fresh solver, pooled preprocessing queries (merged
-	// from workers), and the sampler's draws.
+	// tautology check's fresh solver, the preprocessing unate checks, and
+	// the sampler's draws.
 	extraOracle int64
 
 	stats Stats
@@ -263,8 +249,9 @@ func (e *Engine) oracleCount() int64 {
 }
 
 // satStats combines the persistent solvers' lifetime counters for Stats.SAT.
-// Per-check throwaway solvers and pooled workers are not folded in — their
-// call counts already land in OracleCalls via extraOracle.
+// The tautology check's solver and the preprocessing unate solver are not
+// folded in — their call counts already land in OracleCalls via
+// extraOracle.
 func (e *Engine) satStats() sat.Stats {
 	var st sat.Stats
 	for _, s := range []*sat.Solver{e.phiSolver, e.verifySolver, e.candiSolver} {
@@ -311,8 +298,14 @@ func newEngine(ctx context.Context, in *dqbf.Instance, opts Options) *Engine {
 	return e
 }
 
-// synthesize runs the phase pipeline and assembles the result.
-func (e *Engine) synthesize() (*Result, error) {
+// synthesize runs the phase pipeline and assembles the result. It is the
+// run's one panic boundary: a panic in any phase becomes ErrInternal.
+func (e *Engine) synthesize() (res *Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("%w: %v\n%s", ErrInternal, p, debug.Stack())
+		}
+	}()
 	in := e.in
 	// Trivial cases: no existentials — valid iff ϕ is a tautology. The one
 	// oracle call is reported as a verify-repair phase so even this path
@@ -456,20 +449,6 @@ func (e *Engine) oracleUnknown(s *sat.Solver, what string) error {
 	default:
 		return fmt.Errorf("%w: %s (conflict budget)", ErrBudget, what)
 	}
-}
-
-// workerErr classifies the failure of a phase run through oracle.ForEach: a
-// stopped context becomes its sentinel (see interrupted), a recovered worker
-// panic becomes ErrInternal, and anything else, already classified by the
-// worker, passes through.
-func (e *Engine) workerErr(phase string, err error) error {
-	if cerr := e.interrupted(); cerr != nil {
-		return cerr
-	}
-	if errors.Is(err, oracle.ErrPanic) {
-		return fmt.Errorf("%w: %s worker: %w", ErrInternal, phase, err)
-	}
-	return err
 }
 
 func (e *Engine) newSolver() *sat.Solver {

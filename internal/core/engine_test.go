@@ -730,7 +730,7 @@ func TestSamplerBudgetIsBudget(t *testing.T) {
 	}
 	in.Matrix.AddClause(cnf.PosLit(y), nx+1, nx+2)
 	in.Matrix.AddClause(cnf.NegLit(y), nx+3, nx+4)
-	_, err := Synthesize(context.Background(), in, Options{Seed: 1, PreprocWorkers: 1})
+	_, err := Synthesize(context.Background(), in, Options{Seed: 1})
 	if !errors.Is(err, ErrBudget) || !strings.Contains(err.Error(), "sampling") {
 		t.Fatalf("got %v, want ErrBudget from sampling", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/boolfunc"
 	"repro/internal/cnf"
 	"repro/internal/dtree"
-	"repro/internal/oracle"
 	"repro/internal/sampler"
 )
 
@@ -39,9 +38,8 @@ func (e *Engine) samplePhase() error {
 // open existential, in declaration order, each against the current
 // dependency matrix and merged right after it is learned: in the serial
 // algorithm the tree learned for y1 bans y1 as a feature for later trees
-// that would close a reference cycle. The loop runs through oracle.ForEach
-// with one worker, inline, so the context is checked before each tree and a
-// panic fails the run with ErrInternal.
+// that would close a reference cycle. The context is checked before each
+// tree.
 func (e *Engine) learnPhase() error {
 	// Lines 3-5: dependency constraints from strict subset relations — if
 	// Hj ⊂ Hi then yi may depend on yj, so preemptively record yi ∈ d_j,
@@ -58,18 +56,16 @@ func (e *Engine) learnPhase() error {
 	}
 
 	// Line 7: learn a candidate per existential.
-	todo := make([]cnf.Var, 0, len(e.in.Exist))
 	for _, yi := range e.in.Exist {
 		if e.fixed[yi] {
 			continue // preprocessing already fixed this function
 		}
-		todo = append(todo, yi)
-	}
-	err := oracle.ForEach(e.ctx, 1, len(todo), func(i int) error {
-		return e.learnCandidate(todo[i])
-	})
-	if err != nil {
-		return e.workerErr("learn", err)
+		if err := e.interrupted(); err != nil {
+			return err
+		}
+		if err := e.learnCandidate(yi); err != nil {
+			return err
+		}
 	}
 	e.sigma = sampleMatrix{} // Σ is dead after learning; free it before verify-repair
 	e.findOrder()

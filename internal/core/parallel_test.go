@@ -14,7 +14,6 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
 	"repro/internal/gen"
-	"repro/internal/oracle"
 )
 
 // plantedChainInstance builds a True instance with nY existentials over nX
@@ -169,17 +168,17 @@ func fixedFunctions(t *testing.T, in *dqbf.Instance, opts Options) string {
 	return sb.String()
 }
 
-// TestParallelPreprocessDeterministic asserts the headline property of the
-// parallel preprocessing phase: for a fixed seed, the fixed set, the
-// synthesized constants and gate definitions, the preprocessing
-// statistics, and the final functions are bit-identical for every
-// PreprocWorkers count. It holds them so on learn-heavy and repair-heavy
-// runs too, since the learn and verify-repair phases that follow read
-// what preprocessing fixed.
+// TestParallelPreprocessDeterministic asserts that a run's outcome is a
+// function of its instance and seed: two fresh runs per case agree on the
+// fixed set, the synthesized constants and gate definitions, the
+// preprocessing statistics, and the final functions, and so does a run at
+// PreprocWorkers = NumCPU, which pins the field as ignored. It holds them
+// so on learn-heavy and repair-heavy runs too, since the learn and
+// verify-repair phases that follow read what preprocessing fixed.
 func TestParallelPreprocessDeterministic(t *testing.T) {
 	// Sanity-check the crafted instance actually exercises the semantic
 	// preprocessing paths (otherwise the determinism claim is vacuous).
-	res, err := Synthesize(context.Background(), preprocHeavyInstance(), Options{Seed: 7, PreprocWorkers: 1})
+	res, err := Synthesize(context.Background(), preprocHeavyInstance(), Options{Seed: 7, PreprocWorkers: runtime.NumCPU()})
 	if err != nil {
 		t.Fatalf("preprocHeavyInstance does not synthesize: %v", err)
 	}
@@ -190,13 +189,13 @@ func TestParallelPreprocessDeterministic(t *testing.T) {
 			res.Stats.UnatesDetected, res.Stats)
 	}
 	if res.Stats.PreprocSolversBuilt != 1 {
-		t.Fatalf("PreprocWorkers=1 built %d pooled solvers, want 1", res.Stats.PreprocSolversBuilt)
+		t.Fatalf("PreprocWorkers=%d built %d unate solvers, want 1", runtime.NumCPU(), res.Stats.PreprocSolversBuilt)
 	}
 
 	// The planted chain's Tseitin auxiliaries and equiv-030-h1's are gates
 	// the definitions step takes.
 	equiv := gen.Generate(gen.FamilyEquiv, 30, 1).DQBF
-	if res, err := Synthesize(context.Background(), equiv, Options{Seed: 7, PreprocWorkers: 1}); err != nil || res.Stats.DefinedVars == 0 {
+	if res, err := Synthesize(context.Background(), equiv, Options{Seed: 7}); err != nil || res.Stats.DefinedVars == 0 {
 		t.Fatalf("equiv-030-h1 defines no gate: %v", err)
 	}
 
@@ -222,7 +221,8 @@ func TestParallelPreprocessDeterministic(t *testing.T) {
 		{"chain/repair-heavy", plantedChainInstance(3, 4, 5), repairHeavy},
 		{controller.Name + "/repair-heavy", controller.DQBF, repairHeavy},
 	}
-	workerCounts := []int{1, 2, 3, runtime.NumCPU()}
+	// The first run, a second fresh one, and one at NumCPU workers.
+	workerCounts := []int{1, 1, runtime.NumCPU()}
 	for _, c := range cases {
 		fingerprint := func(w int) string {
 			opts := c.opts
@@ -232,8 +232,8 @@ func TestParallelPreprocessDeterministic(t *testing.T) {
 		want := fingerprint(workerCounts[0])
 		for _, w := range workerCounts[1:] {
 			if got := fingerprint(w); got != want {
-				t.Fatalf("%s: pp-workers=%d diverges from pp-workers=%d:\n--- want ---\n%s\n--- got ---\n%s",
-					c.name, w, workerCounts[0], want, got)
+				t.Fatalf("%s: a run at PreprocWorkers=%d diverges from the first:\n--- want ---\n%s\n--- got ---\n%s",
+					c.name, w, want, got)
 			}
 		}
 	}
@@ -247,24 +247,96 @@ func TestParallelPreprocessDeterministic(t *testing.T) {
 	want := learnedFunctions(t, sat2dqbf, Options{Seed: 7, PreprocWorkers: workerCounts[0]})
 	for _, w := range workerCounts[1:] {
 		if got := learnedFunctions(t, sat2dqbf, Options{Seed: 7, PreprocWorkers: w}); got != want {
-			t.Fatalf("sat2dqbf-004-h5: pp-workers=%d learns other candidates than pp-workers=%d:\n--- want ---\n%s\n--- got ---\n%s",
-				w, workerCounts[0], want, got)
+			t.Fatalf("sat2dqbf-004-h5: a run at PreprocWorkers=%d learns other candidates than the first:\n--- want ---\n%s\n--- got ---\n%s",
+				w, want, got)
 		}
 	}
 }
 
-// TestWorkerPanicIsInternal pins panic isolation inside the engine's own
-// worker goroutines: a solve that panics on a preprocessing worker must fail
-// the run with ErrInternal instead of crashing the process. The hook is set
-// after newEngine, so the ϕ-solver's initial check runs clean and the first
-// solvers to panic are the pooled preprocessing ones, queried from
-// goroutines that oracle.ForEach started.
+// goroutineID names the calling goroutine as the first line of its
+// runtime.Stack does, such as "goroutine 7" from "goroutine 7 [running]:".
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	line, _, _ := strings.Cut(string(buf), "\n")
+	id, _, _ := strings.Cut(line, " [")
+	return id
+}
+
+// TestSynthesizeRunsOnCallerGoroutine pins that a run starts no goroutine
+// of its own: every solve of preprocHeavyInstance that the test hook sees,
+// the preprocessing unate checks among them, runs on the goroutine that
+// called synthesize, even at PreprocWorkers = NumCPU.
+func TestSynthesizeRunsOnCallerGoroutine(t *testing.T) {
+	caller := goroutineID()
+	e := newEngine(context.Background(), preprocHeavyInstance(), Options{Seed: 7, PreprocWorkers: runtime.NumCPU()}.withDefaults())
+	var ids []string
+	e.testSolveHook = func(int64) { ids = append(ids, goroutineID()) }
+	if _, err := e.synthesize(); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if id != caller {
+			t.Fatalf("hooked solve %d of %d ran on %s, the caller is %s", i+1, len(ids), id, caller)
+		}
+	}
+	if e.stats.PreprocSolversBuilt != 1 || len(ids) == 0 {
+		t.Fatalf("%d hooked solves, %d unate solvers built; want the unate checks hooked", len(ids), e.stats.PreprocSolversBuilt)
+	}
+}
+
+// TestWorkerPanicIsInternal pins the run's one panic boundary: a solve
+// that panics in any phase must fail the run with ErrInternal, carrying
+// the panic value and the stack of the phase that raised it, instead of
+// escaping to the caller. The hook is set after newEngine, so the
+// ϕ-solver's initial check runs clean. On preprocHeavyInstance every hooked
+// solve panics, so the first to run, a preprocessing unate check, raises
+// it; on the gen instances the run's last hooked solve does, in
+// verify-repair, after preprocessing is over.
 func TestWorkerPanicIsInternal(t *testing.T) {
-	e := newEngine(context.Background(), preprocHeavyInstance(), Options{Seed: 7, PreprocWorkers: 2}.withDefaults())
+	synthesize := func(e *Engine) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("panic escaped synthesize: %v", p)
+			}
+		}()
+		_, err = e.synthesize()
+		return err
+	}
+	check := func(name string, err error, phase string) {
+		t.Helper()
+		if !errors.Is(err, ErrInternal) || !strings.Contains(err.Error(), "injected solve panic") {
+			t.Errorf("%s: want ErrInternal carrying the injected solve panic, got %v", name, err)
+		} else if !strings.Contains(err.Error(), "(*Engine)."+phase) {
+			t.Errorf("%s: want the stack of %s in the error, got %v", name, phase, err)
+		}
+	}
+
+	e := newEngine(context.Background(), preprocHeavyInstance(), Options{Seed: 7}.withDefaults())
 	e.testSolveHook = func(int64) { panic("injected solve panic") }
-	_, err := e.synthesize()
-	if !errors.Is(err, ErrInternal) || !errors.Is(err, oracle.ErrPanic) {
-		t.Fatalf("want ErrInternal wrapping oracle.ErrPanic, got %v", err)
+	check("preproc-heavy", synthesize(e), "preprocess")
+
+	for _, c := range []struct {
+		fam   gen.Family
+		index int
+	}{{gen.FamilyController, 3}, {gen.FamilySAT2DQBF, 4}, {gen.FamilyRandom, 1}} {
+		inst := gen.Generate(c.fam, c.index, 1)
+		opts := Options{Seed: 1}.withDefaults()
+		solves := 0
+		e := newEngine(context.Background(), inst.DQBF, opts)
+		e.testSolveHook = func(int64) { solves++ }
+		_ = synthesize(e)
+		if solves == 0 {
+			t.Fatalf("%s: no hooked solve", inst.Name)
+		}
+		n := 0
+		e = newEngine(context.Background(), inst.DQBF, opts)
+		e.testSolveHook = func(int64) {
+			if n++; n == solves {
+				panic("injected solve panic")
+			}
+		}
+		check(inst.Name, synthesize(e), "verifyRepair")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/cnf"
-	"repro/internal/oracle"
 	"repro/internal/sampler"
 	"repro/internal/sat"
 )
@@ -42,23 +41,12 @@ import (
 // true literal of a clause C that holds ¬y and not y. The positive check
 // therefore asks ϕ ∧ ¬y ∧ ¬(C∖{¬y}) for each such C, in clause order, and
 // stops at the first Sat; y is positive unate when every query is UNSAT.
-// The negative check is the mirror image. The checks of one existential
-// are independent of every other's, so they run through oracle.ForEach
-// (Options.PreprocWorkers) on ϕ-loaded solvers borrowed from an oracle.Pool
-// sized to the worker count. None runs on the run's ϕ-solver: repair reads
-// its learnt clauses and saved phases, so a query there would move
-// certificates. Workers only compute; the results are merged — setFunc,
-// the fixed set, the stats counters — strictly in declaration order, so the
-// outcome is bit-identical for every worker count
-// (TestParallelPreprocessDeterministic).
-
-// preprocResult is one worker's verdict for one existential.
-type preprocResult struct {
-	unate  bool  // a unate check fixed it
-	value  bool  // its constant: 1 when positive unate, 0 when negative
-	oracle int64 // solver calls issued for this existential
-	err    error
-}
+// The negative check is the mirror image. The checks run in declaration
+// order, positive first, on one ϕ-loaded solver of their own, built for
+// the first existential the syntactic pass leaves, so a query is an
+// assumption call. None runs on the run's ϕ-solver: repair reads its
+// learnt clauses and saved phases, so a query there would move
+// certificates.
 
 // preprocess runs the preprocess phase; see the comment above.
 func (e *Engine) preprocess() error {
@@ -75,43 +63,37 @@ func (e *Engine) preprocess() error {
 		}
 	}
 
-	todo := make([]cnf.Var, 0, len(e.in.Exist))
-	for _, y := range e.in.Exist {
-		if !e.fixed[y] {
-			todo = append(todo, y)
-		}
-	}
-	var workers int
+	var s *sat.Solver
 	var queries int64
-	if len(todo) > 0 {
-		workers = oracle.Workers(e.opts.PreprocWorkers, len(todo))
-		u := e.buildUnateOracle(workers, occ)
-		results := make([]preprocResult, len(todo))
-		err := oracle.ForEach(e.ctx, workers, len(todo), func(i int) error {
-			results[i] = e.preprocessOne(todo[i], u)
-			return results[i].err
-		})
-		e.stats.PreprocSolversBuilt = u.pool.Built()
-		if err != nil {
-			return e.workerErr("preprocess", err)
+	for _, y := range e.in.Exist {
+		if e.fixed[y] {
+			continue
 		}
-
-		// Deterministic merge in declaration order: all engine mutation
-		// happens here, serially.
-		for i, y := range todo {
-			r := results[i]
-			queries += r.oracle
-			if r.unate {
-				e.fixUnate(y, r.value)
-			}
-		}
-		e.extraOracle += queries
-		if err := e.defineGates(); err != nil {
+		if err := e.interrupted(); err != nil {
 			return err
 		}
+		if s == nil {
+			s = e.newPhiSolver()
+			e.stats.PreprocSolversBuilt = 1
+		}
+		for _, positive := range []bool{true, false} {
+			unate, n, err := e.isUnate(s, &occ, y, positive)
+			queries += n
+			if err != nil {
+				return err
+			}
+			if unate {
+				e.fixUnate(y, positive)
+				break
+			}
+		}
 	}
-	e.tracef("preprocess: %d unates, %d defined, %d queries (%d workers, %d pooled solvers)",
-		e.stats.UnatesDetected, e.stats.DefinedVars, queries, workers, e.stats.PreprocSolversBuilt)
+	e.extraOracle += queries
+	if err := e.defineGates(); err != nil {
+		return err
+	}
+	e.tracef("preprocess: %d unates, %d defined, %d queries (%d solvers built)",
+		e.stats.UnatesDetected, e.stats.DefinedVars, queries, e.stats.PreprocSolversBuilt)
 	return nil
 }
 
@@ -438,50 +420,12 @@ func (o *litOcc) of(l cnf.Lit) []int32 {
 	return o.clause[o.start[i]:o.start[i+1]]
 }
 
-// preprocessOne runs one existential's unate checks, positive first,
-// reading the engine strictly read-only (safe from worker goroutines); all
-// mutation is deferred to the merge. It holds one pooled solver for both
-// checks, and other workers' checkouts interleave freely.
-func (e *Engine) preprocessOne(y cnf.Var, u *unateOracle) preprocResult {
-	r := preprocResult{}
-	u.pool.With(func(s *sat.Solver) {
-		for _, positive := range []bool{true, false} {
-			unate, queries, err := e.isUnate(s, &u.occ, y, positive)
-			r.oracle += queries
-			if err != nil {
-				r.err = err
-				return
-			}
-			if unate {
-				r.unate, r.value = true, positive
-				return
-			}
-		}
-	})
-	return r
-}
-
-// unateOracle is the shared machinery of every semantic unate check: ϕ's
-// literal occurrences, which name the clauses a check queries, and a pool
-// of solvers each loaded with ϕ alone, so a query is an assumption call.
-type unateOracle struct {
-	occ  litOcc
-	pool *oracle.Pool
-}
-
-// buildUnateOracle sizes the check's solver pool to the preprocessing
-// worker count (solvers build lazily on first checkout).
-func (e *Engine) buildUnateOracle(workers int, occ litOcc) *unateOracle {
-	return &unateOracle{occ: occ, pool: oracle.NewPool(workers, e.newPhiSolver)}
-}
-
 // isUnate checks semantic unateness of y in ϕ on s, a solver loaded with ϕ:
 // positive unate when ϕ[y:=0] ∧ ¬ϕ[y:=1] is UNSAT, negative unate with the
 // cofactors swapped. For the positive check it asks, for every clause C
 // that holds ¬y and not y, whether ϕ ∧ ¬y ∧ ¬(C∖{¬y}) has a model, and
 // stops at the first that does (see the phase comment); it returns the
-// verdict and the queries it issued. Read-only on the engine, safe from
-// worker goroutines.
+// verdict and the queries it issued.
 func (e *Engine) isUnate(s *sat.Solver, occ *litOcc, y cnf.Var, positive bool) (unate bool, queries int64, err error) {
 	held := cnf.MkLit(y, !positive) // ¬y for the positive check, y for the negative
 	assumps := make([]cnf.Lit, 0, 16)

@@ -50,9 +50,8 @@ func satisfiable(in *dqbf.Instance) bool {
 // TestUnateChecksCoverConstants runs the preprocess phase as fixedFunctions
 // does, on random instances with satisfiable ϕ and on gen's tier-1 and
 // tier-2 instances of every family at seed 1. Every existential
-// referenceConstants fixes must come out fixed to the same constant, for one
-// and for two workers: a constant of a satisfiable ϕ is unate, so the
-// unate checks alone find it.
+// referenceConstants fixes must come out fixed to the same constant: a
+// constant of a satisfiable ϕ is unate, so the unate checks alone find it.
 func TestUnateChecksCoverConstants(t *testing.T) {
 	type named struct {
 		name string
@@ -86,21 +85,19 @@ func TestUnateChecksCoverConstants(t *testing.T) {
 	for _, c := range instances {
 		want := referenceConstants(t, c.in)
 		constants += len(want)
-		for _, workers := range []int{1, 2} {
-			e := newEngine(context.Background(), c.in, Options{Seed: 1, PreprocWorkers: workers}.withDefaults())
-			if err := e.preprocess(); err != nil {
-				t.Fatalf("%s, %d workers: preprocess: %v", c.name, workers, err)
-			}
-			for _, y := range c.in.Exist {
-				v, ok := want[y]
-				switch {
-				case !ok:
-				case !e.fixed[y]:
-					t.Fatalf("%s, %d workers: ϕ fixes y%d to %v, preprocess leaves it free", c.name, workers, y, v)
-				case e.funcs[y] != e.b.Const(v):
-					t.Fatalf("%s, %d workers: ϕ fixes y%d to %v, preprocess to %s",
-						c.name, workers, y, v, e.b.String(e.funcs[y]))
-				}
+		e := newEngine(context.Background(), c.in, Options{Seed: 1}.withDefaults())
+		if err := e.preprocess(); err != nil {
+			t.Fatalf("%s: preprocess: %v", c.name, err)
+		}
+		for _, y := range c.in.Exist {
+			v, ok := want[y]
+			switch {
+			case !ok:
+			case !e.fixed[y]:
+				t.Fatalf("%s: ϕ fixes y%d to %v, preprocess leaves it free", c.name, y, v)
+			case e.funcs[y] != e.b.Const(v):
+				t.Fatalf("%s: ϕ fixes y%d to %v, preprocess to %s",
+					c.name, y, v, e.b.String(e.funcs[y]))
 			}
 		}
 	}
@@ -130,7 +127,7 @@ func TestPreprocessProgressLine(t *testing.T) {
 		in   *dqbf.Instance
 	}{{"syntactic", syntactic}, {"preproc-heavy", preprocHeavyInstance()}} {
 		var lines []string
-		res, err := Synthesize(context.Background(), c.in, Options{Seed: 1, PreprocWorkers: 1, Logf: func(format string, args ...any) {
+		res, err := Synthesize(context.Background(), c.in, Options{Seed: 1, Logf: func(format string, args ...any) {
 			if strings.HasPrefix(format, "preprocess:") {
 				lines = append(lines, fmt.Sprintf(format, args...))
 			}
@@ -140,7 +137,7 @@ func TestPreprocessProgressLine(t *testing.T) {
 		}
 		queries := res.Stats.Phases[0].OracleCalls // the checks are the phase's only solver calls
 		if c.name == "syntactic" && (queries != 0 || res.Stats.UnatesDetected != 2 || res.Stats.PreprocSolversBuilt != 0) {
-			t.Fatalf("%s: %d unates in %d queries on %d pooled solvers, want both existentials with no solver",
+			t.Fatalf("%s: %d unates in %d queries on %d unate solvers, want both existentials with no solver",
 				c.name, res.Stats.UnatesDetected, queries, res.Stats.PreprocSolversBuilt)
 		}
 		if want := fmt.Sprintf(", %d queries (", queries); len(lines) != 1 || !strings.Contains(lines[0], want) {
@@ -202,7 +199,7 @@ func TestUnateMatchesReference(t *testing.T) {
 	// and how many were unate.
 	checkAll := func(name string, in *dqbf.Instance) (verdicts, unates int) {
 		t.Helper()
-		e := newEngine(context.Background(), in, Options{Seed: 1, PreprocWorkers: 1}.withDefaults())
+		e := newEngine(context.Background(), in, Options{Seed: 1}.withDefaults())
 		s, occ := e.newPhiSolver(), newLitOcc(in.Matrix)
 		ref := referenceUnate(t, e)
 		for _, y := range in.Exist {
@@ -276,7 +273,7 @@ func TestUnateMatchesReference(t *testing.T) {
 			in.Matrix.AddClause(cl...)
 		}
 		checkAll(c.name, in)
-		e := newEngine(context.Background(), in, Options{Seed: 1, PreprocWorkers: 1}.withDefaults())
+		e := newEngine(context.Background(), in, Options{Seed: 1}.withDefaults())
 		s, occ := e.newPhiSolver(), newLitOcc(in.Matrix)
 		for i, positive := range []bool{true, false} {
 			got, queries, err := e.isUnate(s, &occ, 3, positive)
@@ -363,7 +360,7 @@ func FuzzUnateMatchesBruteForce(f *testing.F) {
 			}
 		}
 
-		opts := Options{Seed: 1, PreprocWorkers: 1}.withDefaults()
+		opts := Options{Seed: 1}.withDefaults()
 		e := newEngine(context.Background(), in, opts)
 		s, occ := e.newPhiSolver(), newLitOcc(in.Matrix)
 		for _, y := range in.Exist {

@@ -16,7 +16,6 @@ func init() {
 		func(ctx context.Context, in *dqbf.Instance, opts backend.Options) (*backend.Result, error) {
 			res, err := Synthesize(ctx, in, Options{
 				Seed:              opts.Seed,
-				PreprocWorkers:    opts.PreprocWorkers,
 				SATConflictBudget: opts.SATConflictBudget,
 				Logf:              opts.Logf,
 			})
@@ -28,10 +27,8 @@ func init() {
 				res.Stats.CandidatesRepaired, res.Stats.RowRepairs, res.Stats.RowOscillations,
 				res.Stats.UnatesDetected, res.Stats.DefinedVars, res.Stats.OracleCalls)
 			if opts.Logf != nil {
-				// Verbose runs also report the solvers the preprocessing pool
-				// built and the aggregated SAT-solver counters: conflicts,
-				// restarts, learnt tiers and glue.
-				stats += fmt.Sprintf("; pools: %d preproc built", res.Stats.PreprocSolversBuilt)
+				// Verbose runs also report the aggregated SAT-solver counters:
+				// conflicts, restarts, learnt tiers and glue.
 				ss := res.Stats.SAT
 				avgGlue := 0.0
 				if ss.LearntClauses > 0 {

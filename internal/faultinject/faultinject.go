@@ -17,11 +17,11 @@
 // the damage (internal/backend). This package's fault matrix drives it
 // through every dispatch shape, and cmd/benchrunner and cmd/manthand arm it
 // through their -faults flags (see Parse for the spec grammar). Panics
-// below the dispatch boundary are covered where they are contained: on an
-// engine's own worker goroutines in internal/core, through a test-only
-// sat.SolveHook that oracle.ForEach's recover must contain, and under an
-// oracle.Pool checkout in internal/oracle, where Pool.With must evict the
-// panicking solver.
+// below the dispatch boundary are covered where they are contained: inside
+// a manthan3 run in internal/core, through a test-only sat.SolveHook whose
+// panic the engine's one deferred recover must turn into ErrInternal, and
+// under an oracle.Pool checkout in internal/oracle, where Evict must
+// replace the panicking solver.
 //
 // The package is under the determinism contract — results must be
 // bit-identical across runs and worker counts (see internal/analysis).

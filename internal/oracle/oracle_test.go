@@ -29,18 +29,26 @@ func newBuild(builds *atomic.Int64) func() *sat.Solver {
 	}
 }
 
+// builtSlots returns how many solvers p accounts to build slots: constructed
+// minus evicted.
+func (p *Pool) builtSlots() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.built
+}
+
 func TestPoolBuildsLazilyAndReuses(t *testing.T) {
 	var builds atomic.Int64
 	p := NewPool(3, newBuild(&builds))
-	if p.Size() != 3 {
-		t.Fatalf("Size: %d", p.Size())
+	if p.size != 3 {
+		t.Fatalf("size: %d", p.size)
 	}
 	if builds.Load() != 0 {
 		t.Fatal("pool built a solver before first Get")
 	}
 	s := p.Get()
-	if builds.Load() != 1 || p.Built() != 1 {
-		t.Fatalf("first Get built %d solvers (Built=%d), want 1", builds.Load(), p.Built())
+	if builds.Load() != 1 || p.builtSlots() != 1 {
+		t.Fatalf("first Get built %d solvers (%d slots built), want 1", builds.Load(), p.builtSlots())
 	}
 	p.Put(s)
 	for i := 0; i < 10; i++ {
@@ -58,8 +66,8 @@ func TestPoolBuildsLazilyAndReuses(t *testing.T) {
 func TestPoolSizeClamped(t *testing.T) {
 	var builds atomic.Int64
 	p := NewPool(0, newBuild(&builds))
-	if p.Size() != 1 {
-		t.Fatalf("Size: %d, want clamp to 1", p.Size())
+	if p.size != 1 {
+		t.Fatalf("size: %d, want clamp to 1", p.size)
 	}
 	s := p.Get()
 	done := make(chan *sat.Solver)
@@ -72,7 +80,7 @@ func TestPoolSizeClamped(t *testing.T) {
 }
 
 // TestPoolConcurrentCheckout hammers the pool from many goroutines (run
-// under -race by tier-1 verify): at most Size solvers are ever built, every
+// under -race by tier-1 verify): at most size solvers are ever built, every
 // query answers correctly, and no solver is checked out twice at once.
 func TestPoolConcurrentCheckout(t *testing.T) {
 	var builds atomic.Int64
@@ -105,35 +113,50 @@ func TestPoolConcurrentCheckout(t *testing.T) {
 	if b := builds.Load(); b > size {
 		t.Fatalf("built %d solvers, pool size %d", b, size)
 	}
-	if p.Built() > size {
-		t.Fatalf("Built()=%d exceeds size %d", p.Built(), size)
+	if n := p.builtSlots(); n > size {
+		t.Fatalf("%d slots built, pool size %d", n, size)
 	}
 }
 
-// TestPoolWithEvictsPanickingSolver pins With's eviction, which keeps a
-// panicking query from poisoning a pool: the panic propagates out of With,
-// the solver it hit leaves the pool, and the reopened build slot serves a
-// fresh solver.
+// TestPoolWithEvictsPanickingSolver pins the checkout the service's
+// verifier makes with Get, Put and Evict, which keeps a panicking query
+// from poisoning a pool: a deferred call Puts the solver back when the
+// query completed and Evicts it otherwise. The panic propagates to the
+// caller, the solver it hit leaves the pool, and the reopened build slot
+// serves a fresh solver.
 func TestPoolWithEvictsPanickingSolver(t *testing.T) {
 	var builds atomic.Int64
 	p := NewPool(1, newBuild(&builds))
+	query := func(fn func(*sat.Solver)) {
+		s := p.Get()
+		healthy := false
+		defer func() {
+			if healthy {
+				p.Put(s)
+			} else {
+				p.Evict(s)
+			}
+		}()
+		fn(s)
+		healthy = true
+	}
 	var broken *sat.Solver
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("panic inside the query did not propagate out of With")
+				t.Fatal("panic inside the query did not propagate to the caller")
 			}
 		}()
-		p.With(func(s *sat.Solver) {
+		query(func(s *sat.Solver) {
 			broken = s
 			s.SetSolveHook(func(int64) { panic("injected solve panic") })
 			s.Solve()
 		})
 	}()
-	if p.Built() != 0 {
-		t.Fatalf("panicking solver not evicted: %d still built", p.Built())
+	if n := p.builtSlots(); n != 0 {
+		t.Fatalf("panicking solver not evicted: %d still built", n)
 	}
-	p.With(func(s *sat.Solver) {
+	query(func(s *sat.Solver) {
 		if s == broken {
 			t.Fatal("evicted solver handed out again")
 		}
@@ -141,7 +164,7 @@ func TestPoolWithEvictsPanickingSolver(t *testing.T) {
 			t.Fatalf("replacement solver broken: %v", st)
 		}
 	})
-	if p.Built() != 1 || builds.Load() != 2 {
-		t.Fatalf("after eviction and rebuild: Built()=%d, builds=%d, want 1 and 2", p.Built(), builds.Load())
+	if n := p.builtSlots(); n != 1 || builds.Load() != 2 {
+		t.Fatalf("after eviction and rebuild: %d slots built, %d builds, want 1 and 2", n, builds.Load())
 	}
 }

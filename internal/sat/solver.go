@@ -675,9 +675,9 @@ func (s *Solver) StopCause() StopCause { return s.stopCause }
 
 // A SolveHook observes every Solve/SolveAssume call. It runs at the top of
 // the call with the 1-based lifetime solve index, before any search. Tests
-// install one that panics, to simulate a broken solver on a worker
-// goroutine (internal/core) or under an oracle.Pool checkout; production
-// code never sets a hook.
+// install one that panics, to simulate a broken solver inside an engine run
+// (internal/core) or under an oracle.Pool checkout; production code never
+// sets a hook.
 type SolveHook func(solveIndex int64)
 
 // SetSolveHook installs h as the solver's test hook; nil (the default)

@@ -78,14 +78,10 @@ type Config struct {
 	// resolve; they get (and are gated by) breakers of their own.
 	Fallbacks map[string]string
 
-	// PreprocWorkers is the engine pass-through of
-	// backend.Options.PreprocWorkers.
-	PreprocWorkers int
-	// Workers and VerifyWorkers are ignored, since manthan3 learns and
-	// repairs serially. They stay only because the benchmark module
+	// Workers, PreprocWorkers and VerifyWorkers are ignored, since a
+	// manthan3 run is serial. They stay only because the benchmark module
 	// (perfbench) sets them.
-	Workers       int
-	VerifyWorkers int
+	Workers, PreprocWorkers, VerifyWorkers int
 
 	// VerifyConflictBudget bounds each response verification; 0 means
 	// DefaultVerifyConflictBudget, negative disables verification (trust
@@ -468,7 +464,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		be:   be,
 		opts: backend.Options{
 			Seed:              seed,
-			PreprocWorkers:    s.cfg.PreprocWorkers,
 			SATConflictBudget: budget,
 		},
 		result: make(chan *Response, 1),
